@@ -1,6 +1,6 @@
 """Determinism & distribution-safety static analysis (``repro-bench lint``).
 
-The repo's core contract — bit-identical results across serial, thread,
+The repo's core contract — bit-identical results across serial,
 process, and remote backends and across store tiers — keeps being
 threatened by a small family of defects that generic linters cannot see:
 unordered float folds whose iteration order changes across a pickle

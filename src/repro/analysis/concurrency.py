@@ -13,9 +13,13 @@ rules stay declarative:
   hand-offs contribute a ``pool`` role and ``signal.signal(sig,
   self._m)`` handlers a ``signal`` role. Roles then propagate through
   the intra-class call graph (``self.other()`` calls and bound-method/
-  property reads) to a fixpoint. Roles a class is *driven* with from
-  outside its own spawns — a ``ResultStore`` served by ``StoreServer``
-  handler threads — cannot be inferred and are declared centrally in
+  property reads) to a fixpoint. A class with a verb table (``verbs =
+  {verb: (arity, "handler")}``, see :mod:`repro.core.service`) is a
+  service whose connection threads its base class spawns: its handlers
+  and its ``_session`` hook get the ``repro-<service>-conn`` role. Roles
+  a class is *driven* with from outside its own spawns — a
+  ``ResultStore`` served by ``StoreServer`` handler threads — cannot be
+  inferred and are declared centrally in
   :attr:`repro.analysis.framework.AnalysisConfig.thread_roles`.
 
 * **Attribute dataflow.** Every ``self.X`` access is recorded as a
@@ -55,10 +59,15 @@ __all__ = [
     "MethodConcurrency",
     "SpawnSite",
     "build_class_tables",
+    "verb_table",
 ]
 
 #: Callers' thread context: every public method can run on it.
 MAIN_ROLE = "main"
+
+#: The service hook a connection thread runs after the hello (it runs the
+#: verb handlers in turn); a subclass may override it.
+SESSION_HOOK = "_session"
 
 #: ``threading`` factories whose instances are *locks* for guard/ordering
 #: purposes (a ``Condition`` wraps a lock; acquiring it is acquiring one).
@@ -153,6 +162,37 @@ def _is_self_attr(node: ast.AST) -> str | None:
     ):
         return node.attr
     return None
+
+
+def _class_assignment(cls_node: ast.ClassDef, name: str) -> ast.expr | None:
+    """The value of a class-body ``name = ...`` (annotated or not)."""
+    for stmt in cls_node.body:
+        if isinstance(stmt, ast.Assign):
+            if any(isinstance(t, ast.Name) and t.id == name for t in stmt.targets):
+                return stmt.value
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            if isinstance(stmt.target, ast.Name) and stmt.target.id == name:
+                return stmt.value
+    return None
+
+
+def verb_table(cls_node: ast.ClassDef) -> dict[str, str] | None:
+    """A class's ``verbs = {verb: (arity, "handler")}`` table as
+    ``{verb: handler}`` (``""`` for a handler that is not a string), or
+    None when the class has no literal verb table."""
+    value = _class_assignment(cls_node, "verbs")
+    if not isinstance(value, ast.Dict):
+        return None
+    table: dict[str, str] = {}
+    for key, entry in zip(value.keys, value.values):
+        if isinstance(key, ast.Constant) and isinstance(key.value, str):
+            handler = entry.elts[-1] if isinstance(entry, ast.Tuple) and entry.elts else None
+            table[key.value] = (
+                handler.value
+                if isinstance(handler, ast.Constant) and isinstance(handler.value, str)
+                else ""
+            )
+    return table
 
 
 def _lockish_name(name: str) -> bool:
@@ -797,6 +837,16 @@ def _assign_roles(
     for method, role in declared.items():
         if method in table.methods:
             table.methods[method].roles.add(role)
+    # A service's base class spawns its connection threads, which then
+    # call the verb handlers and the session hook: no spawn in this class
+    # body names them, so the verb table does.
+    verbs = verb_table(table.node)
+    if verbs is not None:
+        service = _class_assignment(table.node, "service")
+        name = service.value if isinstance(service, ast.Constant) else "service"
+        for method in [*verbs.values(), SESSION_HOOK]:
+            if method in table.methods:
+                table.methods[method].roles.add(f"repro-{name}-conn")
 
     # Propagate caller roles through intra-class call edges to a fixpoint
     # (a helper called from a handler thread runs on the handler thread).

@@ -170,13 +170,17 @@ DEFAULT_THREAD_ROLES: dict[str, dict[str, dict[str, str]]] = {
             "clear": "repro-store-conn",
         },
     },
-    "repro/core/remote.py": {
-        # WireStats and the dispatch state are shared by every driver
-        # thread of a RemoteMapper dispatch.
+    "repro/core/service.py": {
+        # A RemoteMapper's WireStats is shared by every driver thread of
+        # a dispatch.
         "WireStats": {
             "add_sent": "repro-remote-driver",
             "add_received": "repro-remote-driver",
         },
+    },
+    "repro/core/remote.py": {
+        # The dispatch state is shared by every driver thread of a
+        # RemoteMapper dispatch.
         "_DispatchState": {
             "claim": "repro-remote-driver",
             "complete": "repro-remote-driver",

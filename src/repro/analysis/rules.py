@@ -13,6 +13,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Sequence
 
+from repro.analysis.concurrency import verb_table
 from repro.analysis.findings import Finding
 from repro.analysis.framework import (
     AnalysisConfig,
@@ -472,6 +473,9 @@ class _ProtocolModule:
                 self._visit_compare(node)
             elif isinstance(node, ast.Dict):
                 self._visit_dict(node)
+            elif isinstance(node, ast.ClassDef):
+                # A service's verb table is its handler arms.
+                self.handled.update(verb_table(node) or ())
 
     # --- sent tags ------------------------------------------------------------
 

@@ -64,15 +64,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="execute figures across an N-worker process pool (default: serial)",
     )
     run.add_argument(
-        "--grid-jobs", "--rep-jobs", dest="grid_jobs", type=int, default=1,
-        metavar="N",
+        "--grid-jobs", dest="grid_jobs", type=int, default=1, metavar="N",
         help="execute each figure's flat (platform x rep) grid across an "
              "N-worker pool (default: serial; bit-identical to serial by "
-             "construction; --rep-jobs is the deprecated alias)",
+             "construction)",
     )
     run.add_argument(
         "--grid-backend", metavar="BACKEND", default=None,
-        help="grid backend: serial, thread, process, or remote "
+        help="grid backend: serial, process, or remote "
              "(default: auto — process when --grid-jobs > 1, remote when "
              "--workers is given)",
     )
@@ -353,95 +352,64 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_worker(args: argparse.Namespace) -> int:
+def _cmd_service(args: argparse.Namespace) -> int:
+    """``worker`` / ``store`` / ``fleet``: serve until SIGTERM or SIGINT, then drain."""
     import signal
 
-    from repro.core.remote import WorkerServer
+    if args.command == "worker":
+        from repro.core.remote import WorkerServer
+
+        server = WorkerServer(
+            host=args.host, port=args.port, workers=args.workers,
+            fleet_url=args.fleet, advertise=args.advertise,
+            heartbeat_interval=args.heartbeat_interval,
+        )
+        fleet_note = f", fleet {args.fleet}" if args.fleet else ""
+        detail = f" ({args.workers} local worker(s){fleet_note})"
+    elif args.command == "store":
+        from repro.core.storenet import StoreServer
+
+        server = StoreServer(
+            host=args.host,
+            port=args.port,
+            root=args.dir,
+            max_bytes=args.max_mb * 1024 * 1024 if args.max_mb is not None else None,
+        )
+        detail = f" (dir {args.dir})"
+    else:
+        from repro.core.fleet import FleetCoordinator
+
+        kwargs = {}
+        if args.heartbeat_timeout is not None:
+            kwargs["heartbeat_timeout"] = args.heartbeat_timeout
+        server = FleetCoordinator(host=args.host, port=args.port, **kwargs)
+        detail = ""
 
     def _graceful_exit(signum: int, frame: object) -> None:
         raise KeyboardInterrupt
 
-    # SIGTERM drains too (the CI workflow and process supervisors send
-    # it), and SIGINT is restored in case the worker was started with it
-    # ignored (a nohup'd background step inherits SIGINT=SIG_IGN, which
-    # would otherwise make the graceful-drain path unreachable).
-    signal.signal(signal.SIGTERM, _graceful_exit)
-    signal.signal(signal.SIGINT, _graceful_exit)
-    server = WorkerServer(
-        host=args.host, port=args.port, workers=args.workers,
-        fleet_url=args.fleet, advertise=args.advertise,
-        heartbeat_interval=args.heartbeat_interval,
-    )
-    server.start()
-    # Parsable by scripts (and the CI workflow): the bound address on one
-    # line, flushed before the serve loop blocks.
-    fleet_note = f", fleet {args.fleet}" if args.fleet else ""
-    print(
-        f"repro-bench worker listening on {server.address_string} "
-        f"({args.workers} local worker(s){fleet_note})",
-        flush=True,
-    )
-    server.serve_forever()
-    print("repro-bench worker drained, exiting")
-    return 0
-
-
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    import signal
-
-    from repro.core.fleet import FleetCoordinator
-
-    def _graceful_exit(signum: int, frame: object) -> None:
-        raise KeyboardInterrupt
-
-    # Same signal discipline as the worker: SIGTERM stops too, and SIGINT
-    # is restored in case a nohup'd start inherited SIGINT=SIG_IGN.
-    signal.signal(signal.SIGTERM, _graceful_exit)
-    signal.signal(signal.SIGINT, _graceful_exit)
-    kwargs = {}
-    if args.heartbeat_timeout is not None:
-        kwargs["heartbeat_timeout"] = args.heartbeat_timeout
-    coordinator = FleetCoordinator(host=args.host, port=args.port, **kwargs)
-    coordinator.start()
-    # Parsable by scripts (and the CI workflow): the bound address on one
-    # line, flushed before the serve loop blocks.
-    print(
-        f"repro-bench fleet listening on {coordinator.address_string}",
-        flush=True,
-    )
-    coordinator.serve_forever()
-    print("repro-bench fleet drained, exiting")
-    return 0
-
-
-def _cmd_store(args: argparse.Namespace) -> int:
-    import signal
-
-    from repro.core.storenet import StoreServer
-
-    def _graceful_exit(signum: int, frame: object) -> None:
-        raise KeyboardInterrupt
-
-    # Same signal discipline as the worker: SIGTERM stops too, and SIGINT
-    # is restored in case a nohup'd start inherited SIGINT=SIG_IGN.
-    signal.signal(signal.SIGTERM, _graceful_exit)
-    signal.signal(signal.SIGINT, _graceful_exit)
-    server = StoreServer(
-        host=args.host,
-        port=args.port,
-        root=args.dir,
-        max_bytes=args.max_mb * 1024 * 1024 if args.max_mb is not None else None,
-    )
-    server.start()
-    # Parsable by scripts (and the CI workflow): the bound address on one
-    # line, flushed before the serve loop blocks.
-    print(
-        f"repro-bench store listening on {server.address_string} "
-        f"(dir {args.dir})",
-        flush=True,
-    )
-    server.serve_forever()
-    print("repro-bench store drained, exiting")
+    try:
+        # SIGTERM drains too (the CI workflow and process supervisors send
+        # it), and SIGINT is restored in case the service was started with
+        # it ignored (a nohup'd background step inherits SIGINT=SIG_IGN,
+        # which would otherwise make the graceful-drain path unreachable).
+        # Both are installed inside the try, so a signal that lands during
+        # start() or the banner drains like one that lands while serving.
+        signal.signal(signal.SIGTERM, _graceful_exit)
+        signal.signal(signal.SIGINT, _graceful_exit)
+        server.start()
+        # Parsable by scripts (and the CI workflow): the bound address on
+        # one line, flushed before the serve loop blocks.
+        print(
+            f"repro-bench {args.command} listening on {server.address_string}{detail}",
+            flush=True,
+        )
+        server.serve_forever()
+    except KeyboardInterrupt:
+        pass
+    finally:
+        server.stop()
+    print(f"repro-bench {args.command} drained, exiting")
     return 0
 
 
@@ -504,12 +472,8 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_run(args)
         if args.command == "plan":
             return _cmd_plan(args)
-        if args.command == "worker":
-            return _cmd_worker(args)
-        if args.command == "fleet":
-            return _cmd_fleet(args)
-        if args.command == "store":
-            return _cmd_store(args)
+        if args.command in ("worker", "store", "fleet"):
+            return _cmd_service(args)
         if args.command == "findings":
             return _cmd_findings(args)
         if args.command == "hap":

@@ -9,6 +9,7 @@
 * :mod:`repro.core.report`     — ASCII rendering of tables and figures
 * :mod:`repro.core.findings`   — automated checks of the paper's findings
 * :mod:`repro.core.scheduler`  — parallel experiment scheduler + backends
+* :mod:`repro.core.service`    — the TCP service skeleton (server + client bases)
 * :mod:`repro.core.remote`     — remote grid backend (worker fleet over TCP)
 * :mod:`repro.core.store`      — persistent content-addressed result store
 * :mod:`repro.core.storenet`   — shared (network) result store tier
@@ -23,10 +24,8 @@ from repro.core.runner import (
     RepJob,
     Runner,
     active_grid_mapper,
-    active_rep_mapper,
     execution_context,
     grid_mapper,
-    rep_mapper,
     run_rep_job,
 )
 from repro.core.plan import (
@@ -82,11 +81,9 @@ __all__ = [
     "RepJob",
     "run_rep_job",
     "grid_mapper",
-    "rep_mapper",
     "PoolMapper",
     "execution_context",
     "active_grid_mapper",
-    "active_rep_mapper",
     "FigurePlan",
     "MeasurementSpec",
     "LoweredGrid",

@@ -5,14 +5,14 @@ hand-named roster — ``run --workers host:port,...`` — which makes the
 fleet a deployment *constant*: every scale-up means re-running the
 client. This module turns membership into a service, the RAFDA position
 applied to the roster itself: a :class:`FleetCoordinator` is a tiny
-registry speaking the same framed-pickle transport as the worker and
-store services, ``repro-bench worker --fleet host:port`` registers on
-start / heartbeats on an interval / deregisters on drain, and ``run
---fleet host:port`` resolves the *live* roster at dispatch time instead
-of baking one in. Which machines execute a grid is then pure deployment
-policy — workers can join mid-run and are admitted, workers that stop
-heartbeating are treated exactly like a dead socket (their in-flight
-chunks re-queue to the survivors).
+registry built on the same :class:`~repro.core.service.Service` skeleton
+as the worker and store services, ``repro-bench worker --fleet
+host:port`` registers on start / heartbeats on an interval / deregisters
+on drain, and ``run --fleet host:port`` resolves the *live* roster at
+dispatch time instead of baking one in. Which machines execute a grid is
+then pure deployment policy — workers can join mid-run and are admitted,
+workers that stop heartbeating are treated exactly like a dead socket
+(their in-flight chunks re-queue to the survivors).
 
 Membership is soft state (the Grapevine/anti-entropy lesson): the
 coordinator holds it in memory only, loses nothing durable on restart
@@ -23,9 +23,9 @@ output.
 
 Wire protocol (v1) — framed pickles, synchronous request/reply:
 
-* the client opens with ``("hello", {"protocol": 1, "service":
-  "fleet"})`` and the server answers in kind — the ``service`` marker
-  keeps a mis-pointed worker roster or store URL a clear error;
+* the hello is ``("hello", {"service": "fleet", "protocol": 1})`` and
+  the coordinator answers in kind — the ``service`` marker keeps a
+  mis-pointed worker roster or store URL a clear error;
 * requests are ``("register", {"address": str, "slots": int})`` →
   ``("ok", True)``, ``("heartbeat", address)`` → ``("ok", known)``
   (``known=False`` tells a worker the coordinator restarted and it must
@@ -39,14 +39,14 @@ Wire protocol (v1) — framed pickles, synchronous request/reply:
 
 from __future__ import annotations
 
-import socket
 import threading
 import time
 from typing import Any
 
-from repro.core.remote import (
+from repro.core.service import (
     RemoteError,
-    _quietly_close,
+    Service,
+    ServiceClient,
     parse_worker_address,
     recv_frame,
     send_frame,
@@ -80,23 +80,32 @@ class FleetError(RemoteError):
 # --- coordinator ------------------------------------------------------------------
 
 
-class FleetCoordinator:
+class FleetCoordinator(Service):
     """The membership registry one elastic fleet shares.
 
-    Listens on ``host:port`` (``port=0`` binds an ephemeral port),
-    tracks ``address -> slots`` for every registered worker, and prunes
+    Tracks ``address -> slots`` for every registered worker and prunes
     members whose last heartbeat is older than ``heartbeat_timeout``
     seconds. Liveness is measured on the monotonic clock — wall-clock
-    steps must not mass-evict a healthy fleet.
-
-    ``serve_forever()`` is the CLI loop (``repro-bench fleet``); the
-    context-manager form is the in-process loopback fixture the tests
-    and CI are built on::
+    steps must not mass-evict a healthy fleet. ``serve_forever()`` is the
+    ``repro-bench fleet`` loop; the context-manager form is the loopback
+    fixture::
 
         with FleetCoordinator(port=0) as coordinator:
             worker = WorkerServer(port=0, fleet_url=coordinator.address_string)
             ...
     """
+
+    service = "fleet"
+    protocol = FLEET_PROTOCOL_VERSION
+    noun = "fleet coordinator"
+    error = FleetError
+    verbs = {
+        "register": (1, "_register"),
+        "heartbeat": (1, "_heartbeat"),
+        "deregister": (1, "_deregister"),
+        "roster": (0, "_roster"),
+        "stats": (0, "_stats"),
+    }
 
     def __init__(
         self,
@@ -109,8 +118,7 @@ class FleetCoordinator:
             raise FleetError(
                 f"heartbeat timeout must be positive, got {heartbeat_timeout}"
             )
-        self.host = host
-        self.port = port
+        super().__init__(host, port)
         self.heartbeat_timeout = heartbeat_timeout
         #: address -> {"slots": int, "last_seen": monotonic seconds}
         self._members: dict[str, dict[str, Any]] = {}
@@ -122,85 +130,6 @@ class FleetCoordinator:
             "heartbeats": 0,
             "roster_reads": 0,
         }
-        self._listener: socket.socket | None = None
-        self._accept_thread: threading.Thread | None = None
-        self._handlers: list[threading.Thread] = []
-        self._connections: list[socket.socket] = []
-        self._lock = threading.Lock()
-        self._stopping = threading.Event()
-
-    # --- lifecycle -------------------------------------------------------------
-
-    @property
-    def address(self) -> tuple[str, int]:
-        """The bound ``(host, port)`` — resolves ``port=0`` to the real port."""
-        if self._listener is None:
-            raise FleetError("fleet coordinator is not started")
-        return self._listener.getsockname()[:2]
-
-    @property
-    def address_string(self) -> str:
-        """The bound address as the CLI's ``host:port`` spelling."""
-        host, port = self.address
-        return f"{host}:{port}"
-
-    def start(self) -> "FleetCoordinator":
-        """Bind and begin serving registrations."""
-        if self._listener is not None:
-            raise FleetError("fleet coordinator already started")
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self.port))
-        listener.listen()
-        self._listener = listener
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="repro-fleet-accept", daemon=True
-        )
-        self._accept_thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Close the listener and every client connection."""
-        if self._listener is None:
-            return
-        self._stopping.set()
-        listener, self._listener = self._listener, None
-        _quietly_close(listener)
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5)
-            self._accept_thread = None
-        with self._lock:
-            connections = list(self._connections)
-            handlers = list(self._handlers)
-        for conn in connections:
-            _quietly_close(conn)
-        for handler in handlers:
-            handler.join(timeout=10)
-        with self._lock:
-            self._handlers.clear()
-        self._stopping.clear()
-
-    def serve_forever(self) -> None:
-        """The CLI loop: block until interrupted, then stop."""
-        if self._listener is None:
-            self.start()
-        try:
-            while self._listener is not None and not self._stopping.wait(timeout=0.5):
-                pass
-        except KeyboardInterrupt:
-            pass
-        finally:
-            self.stop()
-
-    def __enter__(self) -> "FleetCoordinator":
-        if self._listener is None:
-            self.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-    # --- membership ------------------------------------------------------------
 
     def members(self) -> list[dict[str, Any]]:
         """The live roster: ``[{"address": ..., "slots": ...}, ...]``.
@@ -224,21 +153,22 @@ class FleetCoordinator:
                 for address in sorted(self._members)
             ]
 
-    def _register(self, address: str, slots: int) -> None:
+    # --- verbs -----------------------------------------------------------------
+
+    def _register(self, member: dict[str, Any]) -> bool:
+        address, slots = str(member["address"]), int(member["slots"])
         parse_worker_address(address)  # reject unroutable registrations early
         if slots < 1:
             raise FleetError(f"slots must be >= 1, got {slots}")
         with self._members_lock:
-            self._members[address] = {
-                "slots": int(slots),
-                "last_seen": time.monotonic(),
-            }
+            self._members[address] = {"slots": slots, "last_seen": time.monotonic()}
             self._counters["registered"] += 1
+        return True
 
-    def _heartbeat(self, address: str) -> bool:
+    def _heartbeat(self, address: Any) -> bool:
         with self._members_lock:
             self._counters["heartbeats"] += 1
-            member = self._members.get(address)
+            member = self._members.get(str(address))
             if member is None:
                 # Unknown: the coordinator restarted (or expired this
                 # worker); False tells the worker to re-register.
@@ -246,10 +176,16 @@ class FleetCoordinator:
             member["last_seen"] = time.monotonic()
             return True
 
-    def _deregister(self, address: str) -> None:
+    def _deregister(self, address: Any) -> bool:
         with self._members_lock:
-            if self._members.pop(address, None) is not None:
+            if self._members.pop(str(address), None) is not None:
                 self._counters["deregistered"] += 1
+        return True
+
+    def _roster(self) -> list[dict[str, Any]]:
+        with self._members_lock:
+            self._counters["roster_reads"] += 1
+        return self.members()
 
     def _stats(self) -> dict[str, Any]:
         live = self.members()  # prunes first, so "live" is truthful
@@ -258,118 +194,11 @@ class FleetCoordinator:
         stats["live"] = len(live)
         return stats
 
-    # --- connection handling ---------------------------------------------------
-
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        listener = self._listener
-        while not self._stopping.is_set():
-            try:
-                conn, _peer = listener.accept()
-            except OSError:
-                return  # listener closed by stop()
-            # Membership traffic is tiny request/reply frames; Nagle
-            # buffering only delays them.
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            with self._lock:
-                self._connections.append(conn)
-                handler = threading.Thread(
-                    target=self._serve_connection,
-                    args=(conn,),
-                    name="repro-fleet-conn",
-                    daemon=True,
-                )
-                self._handlers.append(handler)
-            handler.start()
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        try:
-            hello = recv_frame(conn)
-            rejection = self._hello_rejection(hello)
-            if rejection is not None:
-                send_frame(conn, ("error", None, rejection))
-                return
-            send_frame(
-                conn,
-                ("hello", {"service": "fleet", "protocol": FLEET_PROTOCOL_VERSION}),
-            )
-            while True:
-                try:
-                    message = recv_frame(conn)
-                except EOFError:
-                    return  # client done
-                reply = self._handle(message)
-                send_frame(conn, reply)
-                if reply[0] == "error":
-                    return  # protocol is broken; make the client redial
-        except (RemoteError, OSError, EOFError):
-            pass  # torn connection: the client reconnects lazily
-        finally:
-            _quietly_close(conn)
-            with self._lock:
-                if conn in self._connections:
-                    self._connections.remove(conn)
-                # Self-prune finished handlers (long-lived coordinators
-                # accept unboundedly many connections).
-                self._handlers[:] = [t for t in self._handlers if t.is_alive()]
-
-    def _hello_rejection(self, hello: Any) -> str | None:
-        """The two-sided handshake diagnosis, or None when the hello is good."""
-        if (
-            not isinstance(hello, tuple)
-            or len(hello) != 2
-            or hello[0] != "hello"
-            or not isinstance(hello[1], dict)
-        ):
-            return "fleet protocol mismatch: bad hello frame"
-        service = hello[1].get("service")
-        if service != "fleet":
-            return (
-                f"fleet protocol mismatch: this is a repro-bench fleet "
-                f"coordinator, client offered service {service!r} — point "
-                f"--fleet at a coordinator, worker rosters at workers, and "
-                f"--store at stores"
-            )
-        version = hello[1].get("protocol")
-        if version != FLEET_PROTOCOL_VERSION:
-            return (
-                f"fleet protocol mismatch: this coordinator speaks "
-                f"v{FLEET_PROTOCOL_VERSION}, client offered {version!r} — "
-                f"upgrade the older side"
-            )
-        return None
-
-    def _handle(self, message: Any) -> tuple:
-        if not (isinstance(message, tuple) and message and isinstance(message[0], str)):
-            return ("error", None, f"unexpected frame {message!r}")
-        try:
-            if (
-                message[0] == "register"
-                and len(message) == 2
-                and isinstance(message[1], dict)
-            ):
-                self._register(str(message[1]["address"]), int(message[1]["slots"]))
-                return ("ok", True)
-            if message[0] == "heartbeat" and len(message) == 2:
-                return ("ok", self._heartbeat(str(message[1])))
-            if message[0] == "deregister" and len(message) == 2:
-                self._deregister(str(message[1]))
-                return ("ok", True)
-            if message[0] == "roster" and len(message) == 1:
-                with self._members_lock:
-                    self._counters["roster_reads"] += 1
-                return ("ok", self.members())
-            if message[0] == "stats" and len(message) == 1:
-                return ("ok", self._stats())
-        except Exception as exc:
-            return ("error", None, f"{type(exc).__name__}: {exc}")
-        return ("error", None, f"unexpected frame {message!r}")
-
 
 # --- client ----------------------------------------------------------------------
 
 
-class FleetClient:
+class FleetClient(ServiceClient):
     """Client stub for a :class:`FleetCoordinator`.
 
     Connects lazily on first use, redials lazily after a torn
@@ -379,74 +208,10 @@ class FleetClient:
     against a dead coordinator at worker start).
     """
 
-    def __init__(
-        self, address: str | tuple[str, int], *, connect_timeout: float = 10.0
-    ) -> None:
-        self.address = parse_worker_address(address)
-        self.connect_timeout = connect_timeout
-        self._sock: socket.socket | None = None
-
-    @property
-    def url(self) -> str:
-        """The coordinator address as the CLI's ``host:port`` spelling."""
-        host, port = self.address
-        return f"{host}:{port}" if ":" not in host else f"[{host}]:{port}"
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FleetClient({self.url!r})"
-
-    # --- transport -------------------------------------------------------------
-
-    def _connection(self) -> socket.socket:
-        if self._sock is not None:
-            return self._sock
-        try:
-            sock = socket.create_connection(self.address, timeout=self.connect_timeout)
-        except OSError as exc:
-            raise FleetError(
-                f"could not reach fleet coordinator {self.url}: {exc}"
-            ) from exc
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        try:
-            # Handshake under the connect timeout, then block freely.
-            send_frame(
-                sock,
-                ("hello", {"protocol": FLEET_PROTOCOL_VERSION, "service": "fleet"}),
-            )
-            reply = recv_frame(sock)
-            if (
-                isinstance(reply, tuple)
-                and len(reply) == 3
-                and reply[0] == "error"
-                and reply[1] is None
-                and isinstance(reply[2], str)
-                and "fleet protocol" in reply[2]
-            ):
-                # A coordinator refused and said why — surface its
-                # two-sided diagnosis verbatim. Error frames from other
-                # services (a worker or store refusing our hello) fall
-                # through to the wrong-service diagnosis below.
-                raise FleetError(
-                    f"fleet coordinator {self.url} refused the handshake: {reply[2]}"
-                )
-            if (
-                not isinstance(reply, tuple)
-                or reply[0] != "hello"
-                or reply[1].get("service") != "fleet"
-            ):
-                raise FleetError(
-                    f"{self.url} is not a fleet coordinator (handshake reply: "
-                    f"{reply!r}) — is it a repro-bench worker or store?"
-                )
-            sock.settimeout(None)
-        except FleetError:
-            _quietly_close(sock)
-            raise
-        except (RemoteError, OSError, EOFError) as exc:
-            _quietly_close(sock)
-            raise FleetError(f"fleet handshake with {self.url} failed: {exc}") from exc
-        self._sock = sock
-        return sock
+    service = "fleet"
+    protocol = FLEET_PROTOCOL_VERSION
+    noun = "fleet coordinator"
+    error = FleetError
 
     def _request(self, message: tuple) -> Any:
         sock = self._connection()
@@ -456,28 +221,7 @@ class FleetClient:
         except (RemoteError, OSError, EOFError) as exc:
             self.close()
             raise FleetError(f"fleet coordinator {self.url} failed: {exc}") from exc
-        if isinstance(reply, tuple) and len(reply) == 2 and reply[0] == "ok":
-            return reply[1]
-        self.close()
-        if isinstance(reply, tuple) and len(reply) == 3 and reply[0] == "error":
-            raise FleetError(f"fleet coordinator {self.url} refused: {reply[2]}")
-        raise FleetError(
-            f"fleet coordinator {self.url} sent an unexpected frame: {reply!r}"
-        )
-
-    def close(self) -> None:
-        """Drop the connection (idempotent; the client may be reused)."""
-        if self._sock is not None:
-            _quietly_close(self._sock)
-            self._sock = None
-
-    def __enter__(self) -> "FleetClient":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # --- membership surface ----------------------------------------------------
+        return self._unwrap(reply)
 
     def register(self, address: str, slots: int) -> None:
         """Join the fleet as ``address`` with ``slots`` local workers."""

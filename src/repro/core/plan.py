@@ -192,7 +192,7 @@ class LoweredGrid:
         :func:`~repro.core.runner.execution_context` is used (serial when
         none is installed). ``Executor.map``-style mappers preserve input
         order, and every cell's stream was pre-derived during lowering, so
-        results are bit-identical across the serial/thread/process/remote
+        results are bit-identical across the serial/process/remote
         backends.
         """
         dispatch = mapper or active_grid_mapper() or _serial_map

@@ -5,27 +5,27 @@ grid of picklable, self-contained :class:`~repro.core.runner.RepJob`s, so
 dispatching a figure across machines needs nothing but a transport: this
 module is that transport. It follows the client-stub / device-server
 split of CERN's RDA middleware — a :class:`WorkerServer` is the device
-server (it executes jobs, ``workers`` local worker processes each), a
-:class:`RemoteMapper` is the client stub (it registers as the fourth
-entry in :data:`~repro.core.runner.GRID_BACKENDS` and fans one grid over
-every connected worker). Where the cells execute is deployment-time
-policy (``--grid-backend remote --workers host:port,...``), never a code
-change — the RAFDA position.
+server (a :class:`~repro.core.service.Service` that executes jobs,
+``workers`` local worker processes each), a :class:`RemoteMapper` is the
+client stub (it registers as the ``remote`` entry in
+:data:`~repro.core.runner.GRID_BACKENDS` and fans one grid over every
+connected worker). Where the cells execute is deployment-time policy
+(``--grid-backend remote --workers host:port,...``), never a code change
+— the RAFDA position.
 
-Wire protocol (v3, chunked + store-aware) — length-prefixed pickle
-frames over TCP:
+Wire protocol (v4) — the framed pickles of :mod:`repro.core.service`:
 
-* every frame is a 4-byte big-endian header word — the low 31 bits are
-  the payload length, the top bit marks a zlib-compressed payload —
-  followed by the (possibly compressed) pickle payload;
-* the client opens with ``("hello", {"protocol": 3, "compress_min":
-  N-or-None, "store": "host:port"-or-None})`` and the server answers
-  ``("hello", {"slots": S, "compress_min": N-or-None})`` — ``S`` is the
-  worker's local process count, which the client uses as its pipelining
-  window (counted in *chunks*), the echoed ``compress_min`` is the
-  negotiated compression threshold both sides apply to subsequent
-  frames, and ``store`` (new in v3) names the shared store this
-  connection's cells dedupe through (see below);
+* the client opens with ``("hello", {"service": "worker", "protocol":
+  4, "compress_min": N-or-None, "store": "host:port"-or-None})`` and the
+  server answers ``("hello", {"service": "worker", "protocol": 4,
+  "verbs": ("chunk",), "slots": S, "compress_min": N-or-None})`` — ``S``
+  is the worker's local process count, which the client uses as its
+  pipelining window (counted in *chunks*), the echoed ``compress_min`` is
+  the negotiated compression threshold both sides apply to subsequent
+  frames, and ``store`` names the shared store this connection's cells
+  dedupe through (see below). v4 added the ``service`` marker the store
+  and fleet hellos already carried; v3 added the store address and the
+  cell stats, v2 chunked frames and compression;
 * work flows as ``("chunk", seq, fn, [item, ...])`` — one frame carries
   one contiguous slab of the lowered grid (``fn`` picklable by
   reference — :func:`~repro.core.runner.run_rep_job` for grid cells),
@@ -53,10 +53,6 @@ frames over TCP:
 * a client closes its socket to finish; the server drains that
   connection's in-flight chunks first (graceful shutdown, both ways).
 
-``TCP_NODELAY`` is set on every dialed and accepted socket: frames are
-small and strictly request/reply-shaped, so Nagle buffering only adds
-latency here.
-
 Determinism is untouched by all of this: every cell's RNG stream was
 pre-derived during lowering, so remote results are bit-identical to
 serial ones no matter which worker runs which chunk, in which order, or
@@ -68,16 +64,27 @@ from __future__ import annotations
 
 import pickle
 import socket
-import struct
 import threading
 import time
-import zlib
 from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.chunking import chunk_items, resolve_chunk_size
-from repro.errors import ConfigurationError, ReproError
+from repro.core.fleet import FleetClient, FleetError
+from repro.core.service import (
+    RemoteDispatchError,
+    RemoteError,
+    RemoteProtocolError,
+    Service,
+    ServiceClient,
+    WireStats,
+    parse_worker_address,
+    recv_frame,
+    send_frame,
+)
+from repro.core.storenet import RemoteStore
+from repro.errors import ConfigurationError
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -94,37 +101,18 @@ __all__ = [
     "RemoteMapper",
 ]
 
-#: v3: an optional shared-store address in the hello and a cell-stats
-#: element on chunk results (worker-side cell dedupe). v2 added chunked
-#: job frames, chunk-granular slot accounting, and negotiated zlib
-#: compression. Older peers are refused at the handshake.
-PROTOCOL_VERSION = 3
+#: v4: the hello carries the ``service`` marker. v3 added an optional
+#: shared-store address in the hello and a cell-stats element on chunk
+#: results (worker-side cell dedupe); v2 chunked job frames,
+#: chunk-granular slot accounting, and negotiated zlib compression.
+#: Older peers are refused at the handshake.
+PROTOCOL_VERSION = 4
 
 #: Default compression threshold offered in the hello: payloads at or
 #: above this many pickled bytes cross the wire zlib-compressed. Small
 #: frames skip the deflate round-trip — it would cost more latency than
 #: the bytes it saves.
 COMPRESS_MIN_BYTES = 16384
-
-#: Frames above this size indicate a corrupt length prefix, not a figure.
-_MAX_FRAME_BYTES = 1 << 30
-
-#: Top bit of the header word: the payload is zlib-compressed.
-_COMPRESSED_FLAG = 1 << 31
-
-_LENGTH = struct.Struct(">I")
-
-
-class RemoteError(ReproError):
-    """Base class for remote grid backend failures."""
-
-
-class RemoteProtocolError(RemoteError):
-    """A peer violated the framed-pickle protocol (or hung up mid-frame)."""
-
-
-class RemoteDispatchError(RemoteError):
-    """No worker could be reached (or all of them died mid-grid)."""
 
 
 class RemoteJobError(RemoteError):
@@ -134,162 +122,6 @@ class RemoteJobError(RemoteError):
     a failure is deterministic — re-running it elsewhere fails the same
     way.
     """
-
-
-# --- framing ---------------------------------------------------------------------
-
-
-class WireStats:
-    """Thread-safe byte/frame counters for one peer's framed traffic.
-
-    Feeds the perf trajectory's ``bytes_per_cell`` wire metric: pass an
-    instance to :func:`send_frame`/:func:`recv_frame` (the
-    :class:`RemoteMapper` owns one per client) and read the totals after
-    a dispatch. Counts bytes *on the wire* — header word plus the
-    possibly-compressed payload — so compression savings are visible.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        self.frames_sent = 0
-        self.frames_received = 0
-
-    def add_sent(self, size: int) -> None:
-        with self._lock:
-            self.bytes_sent += size
-            self.frames_sent += 1
-
-    def add_received(self, size: int) -> None:
-        with self._lock:
-            self.bytes_received += size
-            self.frames_received += 1
-
-    def reset(self) -> None:
-        with self._lock:
-            self.bytes_sent = 0
-            self.bytes_received = 0
-            self.frames_sent = 0
-            self.frames_received = 0
-
-    @property
-    def total_bytes(self) -> int:
-        with self._lock:
-            return self.bytes_sent + self.bytes_received
-
-
-def send_frame(
-    sock: socket.socket,
-    message: Any,
-    *,
-    compress_min: int | None = None,
-    stats: WireStats | None = None,
-) -> None:
-    """Pickle ``message`` and send it as one length-prefixed frame.
-
-    With ``compress_min`` set, payloads at least that many pickled bytes
-    are zlib-compressed when that actually shrinks them, and the header
-    word's top bit is set so the receiver knows to inflate. ``stats``
-    (if given) counts the frame's on-wire bytes.
-    """
-    payload = pickle.dumps(message)
-    header = len(payload)
-    if compress_min is not None and len(payload) >= compress_min:
-        squeezed = zlib.compress(payload)
-        if len(squeezed) < len(payload):
-            payload = squeezed
-            header = len(payload) | _COMPRESSED_FLAG
-    frame = _LENGTH.pack(header) + payload
-    sock.sendall(frame)
-    if stats is not None:
-        stats.add_sent(len(frame))
-
-
-def _recv_exact(sock: socket.socket, size: int) -> bytes:
-    chunks: list[bytes] = []
-    remaining = size
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            raise RemoteProtocolError(
-                f"connection closed mid-frame ({size - remaining}/{size} bytes read)"
-            )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def recv_frame(sock: socket.socket, *, stats: WireStats | None = None) -> Any:
-    """Receive one frame, inflate it if flagged, and unpickle it.
-
-    Raises :class:`EOFError` on a clean close at a frame boundary and
-    :class:`RemoteProtocolError` on a mid-frame close, a corrupt length
-    prefix, or a corrupt compressed payload. ``stats`` (if given) counts
-    the frame's on-wire bytes.
-    """
-    header = b""
-    while len(header) < _LENGTH.size:
-        chunk = sock.recv(_LENGTH.size - len(header))
-        if not chunk:
-            if header:
-                raise RemoteProtocolError("connection closed mid-length-prefix")
-            raise EOFError("connection closed")
-        header += chunk
-    (word,) = _LENGTH.unpack(header)
-    compressed = bool(word & _COMPRESSED_FLAG)
-    size = word & (_COMPRESSED_FLAG - 1)
-    if size > _MAX_FRAME_BYTES:
-        raise RemoteProtocolError(f"frame length {size} exceeds {_MAX_FRAME_BYTES}")
-    payload = _recv_exact(sock, size)
-    if stats is not None:
-        stats.add_received(_LENGTH.size + size)
-    if compressed:
-        try:
-            payload = zlib.decompress(payload)
-        except zlib.error as exc:
-            raise RemoteProtocolError(f"corrupt compressed frame: {exc}") from None
-    return pickle.loads(payload)
-
-
-def parse_worker_address(address: str | tuple[str, int]) -> tuple[str, int]:
-    """``"host:port"`` (or an already-split pair) -> ``(host, port)``.
-
-    IPv6 literals must be bracketed (``[::1]:7077`` -> ``("::1", 7077)``);
-    the brackets are stripped. An unbracketed address with more than one
-    colon is ambiguous — ``::1:7077`` could split anywhere — and is
-    rejected with a :class:`~repro.errors.ConfigurationError` naming the
-    bracketed spelling. Shared by the worker-fleet roster and the
-    ``--store`` address.
-    """
-    if isinstance(address, tuple):
-        host, port = address
-        return str(host), int(port)
-    if address.startswith("["):
-        host, bracket, rest = address[1:].partition("]")
-        if not host or not bracket or not rest.startswith(":"):
-            raise RemoteDispatchError(
-                f"worker address {address!r} is not of the form [host]:port"
-            )
-        port_text = rest[1:]
-    else:
-        host, separator, port_text = address.rpartition(":")
-        if not separator or not host:
-            raise RemoteDispatchError(
-                f"worker address {address!r} is not of the form host:port"
-            )
-        if ":" in host:
-            raise ConfigurationError(
-                f"ambiguous IPv6 worker address {address!r}: bracket the "
-                f"host as [{host}]:{port_text}"
-            )
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise RemoteDispatchError(
-            f"worker address {address!r} has a non-numeric port"
-        ) from None
-    return host, port
 
 
 # --- server ----------------------------------------------------------------------
@@ -310,15 +142,13 @@ _CELL_WAIT_POLL_S = 0.05
 _CELL_CLIENTS = threading.local()
 
 
-def _cell_client(store_url: str) -> Any:
+def _cell_client(store_url: str) -> RemoteStore | None:
     """This thread's dedupe client for ``store_url`` (None = disabled)."""
     cache = getattr(_CELL_CLIENTS, "clients", None)
     if cache is None:
         cache = _CELL_CLIENTS.clients = {}
     if store_url in cache:
         return cache[store_url]
-    from repro.core.storenet import RemoteStore  # lazy: storenet imports us
-
     client = None
     try:
         candidate = RemoteStore(store_url)
@@ -404,23 +234,17 @@ def _run_chunk_call(
     return [_run_cell_deduped(fn, item, store_url, stats) for item in chunk], stats
 
 
-class WorkerServer:
+class WorkerServer(Service):
     """One fleet member: executes shipped jobs on local worker processes.
 
-    Listens on ``host:port`` (``port=0`` binds an ephemeral port — see
-    :attr:`address`), accepts any number of client connections, and runs
-    each connection's jobs on a pool of ``workers`` local processes
-    shared across connections (``workers=1`` executes inline in the
-    connection's handler thread — no fork, the CI loopback default).
-    Results are sent back as they complete, tagged with the client's
-    sequence number, so a multi-process worker naturally completes out of
-    order and the client reassembles.
-
-    ``start()`` returns once the socket is listening; ``stop()`` drains
-    in-flight jobs, closes every connection, and releases the pool.
-    ``serve_forever()`` is the CLI loop (start, block, stop on
-    interrupt). Also usable as a context manager — the in-process
-    loopback fixture the tests and CI are built on::
+    Accepts any number of client connections and runs each connection's
+    jobs on a pool of ``workers`` local processes shared across
+    connections (``workers=1`` executes inline in the connection's
+    handler thread — no fork, the CI loopback default). Results are sent
+    back as they complete, tagged with the client's sequence number, so
+    a multi-process worker naturally completes out of order and the
+    client reassembles. ``stop()`` drains in-flight jobs, closes every
+    connection, and releases the pool::
 
         with WorkerServer(port=0, workers=2) as server:
             mapper = RemoteMapper([server.address_string])
@@ -437,6 +261,14 @@ class WorkerServer:
     address registered (needed when the bind address — ``0.0.0.0``, a
     container-private IP — is not the address clients should dial).
     """
+
+    service = "worker"
+    protocol = PROTOCOL_VERSION
+    noun = "worker"
+    error = RemoteDispatchError
+    #: Served by the pipelined :meth:`_session` rather than the default
+    #: request/reply loop: chunk results go back in completion order.
+    verbs = {"chunk": (3, "_dispatch")}
 
     def __init__(
         self,
@@ -456,62 +288,34 @@ class WorkerServer:
             )
         if advertise is not None:
             parse_worker_address(advertise)  # reject undialable spellings early
-        self.host = host
-        self.port = port
+        super().__init__(host, port)
         self.workers = workers
         self.fleet_url = fleet_url
         self.advertise = advertise
         self.heartbeat_interval = heartbeat_interval
-        self._fleet_client: Any = None
+        self._fleet_client: FleetClient | None = None
         self._heartbeat_thread: threading.Thread | None = None
         self._heartbeat_stop = threading.Event()
-        self._listener: socket.socket | None = None
         self._executor: ProcessPoolExecutor | None = None
-        self._accept_thread: threading.Thread | None = None
-        self._handlers: list[threading.Thread] = []
-        self._connections: list[socket.socket] = []
-        self._lock = threading.Lock()
-        self._stopping = threading.Event()
-
-    # --- lifecycle -------------------------------------------------------------
-
-    @property
-    def address(self) -> tuple[str, int]:
-        """The bound ``(host, port)`` — resolves ``port=0`` to the real port."""
-        if self._listener is None:
-            raise RemoteDispatchError("server is not started")
-        return self._listener.getsockname()[:2]
-
-    @property
-    def address_string(self) -> str:
-        """The bound address as the CLI's ``host:port`` spelling."""
-        host, port = self.address
-        return f"{host}:{port}"
 
     @property
     def advertised_address(self) -> str:
         """The address this worker registers with its fleet coordinator."""
         return self.advertise if self.advertise is not None else self.address_string
 
+    # --- lifecycle -------------------------------------------------------------
+
     def start(self) -> "WorkerServer":
-        """Bind, pre-fork the local pool, and begin accepting clients."""
+        """Pre-fork the local pool, begin accepting clients, join the fleet."""
         if self._listener is not None:
-            raise RemoteDispatchError("server already started")
+            raise RemoteDispatchError("worker already started")
         if self.workers > 1:
             self._executor = ProcessPoolExecutor(max_workers=self.workers)
             # Fork the pool's processes now, from the starting thread —
             # ProcessPoolExecutor forks lazily on first submit, which
             # would otherwise happen inside a connection handler thread.
             self._executor.submit(_noop).result()
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self.port))
-        listener.listen()
-        self._listener = listener
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="repro-worker-accept", daemon=True
-        )
-        self._accept_thread.start()
+        super().start()
         if self.fleet_url is not None:
             try:
                 self._join_fleet()
@@ -522,9 +326,17 @@ class WorkerServer:
                 raise
         return self
 
-    def _join_fleet(self) -> None:
-        from repro.core.fleet import FleetClient  # lazy: fleet imports us
+    def stop(self) -> None:
+        """Leave the fleet, drain every connection, then release the pool."""
+        if self._listener is None:
+            return
+        self._leave_fleet()
+        super().stop()
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)
+            self._executor = None
 
+    def _join_fleet(self) -> None:
         assert self.fleet_url is not None
         self._fleet_client = FleetClient(self.fleet_url)
         self._fleet_client.register(self.advertised_address, self.workers)
@@ -535,9 +347,8 @@ class WorkerServer:
         self._heartbeat_thread.start()
 
     def _heartbeat_loop(self) -> None:
-        from repro.core.fleet import FleetError
-
         client = self._fleet_client
+        assert client is not None
         while not self._heartbeat_stop.wait(timeout=self.heartbeat_interval):
             try:
                 if not client.heartbeat(self.advertised_address):
@@ -554,8 +365,6 @@ class WorkerServer:
             self._heartbeat_thread.join(timeout=5)
             self._heartbeat_thread = None
         if self._fleet_client is not None:
-            from repro.core.fleet import FleetError
-
             try:
                 # Drain semantics: leave the roster *before* the listener
                 # closes, so new dispatches stop seeing us while in-flight
@@ -567,133 +376,28 @@ class WorkerServer:
             self._fleet_client.close()
             self._fleet_client = None
 
-    def stop(self) -> None:
-        """Graceful drain: finish in-flight jobs, then tear everything down."""
-        if self._listener is None:
-            return
-        self._leave_fleet()
-        self._stopping.set()
-        listener, self._listener = self._listener, None
-        # shutdown() before close(): close() alone does not wake a thread
-        # blocked in accept(2), which would leave the listening socket
-        # half-alive (still accepting!) until that thread moved.
-        _quietly_close(listener)
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5)
-            self._accept_thread = None
-        with self._lock:
-            connections = list(self._connections)
-            handlers = list(self._handlers)
-        for conn in connections:
-            # Waking blocked recv() calls lets handlers notice the stop;
-            # each handler drains its own in-flight jobs before exiting.
-            _quietly_close(conn)
-        for handler in handlers:
-            handler.join(timeout=10)
-        with self._lock:
-            self._handlers.clear()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-        self._stopping.clear()
-
-    def serve_forever(self) -> None:
-        """The CLI loop: block until interrupted, then drain and stop."""
-        if self._listener is None:
-            self.start()
-        try:
-            # Also poll the listener: a concurrent stop() may have cleared
-            # the stopping flag again before this thread observed it.
-            while self._listener is not None and not self._stopping.wait(timeout=0.5):
-                pass
-        except KeyboardInterrupt:
-            pass
-        finally:
-            self.stop()
-
-    def __enter__(self) -> "WorkerServer":
-        if self._listener is None:
-            self.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
     # --- connection handling ---------------------------------------------------
 
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        listener = self._listener
-        while not self._stopping.is_set():
-            try:
-                conn, _peer = listener.accept()
-            except OSError:
-                return  # listener closed by stop()
-            # Frames are small and strictly request/reply-shaped; Nagle
-            # buffering only delays them.
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            with self._lock:
-                self._connections.append(conn)
-                handler = threading.Thread(
-                    target=self._serve_connection,
-                    args=(conn,),
-                    name="repro-worker-conn",
-                    daemon=True,
-                )
-                self._handlers.append(handler)
-            handler.start()
+    def _check_hello(self, offer: dict[str, Any]) -> dict[str, Any]:
+        compress_min = offer.get("compress_min")
+        if compress_min is not None and (
+            not isinstance(compress_min, int) or compress_min < 1
+        ):
+            raise RemoteProtocolError(f"bad compress_min {compress_min!r}")
+        store_url = offer.get("store")
+        if store_url is not None and not isinstance(store_url, str):
+            raise RemoteProtocolError(f"bad store address {store_url!r}")
+        # Negotiated: echo the client's threshold; the session applies it
+        # to every frame this connection sends from here on.
+        return {"slots": self.workers, "compress_min": compress_min}
 
-    def _serve_connection(self, conn: socket.socket) -> None:
+    def _session(self, conn: socket.socket, offer: dict[str, Any]) -> None:
+        """The pipelined chunk loop: accept chunks while earlier ones run,
+        reply as each completes, and drain before the connection closes."""
         send_lock = threading.Lock()
         in_flight: set[Future] = set()
-        compress_min: int | None = None
+        compress_min, store_url = offer.get("compress_min"), offer.get("store")
         try:
-            hello = recv_frame(conn)
-            if (
-                not isinstance(hello, tuple)
-                or len(hello) != 2
-                or hello[0] != "hello"
-                or not isinstance(hello[1], dict)
-            ):
-                send_frame(conn, ("error", None, "protocol mismatch: bad hello frame"))
-                return
-            client_version = hello[1].get("protocol")
-            if client_version != PROTOCOL_VERSION:
-                # Name both versions: a mixed-version fleet must fail the
-                # handshake with a diagnosis, not corrupt frames later.
-                send_frame(
-                    conn,
-                    (
-                        "error",
-                        None,
-                        f"protocol mismatch: this worker speaks "
-                        f"v{PROTOCOL_VERSION}, client offered "
-                        f"{client_version!r} — upgrade the older side",
-                    ),
-                )
-                return
-            offered_min = hello[1].get("compress_min")
-            if offered_min is not None and (
-                not isinstance(offered_min, int) or offered_min < 1
-            ):
-                send_frame(
-                    conn,
-                    ("error", None, f"protocol mismatch: bad compress_min {offered_min!r}"),
-                )
-                return
-            store_url = hello[1].get("store")
-            if store_url is not None and not isinstance(store_url, str):
-                send_frame(
-                    conn,
-                    ("error", None, f"protocol mismatch: bad store address {store_url!r}"),
-                )
-                return
-            # Negotiated: echo the client's threshold and apply it to
-            # every frame this connection sends from here on.
-            compress_min = offered_min
-            send_frame(
-                conn, ("hello", {"slots": self.workers, "compress_min": compress_min})
-            )
             while True:
                 try:
                     message = recv_frame(conn)
@@ -711,8 +415,6 @@ class WorkerServer:
                 self._dispatch(
                     conn, send_lock, in_flight, compress_min, seq, fn, chunk, store_url
                 )
-        except (RemoteProtocolError, OSError, EOFError):
-            pass  # torn connection: the client's retry logic owns recovery
         finally:
             # Graceful drain: finish (and deliver, best-effort) every chunk
             # this connection already accepted before closing it.
@@ -721,14 +423,6 @@ class WorkerServer:
                     future.result()
                 except Exception:
                     pass
-            _quietly_close(conn)
-            with self._lock:
-                if conn in self._connections:
-                    self._connections.remove(conn)
-                # Self-prune: a long-lived worker accepts unboundedly many
-                # connections; finished handler threads must not pile up
-                # until stop().
-                self._handlers[:] = [t for t in self._handlers if t.is_alive()]
 
     def _dispatch(
         self,
@@ -781,22 +475,16 @@ def _noop() -> None:
     """Pool warm-up payload (forks the workers at start() time)."""
 
 
-def _quietly_close(sock: socket.socket) -> None:
-    try:
-        sock.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass
-    try:
-        sock.close()
-    except OSError:
-        pass
-
-
 # --- client ----------------------------------------------------------------------
 
 
-class _WorkerConnection:
+class _WorkerConnection(ServiceClient):
     """One live connection to a fleet member, with its pipelining window."""
+
+    service = "worker"
+    protocol = PROTOCOL_VERSION
+    noun = "worker"
+    error = RemoteProtocolError
 
     def __init__(
         self,
@@ -806,47 +494,13 @@ class _WorkerConnection:
         compress_min: int | None = None,
         store_url: str | None = None,
     ) -> None:
-        self.address = address
-        self.sock = socket.create_connection(address, timeout=timeout)
-        try:
-            self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            # Handshake under the connect timeout, then block freely: job
-            # durations are workload-dependent and unbounded.
-            send_frame(
-                self.sock,
-                (
-                    "hello",
-                    {
-                        "protocol": PROTOCOL_VERSION,
-                        "compress_min": compress_min,
-                        "store": store_url,
-                    },
-                ),
-            )
-            reply = recv_frame(self.sock)
-            if (
-                isinstance(reply, tuple)
-                and len(reply) == 3
-                and reply[0] == "error"
-                and reply[1] is None
-            ):
-                # The server refused the handshake and said why (e.g. a
-                # protocol-version mismatch in a mixed fleet) — surface
-                # its diagnosis verbatim.
-                raise RemoteProtocolError(
-                    f"worker {address[0]}:{address[1]} refused the handshake: {reply[2]}"
-                )
-            if not (isinstance(reply, tuple) and reply[0] == "hello"):
-                raise RemoteProtocolError(f"bad handshake reply from {address}: {reply!r}")
-            self.slots = max(1, int(reply[1].get("slots", 1)))
-            self.compress_min = reply[1].get("compress_min")
-            self.sock.settimeout(None)
-        except BaseException:
-            _quietly_close(self.sock)
-            raise
-
-    def close(self) -> None:
-        _quietly_close(self.sock)
+        super().__init__(
+            address, connect_timeout=timeout, compress_min=compress_min, store=store_url
+        )
+        # Dialed now, not lazily: the mapper connects its roster up front.
+        self.sock = self._connection()
+        self.slots = max(1, int(self.peer.get("slots", 1)))
+        self.compress_min = self.peer.get("compress_min")
 
 
 class RemoteMapper:
@@ -969,8 +623,6 @@ class RemoteMapper:
 
     def _fleet(self) -> Any:
         if self._fleet_client is None:
-            from repro.core.fleet import FleetClient  # lazy: fleet imports us
-
             self._fleet_client = FleetClient(self.fleet_url)
         return self._fleet_client
 

@@ -1,15 +1,14 @@
-"""Repetition engine.
+"""Repetition engine: per-repetition streams, grid jobs, and grid mappers.
 
-Runs a workload ``n`` times on a platform with independent per-repetition
-RNG streams (derived from ``figure/platform/rep-i``), extracts a scalar
-metric from each result, and summarizes. All figure reproductions go
-through this, so seed management is uniform and results are reproducible.
+:class:`Runner` derives each repetition's RNG stream (from
+``figure/platform/rep-i``) for the plan layer's lowering, so every
+figure's seed management is uniform and results are reproducible.
 
 Execution is separated from definition: every repetition's stream is
 derived *up-front* from the seed tree, so the repetitions are mutually
 independent and may be dispatched through any order-preserving ``mapper``
-(the built-in serial map by default; thread/process pool mappers — and
-the :mod:`repro.core.remote` fleet mapper — via :func:`grid_mapper`).
+(the built-in serial map by default; the process pool mapper — and the
+:mod:`repro.core.remote` fleet mapper — via :func:`grid_mapper`).
 Results are bit-identical regardless of the mapper because no
 repetition's draws depend on another's.
 
@@ -19,24 +18,20 @@ work (closures cannot cross a pool boundary).
 
 The mapper is usually not passed explicitly: the scheduler layer installs
 one ambiently via :func:`execution_context` (a ``contextvars`` scope), and
-both :meth:`Runner.__init__` and the plan layer's
-:meth:`~repro.core.plan.LoweredGrid.execute` pick it up. Since the plan
-refactor the same mapper covers a figure's *entire* ``(platform, rep)``
-grid in one dispatch — the "rep mapper" grew into the grid mapper, and
-the ``grid_*`` names below are the canonical spelling (the ``rep_*``
-aliases remain for compatibility).
+the plan layer's :meth:`~repro.core.plan.LoweredGrid.execute` picks it
+up. One mapper covers a figure's *entire* ``(platform, rep)`` grid in one
+dispatch.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.core.chunking import chunk_items, resolve_chunk_size
-from repro.core.stats import Summary, summarize
 from repro.errors import ConfigurationError
 from repro.platforms.base import Platform
 from repro.rng import RngStream, derive_seed, materialize_streams
@@ -48,23 +43,17 @@ __all__ = [
     "run_rep_job",
     "run_chunk",
     "grid_mapper",
-    "rep_mapper",
     "PoolMapper",
     "execution_context",
     "active_grid_mapper",
-    "active_rep_mapper",
     "GRID_BACKENDS",
-    "REP_BACKENDS",
 ]
 
 #: An order-preserving map strategy: ``mapper(fn, items) -> results``.
 Mapper = Callable[[Callable[[Any], Any], Iterable[Any]], Iterable[Any]]
 
 #: Valid grid-level backends (``ExecutionPolicy.grid_backend``).
-GRID_BACKENDS = ("serial", "thread", "process", "remote")
-
-#: Back-compat alias from the repetition-parallelism era (PR 2).
-REP_BACKENDS = GRID_BACKENDS
+GRID_BACKENDS = ("serial", "process", "remote")
 
 
 @dataclass(frozen=True)
@@ -113,16 +102,14 @@ def _serial_map(fn: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
 
 
 class PoolMapper:
-    """Order-preserving pool mapper with a lazily-created, reusable executor.
+    """Order-preserving process-pool mapper with a lazily-created executor.
 
     The plan layer dispatches a figure's whole ``(platform, rep)`` grid in
-    a single call, but legacy :meth:`Runner.collect_results` callers still
-    dispatch per-platform batches, so the pool is created on first use and
-    reused across calls — forking a fresh process pool per batch would
-    cost more than it saves. Close (or use as a context manager) to
-    release the workers; the scheduler's job wrapper owns that lifetime
-    via an :class:`contextlib.ExitStack`, so the pool is released even
-    when a figure raises mid-grid.
+    a single call; the pool is created on first use and reused across
+    calls, so a multi-figure job forks once. Close (or use as a context
+    manager) to release the workers; the scheduler's job wrapper owns
+    that lifetime via an :class:`contextlib.ExitStack`, so the pool is
+    released even when a figure raises mid-grid.
 
     Dispatch is *chunked*: the grid is split into contiguous slabs (see
     :mod:`repro.core.chunking` — explicit ``chunk_size``, or the auto
@@ -134,22 +121,18 @@ class PoolMapper:
     most recent dispatch (provenance).
     """
 
-    def __init__(self, backend: str, jobs: int, *, chunk_size: int | None = None) -> None:
-        self.backend = backend
+    def __init__(self, jobs: int, *, chunk_size: int | None = None) -> None:
         self.jobs = jobs
         self.chunk_size = chunk_size
         self.last_chunk_size: int | None = None
-        self._executor: ThreadPoolExecutor | ProcessPoolExecutor | None = None
+        self._executor: ProcessPoolExecutor | None = None
 
     def __call__(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
         items = list(items)
         if len(items) <= 1:
             return _serial_map(fn, items)
         if self._executor is None:
-            executor_class = (
-                ThreadPoolExecutor if self.backend == "thread" else ProcessPoolExecutor
-            )
-            self._executor = executor_class(max_workers=self.jobs)
+            self._executor = ProcessPoolExecutor(max_workers=self.jobs)
         size = resolve_chunk_size(self.chunk_size, len(items), self.jobs)
         self.last_chunk_size = size
         if size == 1:
@@ -183,13 +166,12 @@ def grid_mapper(
 ) -> Mapper:
     """An order-preserving mapper for the given grid backend and width.
 
-    ``serial`` maps in-process; ``thread``/``process`` return a
-    :class:`PoolMapper` that fans contiguous item slabs over a
-    ``concurrent.futures`` pool (``Executor.map`` preserves input
-    order); ``remote`` returns a
+    ``serial`` maps in-process; ``process`` returns a :class:`PoolMapper`
+    that fans contiguous item slabs over a process pool (``Executor.map``
+    preserves input order); ``remote`` returns a
     :class:`~repro.core.remote.RemoteMapper` that fans slabs over the
     ``workers`` fleet (``host:port`` addresses) with sequence-numbered
-    reassembly. A width of one collapses the local pool backends to the
+    reassembly. A width of one collapses the process backend to the
     serial map; the remote backend's parallelism is the fleet's, so
     ``jobs`` does not apply to it.
 
@@ -236,11 +218,7 @@ def grid_mapper(
         )
     if backend == "serial" or jobs == 1:
         return _serial_map
-    return PoolMapper(backend, jobs, chunk_size=chunk_size)
-
-
-#: Back-compat alias from the repetition-parallelism era (PR 2).
-rep_mapper = grid_mapper
+    return PoolMapper(jobs, chunk_size=chunk_size)
 
 
 #: The ambient grid mapper, installed by the scheduler layer around each
@@ -255,17 +233,13 @@ def active_grid_mapper() -> Mapper | None:
     return _ACTIVE_GRID_MAPPER.get()
 
 
-#: Back-compat alias from the repetition-parallelism era (PR 2).
-active_rep_mapper = active_grid_mapper
-
-
 @contextlib.contextmanager
 def execution_context(mapper: Mapper | None) -> Iterator[None]:
     """Install ``mapper`` as the ambient grid mapper for this context.
 
-    Every :class:`Runner` and every lowered
-    :class:`~repro.core.plan.LoweredGrid` evaluated inside the ``with``
-    block (without an explicit ``mapper=``) dispatches through it. This is
+    Every lowered :class:`~repro.core.plan.LoweredGrid` executed inside
+    the ``with`` block (without an explicit ``mapper``) dispatches
+    through it. This is
     the policy/logic split at the grid level: figure plans declare what to
     measure, the caller decides where the ``(platform, rep)`` cells
     execute.
@@ -278,11 +252,10 @@ def execution_context(mapper: Mapper | None) -> Iterator[None]:
 
 
 class Runner:
-    """Executes repeated workload runs under a derived seed tree."""
+    """Derives the per-platform, per-repetition streams of one seed scope."""
 
-    def __init__(self, seed: int, scope: str, *, mapper: Mapper | None = None) -> None:
+    def __init__(self, seed: int, scope: str) -> None:
         self.root = RngStream(seed, scope)
-        self._map: Mapper = mapper or active_grid_mapper() or _serial_map
 
     @staticmethod
     def job_seed(seed: int, scope: str) -> int:
@@ -310,43 +283,3 @@ class Runner:
         streams = stream.children(f"rep-{index}" for index in range(repetitions))
         materialize_streams(streams)
         return streams
-
-    def repeat(
-        self,
-        workload: Workload,
-        platform: Platform,
-        repetitions: int,
-        metric: Callable[[Any], float],
-        tag: str = "",
-    ) -> Summary:
-        """Run ``repetitions`` times and summarize ``metric`` of each result."""
-        values = self.collect(workload, platform, repetitions, metric, tag)
-        return summarize(values)
-
-    def collect(
-        self,
-        workload: Workload,
-        platform: Platform,
-        repetitions: int,
-        metric: Callable[[Any], float],
-        tag: str = "",
-    ) -> list[float]:
-        """Run repeatedly and return the raw metric values."""
-        return [
-            float(metric(result))
-            for result in self.collect_results(workload, platform, repetitions, tag)
-        ]
-
-    def collect_results(
-        self,
-        workload: Workload,
-        platform: Platform,
-        repetitions: int,
-        tag: str = "",
-    ) -> list[Any]:
-        """Run repeatedly and return the full result objects."""
-        jobs = [
-            RepJob(workload, platform, stream)
-            for stream in self.rep_streams(platform, repetitions, tag)
-        ]
-        return list(self._map(run_rep_job, jobs))

@@ -11,7 +11,7 @@ across a ``concurrent.futures`` process pool. The policy also carries a
 installs an order-preserving grid mapper via
 :func:`~repro.core.runner.execution_context` before it runs, so the
 figure's whole lowered ``(platform, rep)`` grid (see
-:mod:`repro.core.plan`) fans over one shared thread or process pool —
+:mod:`repro.core.plan`) fans over one shared process pool —
 the speedup path for single-figure runs, where the figure pool is idle.
 
 Determinism is preserved by construction: every figure function builds its
@@ -60,7 +60,6 @@ __all__ = [
 ]
 
 BACKEND_SERIAL = "serial"
-BACKEND_THREAD = "thread"
 BACKEND_PROCESS = "process"
 BACKEND_REMOTE = "remote"
 
@@ -81,8 +80,8 @@ class ExecutionPolicy:
     The *figure* level (``jobs``/``backend``) fans independent figures over
     a process pool; the *grid* level (``grid_jobs``/``grid_backend``) is a
     single worker budget for everything inside one figure — the whole
-    lowered ``(platform, rep)`` grid fans over one shared thread or
-    process pool instead of per-platform repetition batches. The two
+    lowered ``(platform, rep)`` grid fans over one shared process pool
+    instead of per-platform repetition batches. The two
     levels compose:
     a figure pool worker installs the grid mapper in its own process, so
     ``jobs=4, grid_jobs=2`` runs four figures at once, each with a
@@ -96,10 +95,8 @@ class ExecutionPolicy:
     results are bit-identical either way.
 
     ``backend=None`` / ``grid_backend=None`` auto-select: serial for one
-    slot, a pool otherwise (process in both cases — workloads are
-    pure-Python simulation, so only processes buy true parallelism; the
-    ``thread`` grid backend is available for callers who want pool
-    semantics without fork/pickle overhead), and ``remote`` whenever a
+    slot, a process pool otherwise (workloads are pure-Python simulation,
+    so only processes buy true parallelism), and ``remote`` whenever a
     worker roster is given. Serial stays the default everywhere; callers
     opt in via ``--jobs N`` / ``--grid-jobs N`` / ``--workers ...``.
 

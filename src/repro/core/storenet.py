@@ -2,12 +2,11 @@
 
 The local :class:`~repro.core.store.ResultStore` lets one machine skip
 work it already did; this module lets a *fleet* skip work any member
-already did. A :class:`StoreServer` exposes one cache directory over the
-same length-prefixed pickle framing and versioned hello handshake the
-worker fleet speaks (:mod:`repro.core.remote`) — the store server is
-just another addressable service on that transport, the CERN-RDA
-device-server split applied to the cache. A :class:`RemoteStore` is the
-client stub implementing the ``ResultStore`` read/write surface, and a
+already did. A :class:`StoreServer` exposes one cache directory as a
+:class:`~repro.core.service.Service` — the same framed-pickle transport
+and versioned hello the worker fleet speaks, the CERN-RDA device-server
+split applied to the cache. A :class:`RemoteStore` is the client stub
+implementing the ``ResultStore`` read/write surface, and a
 :class:`TieredStore` composes the two: read-through local-LRU → remote →
 execute, write-back to both tiers.
 
@@ -21,11 +20,12 @@ produces byte-for-byte the result a local run would.
 
 Wire protocol — framed pickles, synchronous request/reply per client:
 
-* the client opens with ``("hello", {"protocol": 1, "service":
-  "store"})`` and the server answers ``("hello", {"service": "store",
-  "protocol": 1})`` — the ``service`` marker makes dialing a worker
-  fleet member (or pointing a worker roster at a store) a clear error
-  instead of a confusing frame mismatch;
+* the hello is ``("hello", {"service": "store", "protocol": 1})``; the
+  server answers with its own hello, which advertises its ``verbs`` so
+  newer clients degrade gracefully against older servers (a client that
+  sees no ``verbs`` assumes the v1 original set and, e.g., answers
+  membership through a full ``get``) — the version number only moves for
+  *incompatible* changes, additive verbs ride on the advertisement;
 * requests are ``("get", key_dict)`` → ``("ok", result_dict | None)``,
   ``("put", key_dict, result_dict)`` → ``("ok", True)``,
   ``("contains", key_dict)`` → ``("ok", bool)`` (membership without
@@ -33,11 +33,6 @@ Wire protocol — framed pickles, synchronous request/reply per client:
   travel as their :meth:`~repro.core.store.StoreKey` fields and are
   validated against :attr:`~repro.core.store.StoreKey.digest` by the
   underlying store on both ends;
-* the server's hello advertises its ``verbs`` so newer clients degrade
-  gracefully against older servers (a client that sees no ``verbs``
-  assumes the v1 original set and, e.g., answers membership through a
-  full ``get``) — the version number only moves for *incompatible*
-  changes, additive verbs ride on the advertisement;
 * store-aware workers dedupe at grid-cell granularity through the
   lease verbs: ``("cell_claim", token)`` → ``("ok", ("hit", payload) |
   ("run", None) | ("wait", None))`` — ``hit`` carries the finished
@@ -55,25 +50,23 @@ Wire protocol — framed pickles, synchronous request/reply per client:
 from __future__ import annotations
 
 import pathlib
-import socket
 import threading
 import time
 from collections import OrderedDict
 from typing import Any
 
-from repro.core.remote import (
+from repro.core.results import FigureResult
+from repro.core.service import (
     RemoteError,
-    _quietly_close,
-    parse_worker_address,
+    Service,
+    ServiceClient,
     recv_frame,
     send_frame,
 )
-from repro.core.results import FigureResult
 from repro.core.store import ResultStore, StoreKey
 
 __all__ = [
     "STORE_PROTOCOL_VERSION",
-    "STORE_VERBS",
     "RemoteStoreError",
     "StoreServer",
     "RemoteStore",
@@ -81,16 +74,6 @@ __all__ = [
 ]
 
 STORE_PROTOCOL_VERSION = 1
-
-#: Every verb this server generation understands, advertised in the
-#: hello reply. Additive protocol growth rides on this advertisement
-#: (clients fall back when a verb is missing) — the version constant
-#: only moves for incompatible changes.
-STORE_VERBS = ("get", "put", "contains", "stats", "cell_claim", "cell_put")
-
-#: The v1 original verb set, assumed for servers whose hello carries no
-#: advertisement.
-_LEGACY_VERBS = frozenset({"get", "put", "stats"})
 
 #: Cell-dedupe defaults: how long one worker may hold an execution
 #: lease before waiters reclaim it, and how many finished cells the
@@ -133,24 +116,32 @@ def _key_from_wire(payload: dict[str, Any]) -> StoreKey:
 # --- server ----------------------------------------------------------------------
 
 
-class StoreServer:
+class StoreServer(Service):
     """Serves one shared cache directory to a fleet of clients.
 
-    Listens on ``host:port`` (``port=0`` binds an ephemeral port), backed
-    by a :class:`~repro.core.store.ResultStore` on ``root`` (optionally
-    size-bounded via ``max_bytes`` — the LRU tier semantics are the local
-    store's, unchanged). Each client connection gets a handler thread;
-    the store itself is thread-safe for concurrent get/put because every
-    write lands under a writer-unique temp name and an atomic rename.
-
-    ``serve_forever()`` is the CLI loop (``repro-bench store``); the
-    context-manager form is the in-process loopback fixture the tests
-    and CI are built on::
-
-        with StoreServer(port=0, root=cache_dir) as server:
-            store = RemoteStore(server.address_string)
-            ...
+    Backed by a :class:`~repro.core.store.ResultStore` on ``root``
+    (optionally size-bounded via ``max_bytes`` — the LRU tier semantics
+    are the local store's, unchanged). Every client connection gets a
+    handler thread (see :class:`~repro.core.service.Service`); the store
+    itself is thread-safe for concurrent get/put because every write
+    lands under a writer-unique temp name and an atomic rename.
     """
+
+    service = "store"
+    protocol = STORE_PROTOCOL_VERSION
+    noun = "result store"
+    error = RemoteStoreError
+    #: Advertised in the hello reply. Additive protocol growth rides on
+    #: this advertisement (clients fall back when a verb is missing) —
+    #: the version constant only moves for incompatible changes.
+    verbs = {
+        "get": (1, "_get"),
+        "put": (2, "_put"),
+        "contains": (1, "_contains"),
+        "stats": (0, "_stats"),
+        "cell_claim": (1, "_cell_claim"),
+        "cell_put": (2, "_cell_put"),
+    }
 
     def __init__(
         self,
@@ -170,8 +161,7 @@ class StoreServer:
             raise RemoteStoreError(
                 f"cell capacity must be >= 1, got {cell_capacity}"
             )
-        self.host = host
-        self.port = port
+        super().__init__(host, port)
         self.store = ResultStore(root, max_bytes=max_bytes)
         # The cell-dedupe tier: finished cells by token (insertion order
         # doubles as the eviction order) and outstanding execution
@@ -191,204 +181,26 @@ class StoreServer:
             "put_repeats": 0,
             "evicted": 0,
         }
-        self._listener: socket.socket | None = None
-        self._accept_thread: threading.Thread | None = None
-        self._handlers: list[threading.Thread] = []
-        self._connections: list[socket.socket] = []
-        self._lock = threading.Lock()
-        self._stopping = threading.Event()
 
-    # --- lifecycle -------------------------------------------------------------
+    # --- result verbs ----------------------------------------------------------
 
-    @property
-    def address(self) -> tuple[str, int]:
-        """The bound ``(host, port)`` — resolves ``port=0`` to the real port."""
-        if self._listener is None:
-            raise RemoteStoreError("store server is not started")
-        return self._listener.getsockname()[:2]
+    def _get(self, key: Any) -> dict[str, Any] | None:
+        result = self.store.get(_key_from_wire(key))
+        return result.to_dict() if result is not None else None
 
-    @property
-    def address_string(self) -> str:
-        """The bound address as the CLI's ``host:port`` spelling."""
-        host, port = self.address
-        return f"{host}:{port}"
+    def _put(self, key: Any, result: Any) -> bool:
+        self.store.put(_key_from_wire(key), FigureResult.from_dict(result))
+        return True
 
-    def start(self) -> "StoreServer":
-        """Bind and begin serving clients."""
-        if self._listener is not None:
-            raise RemoteStoreError("store server already started")
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self.port))
-        listener.listen()
-        self._listener = listener
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="repro-store-accept", daemon=True
-        )
-        self._accept_thread.start()
-        return self
+    def _contains(self, key: Any) -> bool:
+        return _key_from_wire(key) in self.store
 
-    def stop(self) -> None:
-        """Close the listener and every client connection."""
-        if self._listener is None:
-            return
-        self._stopping.set()
-        listener, self._listener = self._listener, None
-        _quietly_close(listener)
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5)
-            self._accept_thread = None
-        with self._lock:
-            connections = list(self._connections)
-            handlers = list(self._handlers)
-        for conn in connections:
-            _quietly_close(conn)
-        for handler in handlers:
-            handler.join(timeout=10)
-        with self._lock:
-            self._handlers.clear()
-        self._stopping.clear()
-
-    def serve_forever(self) -> None:
-        """The CLI loop: block until interrupted, then stop."""
-        if self._listener is None:
-            self.start()
-        try:
-            while self._listener is not None and not self._stopping.wait(timeout=0.5):
-                pass
-        except KeyboardInterrupt:
-            pass
-        finally:
-            self.stop()
-
-    def __enter__(self) -> "StoreServer":
-        if self._listener is None:
-            self.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-    # --- connection handling ---------------------------------------------------
-
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        listener = self._listener
-        while not self._stopping.is_set():
-            try:
-                conn, _peer = listener.accept()
-            except OSError:
-                return  # listener closed by stop()
-            # Store traffic is small request/reply frames; Nagle
-            # buffering only delays them.
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            with self._lock:
-                self._connections.append(conn)
-                handler = threading.Thread(
-                    target=self._serve_connection,
-                    args=(conn,),
-                    name="repro-store-conn",
-                    daemon=True,
-                )
-                self._handlers.append(handler)
-            handler.start()
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        try:
-            hello = recv_frame(conn)
-            rejection = self._hello_rejection(hello)
-            if rejection is not None:
-                send_frame(conn, ("error", None, rejection))
-                return
-            send_frame(
-                conn,
-                (
-                    "hello",
-                    {
-                        "service": "store",
-                        "protocol": STORE_PROTOCOL_VERSION,
-                        "verbs": STORE_VERBS,
-                    },
-                ),
-            )
-            while True:
-                try:
-                    message = recv_frame(conn)
-                except EOFError:
-                    return  # client done
-                reply = self._handle(message)
-                send_frame(conn, reply)
-                if reply[0] == "error":
-                    return  # protocol is broken; make the client redial
-        except (RemoteError, OSError, EOFError):
-            pass  # torn connection: the client reconnects lazily
-        finally:
-            _quietly_close(conn)
-            with self._lock:
-                if conn in self._connections:
-                    self._connections.remove(conn)
-                # Self-prune finished handlers (long-lived servers accept
-                # unboundedly many connections).
-                self._handlers[:] = [t for t in self._handlers if t.is_alive()]
-
-    def _hello_rejection(self, hello: Any) -> str | None:
-        """The two-sided handshake diagnosis, or None when the hello is good.
-
-        Every branch keeps the ``store protocol mismatch`` prefix (the
-        string operators and tests grep for) and then says *which* side
-        is wrong and what to do about it — a mixed fleet must fail with
-        a usable error, exactly like the worker protocol's handshake.
-        """
-        if (
-            not isinstance(hello, tuple)
-            or len(hello) != 2
-            or hello[0] != "hello"
-            or not isinstance(hello[1], dict)
-        ):
-            return "store protocol mismatch: bad hello frame"
-        service = hello[1].get("service")
-        if service != "store":
-            return (
-                f"store protocol mismatch: this is a repro-bench result "
-                f"store, client offered service {service!r} — point --store "
-                f"at stores and worker rosters at workers"
-            )
-        version = hello[1].get("protocol")
-        if version != STORE_PROTOCOL_VERSION:
-            return (
-                f"store protocol mismatch: this store speaks "
-                f"v{STORE_PROTOCOL_VERSION}, client offered {version!r} — "
-                f"upgrade the older side"
-            )
-        return None
-
-    def _handle(self, message: Any) -> tuple:
-        if not (isinstance(message, tuple) and message and isinstance(message[0], str)):
-            return ("error", None, f"unexpected frame {message!r}")
-        try:
-            if message[0] == "get" and len(message) == 2:
-                result = self.store.get(_key_from_wire(message[1]))
-                return ("ok", result.to_dict() if result is not None else None)
-            if message[0] == "put" and len(message) == 3:
-                key = _key_from_wire(message[1])
-                self.store.put(key, FigureResult.from_dict(message[2]))
-                return ("ok", True)
-            if message[0] == "contains" and len(message) == 2:
-                return ("ok", _key_from_wire(message[1]) in self.store)
-            if message[0] == "cell_claim" and len(message) == 2:
-                return ("ok", self._cell_claim(message[1]))
-            if message[0] == "cell_put" and len(message) == 3:
-                self._cell_put(message[1], message[2])
-                return ("ok", True)
-            if message[0] == "stats" and len(message) == 1:
-                stats = dict(self.store.stats)
-                stats["entries"] = sum(1 for _ in self.store.entries())
-                stats["total_bytes"] = self.store.total_bytes()
-                stats["cells"] = self.cell_stats()
-                return ("ok", stats)
-        except Exception as exc:
-            return ("error", None, f"{type(exc).__name__}: {exc}")
-        return ("error", None, f"unexpected frame {message!r}")
+    def _stats(self) -> dict[str, Any]:
+        stats = dict(self.store.stats)
+        stats["entries"] = sum(1 for _ in self.store.entries())
+        stats["total_bytes"] = self.store.total_bytes()
+        stats["cells"] = self.cell_stats()
+        return stats
 
     # --- cell-dedupe tier ------------------------------------------------------
 
@@ -413,7 +225,7 @@ class StoreServer:
             self._cell_counters["runs"] += 1
             return ("run", None)
 
-    def _cell_put(self, token: Any, payload: Any) -> None:
+    def _cell_put(self, token: Any, payload: Any) -> bool:
         if not isinstance(token, str) or not token:
             raise RemoteStoreError(f"cell token must be a non-empty str, got {token!r}")
         if not isinstance(payload, bytes):
@@ -432,6 +244,7 @@ class StoreServer:
             while len(self._cells) > self.cell_capacity:
                 self._cells.popitem(last=False)
                 self._cell_counters["evicted"] += 1
+        return True
 
     def cell_stats(self) -> dict[str, int]:
         """Cell-tier counters plus the current entry/lease population."""
@@ -445,7 +258,7 @@ class StoreServer:
 # --- client ----------------------------------------------------------------------
 
 
-class RemoteStore:
+class RemoteStore(ServiceClient):
     """Client stub for a :class:`StoreServer`: the ``ResultStore`` surface.
 
     Connects lazily on first use — constructing one (or prescribing it in
@@ -459,88 +272,25 @@ class RemoteStore:
     provenance.
     """
 
+    service = "store"
+    protocol = STORE_PROTOCOL_VERSION
+    noun = "result store"
+    error = RemoteStoreError
+    #: The v1 original verb set, assumed for servers whose hello carries
+    #: no advertisement.
+    legacy_verbs = frozenset({"get", "put", "stats"})
+
     def __init__(
         self, address: str | tuple[str, int], *, connect_timeout: float = 10.0
     ) -> None:
-        self.address = parse_worker_address(address)
-        self.connect_timeout = connect_timeout
-        self._sock: socket.socket | None = None
-        self._verbs: frozenset[str] = _LEGACY_VERBS
+        super().__init__(address, connect_timeout=connect_timeout)
         self._hits = 0
         self._misses = 0
         self.last_source: str | None = None
 
-    @property
-    def url(self) -> str:
-        """The store address as the CLI's ``host:port`` spelling."""
-        host, port = self.address
-        return f"{host}:{port}" if ":" not in host else f"[{host}]:{port}"
-
     def describe(self) -> str:
         """One-line location description (suite/CLI display)."""
         return f"store://{self.url}"
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RemoteStore({self.url!r})"
-
-    # --- transport -------------------------------------------------------------
-
-    def _connection(self) -> socket.socket:
-        if self._sock is not None:
-            return self._sock
-        try:
-            sock = socket.create_connection(self.address, timeout=self.connect_timeout)
-        except OSError as exc:
-            raise RemoteStoreError(
-                f"could not reach result store {self.url}: {exc}"
-            ) from exc
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        try:
-            # Handshake under the connect timeout, then block freely.
-            send_frame(
-                sock, ("hello", {"protocol": STORE_PROTOCOL_VERSION, "service": "store"})
-            )
-            reply = recv_frame(sock)
-            if (
-                isinstance(reply, tuple)
-                and len(reply) == 3
-                and reply[0] == "error"
-                and reply[1] is None
-                and isinstance(reply[2], str)
-                and "store protocol" in reply[2]
-            ):
-                # A store refused the handshake and said why (version or
-                # service mismatch) — surface its two-sided diagnosis
-                # verbatim. Error frames from *other* services (a worker
-                # refusing our hello) fall through to the dialed-the-
-                # wrong-service diagnosis below instead.
-                raise RemoteStoreError(
-                    f"result store {self.url} refused the handshake: {reply[2]}"
-                )
-            if (
-                not isinstance(reply, tuple)
-                or reply[0] != "hello"
-                or reply[1].get("service") != "store"
-            ):
-                raise RemoteStoreError(
-                    f"{self.url} is not a result store (handshake reply: {reply!r}) — "
-                    f"is it a repro-bench worker?"
-                )
-            # No advertisement = a v1-original server: assume its verb
-            # set and fall back accordingly (e.g. membership via `get`).
-            advertised = reply[1].get("verbs")
-            self._verbs = (
-                frozenset(advertised) if advertised else _LEGACY_VERBS
-            )
-            sock.settimeout(None)
-        except RemoteStoreError:
-            _quietly_close(sock)
-            raise
-        except (RemoteError, OSError, EOFError) as exc:
-            _quietly_close(sock)
-            raise RemoteStoreError(f"store handshake with {self.url} failed: {exc}") from exc
-        self._sock = sock
-        return sock
 
     def _request(self, message: tuple) -> Any:
         sock = self._connection()
@@ -550,24 +300,7 @@ class RemoteStore:
         except (RemoteError, OSError, EOFError) as exc:
             self.close()
             raise RemoteStoreError(f"result store {self.url} failed: {exc}") from exc
-        if isinstance(reply, tuple) and len(reply) == 2 and reply[0] == "ok":
-            return reply[1]
-        self.close()
-        if isinstance(reply, tuple) and len(reply) == 3 and reply[0] == "error":
-            raise RemoteStoreError(f"result store {self.url} refused: {reply[2]}")
-        raise RemoteStoreError(f"result store {self.url} sent an unexpected frame: {reply!r}")
-
-    def close(self) -> None:
-        """Drop the connection (idempotent; the store may be reused)."""
-        if self._sock is not None:
-            _quietly_close(self._sock)
-            self._sock = None
-
-    def __enter__(self) -> "RemoteStore":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+        return self._unwrap(reply)
 
     # --- ResultStore surface ---------------------------------------------------
 
@@ -604,11 +337,6 @@ class RemoteStore:
         else:
             self._misses += 1
         return found
-
-    def supports(self, verb: str) -> bool:
-        """Whether the server advertises ``verb`` (connects on first call)."""
-        self._connection()
-        return verb in self._verbs
 
     # --- cell-dedupe surface ---------------------------------------------------
 

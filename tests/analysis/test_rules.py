@@ -400,6 +400,45 @@ class TestProtocolHygieneRule:
         )
         assert lint_source(source, rules=[self.CODE]) == []
 
+    VERB_TABLE_SERVICE = """
+        def send_frame(sock, message):
+            sock.sendall(message)
+
+        def recv_frame(sock):
+            return sock.recv()
+
+        class Store(Service):
+            verbs = {{"get": (1, "_get"){extra}}}
+
+            def _get(self, key):
+                return key
+
+            def _put(self, key, value):
+                return True
+
+        class StoreClient(ServiceClient):
+            def _request(self, message):
+                sock = self._connection()
+                send_frame(sock, message)
+                return recv_frame(sock)
+
+            def get(self, key):
+                return self._request(("get", key))
+
+            def put(self, key, value):
+                return self._request(("put", key, value))
+        """
+
+    def test_verb_missing_from_the_verb_table_is_caught(self, lint_source, codes_of):
+        source = dedent(self.VERB_TABLE_SERVICE.format(extra=""))
+        findings = lint_source(source, rules=[self.CODE])
+        assert codes_of(findings) == [self.CODE]
+        assert "'put'" in findings[0].message
+
+    def test_verb_in_the_verb_table_is_handled(self, lint_source):
+        source = dedent(self.VERB_TABLE_SERVICE.format(extra=', "put": (2, "_put")'))
+        assert lint_source(source, rules=[self.CODE]) == []
+
 
 # ---------------------------------------------------------------------------
 # Real-tree spot checks: the rules run clean on the modules whose bug
@@ -416,6 +455,8 @@ class TestRulesOnRealTree:
             ("src/repro/core/remote.py", "RB103"),
             ("src/repro/core/remote.py", "RB104"),
             ("src/repro/core/storenet.py", "RB104"),
+            ("src/repro/core/fleet.py", "RB104"),
+            ("src/repro/core/service.py", "RB104"),
         ],
     )
     def test_fixed_module_is_clean(self, repo_root, module, code):

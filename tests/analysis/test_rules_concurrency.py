@@ -111,6 +111,30 @@ class TestThreadRoleInference:
         )
         assert "signal" in table.roles_of("_on_term")
 
+    def test_verb_handlers_and_session_hook_run_on_the_connection_thread(self):
+        table = class_table(
+            """
+            class Store(Service):
+                service = "store"
+                verbs = {"get": (1, "_get")}
+
+                def _get(self, key):
+                    return self._lookup(key)
+
+                def _lookup(self, key):
+                    return key
+
+                def _session(self, conn, offer):
+                    pass
+
+                def _unlisted(self):
+                    pass
+            """
+        )
+        for method in ("_get", "_lookup", "_session"):
+            assert table.roles_of(method) == {"repro-store-conn"}, method
+        assert table.roles_of("_unlisted") == frozenset()
+
     def test_config_declared_roles_apply(self):
         config = AnalysisConfig(
             thread_roles={
@@ -308,6 +332,42 @@ class TestSharedStateRule:
             [module]
         )
         assert codes_of(findings) == [self.CODE]
+
+    # A service subclass: its base class spawns the connection threads,
+    # which reach `_add` only through the verb table.
+    VERB_HANDLER_RACE = """
+        import threading
+
+        class Registry(Service):
+            service = "registry"
+            verbs = {"add": (1, "_add")}
+
+            def __init__(self):
+                self._items_lock = threading.Lock()
+                self._items = {}
+
+            def items(self):
+                with self._items_lock:
+                    return dict(self._items)
+
+            def _add(self, key):
+                self._items[key] = True
+        """
+
+    def test_verb_handler_mutating_without_the_lock_is_flagged(
+        self, lint_source, codes_of
+    ):
+        findings = lint_source(dedent(self.VERB_HANDLER_RACE), rules=[self.CODE])
+        assert codes_of(findings) == [self.CODE]
+        assert "Registry._items" in findings[0].message
+        assert "repro-registry-conn" in findings[0].message
+
+    def test_guarded_verb_handler_is_clean(self, lint_source):
+        source = dedent(self.VERB_HANDLER_RACE).replace(
+            "        self._items[key] = True",
+            "        with self._items_lock:\n            self._items[key] = True",
+        )
+        assert lint_source(source, rules=[self.CODE]) == []
 
 
 # ---------------------------------------------------------------------------
@@ -655,6 +715,7 @@ class TestConcurrencyRulesOnRealTree:
     SERVICES = [
         "src/repro/core/fleet.py",
         "src/repro/core/remote.py",
+        "src/repro/core/service.py",
         "src/repro/core/storenet.py",
         "src/repro/core/store.py",
     ]
@@ -670,16 +731,36 @@ class TestConcurrencyRulesOnRealTree:
 
     def test_handlers_are_guarded_in_fleet_stop(self, repo_root):
         # The bug this family exists to catch: reintroducing the
-        # unguarded `_handlers` mutation in stop() must fire RB201.
-        path = repo_root / "src/repro/core/fleet.py"
+        # unguarded `_handlers` mutation in stop() must fire RB201. The
+        # fleet coordinator's stop() is the service skeleton's.
+        path = repo_root / "src/repro/core/service.py"
         text = path.read_text()
         broken = text.replace(
             "        with self._lock:\n            self._handlers.clear()",
             "        self._handlers.clear()",
         )
         assert broken != text  # the guarded form exists to be broken
-        module = ModuleSource.from_text(broken, relpath="src/repro/core/fleet.py")
+        module = ModuleSource.from_text(broken, relpath="src/repro/core/service.py")
         findings = Analyzer(rules=["RB201"]).analyze_modules([module])
         assert any(
             f.code == "RB201" and "_handlers" in f.message for f in findings
+        )
+
+    def test_wire_stats_counters_are_guarded(self, repo_root):
+        # WireStats is driven by the remote mapper's driver threads, a role
+        # only the central thread-role table declares: it must follow the
+        # class to the module that defines it.
+        path = repo_root / "src/repro/core/service.py"
+        text = path.read_text()
+        broken = text.replace(
+            "        with self._lock:\n"
+            "            self.bytes_sent += size\n"
+            "            self.frames_sent += 1",
+            "        self.bytes_sent += size\n        self.frames_sent += 1",
+        )
+        assert broken != text
+        module = ModuleSource.from_text(broken, relpath="src/repro/core/service.py")
+        findings = Analyzer(rules=["RB201"]).analyze_modules([module])
+        assert any(
+            f.code == "RB201" and "WireStats.bytes_sent" in f.message for f in findings
         )

@@ -2,8 +2,8 @@
 
 The headline fixture is ``grid_backend``: one parametrized coordinate per
 entry in :data:`repro.core.runner.GRID_BACKENDS`, so every bit-identity
-test written against it automatically covers serial, thread, process,
-*and* remote execution — the remote leg runs against an in-process
+test written against it automatically covers serial, process, *and*
+remote execution — the remote leg runs against an in-process
 loopback :class:`~repro.core.remote.WorkerServer` on ``127.0.0.1`` (an
 ephemeral port, two local worker processes), so the whole fleet path is
 exercised in CI without a real fleet.

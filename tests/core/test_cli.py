@@ -1,8 +1,14 @@
 """Tests for the repro-bench CLI."""
 
+import os
+import signal
+import socket
+import time
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.storenet import StoreServer
 
 
 class TestParser:
@@ -157,11 +163,6 @@ class TestCommands:
         assert "repro-bench: error:" in err
         assert "grid_jobs does not apply" in err
 
-    def test_rep_jobs_is_a_deprecated_alias(self, capsys):
-        assert main(["run", "fig11", "--quick", "--rep-jobs", "2", "--provenance"]) == 0
-        out = capsys.readouterr().out
-        assert "grid=process:2" in out
-
     def test_grid_jobs_results_match_serial(self, capsys):
         assert main(["run", "fig12", "--quick"]) == 0
         serial_out = capsys.readouterr().out
@@ -250,3 +251,34 @@ class TestChunkSizeCli:
             "--chunk-size", "9",
         ]) == 0
         assert "chunk-size=9" in capsys.readouterr().out
+
+
+class TestServiceLauncher:
+    def test_sigterm_during_start_still_drains(self, tmp_path, monkeypatch, capsys):
+        # The signal lands after the listener is bound but before the
+        # serve loop runs: the service must still drain and exit cleanly.
+        started = []
+        real_start = StoreServer.start
+
+        def start_then_sigterm(server):
+            real_start(server)
+            started.append((server, server.address))
+            os.kill(os.getpid(), signal.SIGTERM)
+            time.sleep(5)  # the handler's KeyboardInterrupt lands here
+            raise AssertionError("SIGTERM was not delivered")
+
+        monkeypatch.setattr(StoreServer, "start", start_then_sigterm)
+        saved = {sig: signal.getsignal(sig) for sig in (signal.SIGTERM, signal.SIGINT)}
+        try:
+            code = main(["store", "--port", "0", "--dir", str(tmp_path / "store")])
+        except KeyboardInterrupt:
+            pytest.fail("SIGTERM escaped the launcher as a KeyboardInterrupt")
+        finally:
+            for sig, handler in saved.items():
+                signal.signal(sig, handler)
+        assert code == 0
+        assert "repro-bench store drained, exiting" in capsys.readouterr().out
+        (server, address), = started
+        assert server._listener is None
+        with pytest.raises(OSError):
+            socket.create_connection(address, timeout=1)

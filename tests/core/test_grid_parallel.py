@@ -1,11 +1,11 @@
 """Tests for grid-level parallelism (the unified (platform × rep) pool).
 
 Covers the picklable RepJob worker (a closure-based dispatch would break
-every process-pool mapper), the serial/thread/process grid mappers and
-their order preservation, the ``execution_context`` plumbing from
+every process-pool mapper), the serial/process grid mappers and their
+order preservation, the ``execution_context`` plumbing from
 ExecutionPolicy down to the plan layer, mapper lifetime under mid-grid
-failures, and serial-vs-grid-pool bit-identity at every layer (runner,
-scheduler, suite).
+failures, and serial-vs-grid-pool bit-identity at every layer (lowered
+grid, scheduler, suite).
 """
 
 import pickle
@@ -13,22 +13,20 @@ import time
 
 import pytest
 
+from repro.core.figures import lower_figure
 from repro.core.runner import (
     GRID_BACKENDS,
-    REP_BACKENDS,
     PoolMapper,
     RepJob,
     Runner,
     active_grid_mapper,
     execution_context,
     grid_mapper,
-    rep_mapper,
     run_rep_job,
 )
 from repro.core.scheduler import (
     BACKEND_PROCESS,
     BACKEND_SERIAL,
-    BACKEND_THREAD,
     ExecutionPolicy,
     ExperimentJob,
     ExperimentScheduler,
@@ -54,6 +52,19 @@ def _sleepy_identity(item):
     return index
 
 
+def _grid_values(mapper=None) -> list:
+    """Quick fig11's lowered grid (10 platforms x 3 reps), executed through
+    ``mapper`` (None = the ambient one), flattened in declared order."""
+    grid = lower_figure("fig11", 42, repetitions=3)
+    outcome = grid.execute(mapper)
+    return [
+        value
+        for spec in grid.specs
+        for platform in grid.included_platforms(spec)
+        for value in outcome.runs(spec, platform)
+    ]
+
+
 class TestRepJobPickling:
     """Regression: a closure-based dispatch would break pool mappers."""
 
@@ -74,39 +85,29 @@ class TestRepJobPickling:
         assert pickle.loads(pickle.dumps(run_rep_job)) is run_rep_job
 
     def test_process_mapper_through_runner(self):
-        serial = Runner(42, "fig11").collect(
-            IperfWorkload(), get_platform("docker"), 4, lambda r: r.throughput_gbit_per_s
-        )
+        # The runner's job entry point crosses the pool boundary by
+        # reference and reproduces every serial draw.
+        serial = _grid_values()
         with grid_mapper("process", 2) as mapper:
-            pooled = Runner(42, "fig11", mapper=mapper).collect(
-                IperfWorkload(),
-                get_platform("docker"),
-                4,
-                lambda r: r.throughput_gbit_per_s,
-            )
-        assert pooled == serial
+            assert _grid_values(mapper) == serial
 
 
 class TestGridMappers:
     def test_serial_backend_and_width_one_collapse(self):
         assert grid_mapper("serial", 8)(lambda x: x + 1, [1, 2]) == [2, 3]
-        assert not isinstance(grid_mapper("thread", 1), PoolMapper)
         assert not isinstance(grid_mapper("process", 1), PoolMapper)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigurationError, match="grid backend"):
             grid_mapper("gpu", 2)
+        with pytest.raises(ConfigurationError, match="grid backend"):
+            grid_mapper("thread", 2)
 
     def test_invalid_width_rejected(self):
         with pytest.raises(ConfigurationError, match=">= 1"):
-            grid_mapper("thread", 0)
+            grid_mapper("process", 0)
 
-    def test_rep_mapper_alias_survives(self):
-        # The PR 2 names keep working for existing callers.
-        assert rep_mapper is grid_mapper
-        assert REP_BACKENDS == GRID_BACKENDS
-
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_order_preserved_under_out_of_order_completion(self, backend):
         total = 4
         items = [(index, total) for index in range(total)]
@@ -114,7 +115,7 @@ class TestGridMappers:
             assert mapper(_sleepy_identity, items) == list(range(total))
 
     def test_pool_is_reused_across_batches(self):
-        mapper = grid_mapper("thread", 2)
+        mapper = grid_mapper("process", 2)
         try:
             mapper(_sleepy_identity, [(0, 2), (1, 2)])
             first = mapper._executor
@@ -144,11 +145,8 @@ class TestExecutionContext:
             return [fn(item) for item in items]
 
         with execution_context(recording_map):
-            Runner(42, "fig11").collect(
-                IperfWorkload(), get_platform("docker"), 3,
-                lambda r: r.throughput_gbit_per_s,
-            )
-        assert seen == [3]
+            _grid_values()
+        assert seen == [30]  # the whole grid, in one dispatch
 
     def test_context_resets_on_exit(self):
         assert active_grid_mapper() is None
@@ -168,10 +166,7 @@ class TestExecutionContext:
             return [fn(item) for item in items]
 
         with execution_context(ambient_map):
-            Runner(42, "fig11", mapper=explicit_map).collect(
-                IperfWorkload(), get_platform("docker"), 2,
-                lambda r: r.throughput_gbit_per_s,
-            )
+            _grid_values(explicit_map)
         assert explicit and not ambient
 
     def test_rep_streams_order_is_by_index(self):
@@ -201,14 +196,17 @@ class TestPolicyGridDimension:
         assert mapper.jobs == 3
 
     def test_explicit_grid_backend_wins(self):
-        policy = ExecutionPolicy(grid_jobs=3, grid_backend=BACKEND_THREAD)
-        assert policy.resolved_grid_backend == BACKEND_THREAD
+        # One slot auto-selects serial; naming the pool overrides that.
+        policy = ExecutionPolicy(grid_jobs=1, grid_backend=BACKEND_PROCESS)
+        assert policy.resolved_grid_backend == BACKEND_PROCESS
 
     def test_invalid_grid_policy_rejected(self):
         with pytest.raises(ConfigurationError):
             ExecutionPolicy(grid_jobs=0)
         with pytest.raises(ConfigurationError):
             ExecutionPolicy(grid_backend="gpu")
+        with pytest.raises(ConfigurationError):
+            ExecutionPolicy(grid_backend="thread")
 
     def test_serial_classmethod_pins_both_levels(self):
         policy = ExecutionPolicy.serial()
@@ -218,15 +216,13 @@ class TestPolicyGridDimension:
     def test_grid_backends_constant_matches_scheduler_names(self):
         from repro.core.scheduler import BACKEND_REMOTE
 
-        assert set(GRID_BACKENDS) == {
-            BACKEND_SERIAL, BACKEND_THREAD, BACKEND_PROCESS, BACKEND_REMOTE
-        }
+        assert set(GRID_BACKENDS) == {BACKEND_SERIAL, BACKEND_PROCESS, BACKEND_REMOTE}
 
     def test_jobs_carry_the_grid_policy(self):
         job = ExperimentJob.build(
-            "fig11", 42, {}, grid_backend=BACKEND_THREAD, grid_jobs=2
+            "fig11", 42, {}, grid_backend=BACKEND_PROCESS, grid_jobs=2
         )
-        assert job.grid_backend == BACKEND_THREAD
+        assert job.grid_backend == BACKEND_PROCESS
         assert job.grid_jobs == 2
         # Grid policy is execution detail, not identity.
         assert job.job_seed == ExperimentJob.build("fig11", 42, {}).job_seed
@@ -258,7 +254,7 @@ class TestMapperLifetime:
         return created
 
     def test_raising_figure_still_closes_the_pool(self, tracked_pools):
-        policy = ExecutionPolicy(grid_jobs=2, grid_backend=BACKEND_THREAD)
+        policy = ExecutionPolicy(grid_jobs=2, grid_backend=BACKEND_PROCESS)
         report = ExperimentScheduler(42, quick=True, policy=policy).run(
             ["fig11"], overrides={"fig11": {"bogus_kwarg": 1}}
         )
@@ -267,7 +263,7 @@ class TestMapperLifetime:
         assert tracked_pools[0]._executor is None  # ExitStack released the pool
 
     def test_successful_job_closes_the_pool_too(self, tracked_pools):
-        policy = ExecutionPolicy(grid_jobs=2, grid_backend=BACKEND_THREAD)
+        policy = ExecutionPolicy(grid_jobs=2, grid_backend=BACKEND_PROCESS)
         report = ExperimentScheduler(42, quick=True, policy=policy).run(["fig11"])
         assert not report.errors
         assert len(tracked_pools) == 1
@@ -310,23 +306,23 @@ class TestGridLevelDeterminism:
         assert {r.grid_backend for r in report.records} == {grid_backend.name}
 
     def test_grid_backend_recorded_in_provenance(self):
-        policy = ExecutionPolicy(grid_jobs=2, grid_backend=BACKEND_THREAD)
+        policy = ExecutionPolicy(grid_jobs=2, grid_backend=BACKEND_PROCESS)
         report = ExperimentScheduler(42, quick=True, policy=policy).run(["fig11"])
         provenance = report.results["fig11"].provenance
-        assert provenance["grid_backend"] == BACKEND_THREAD
+        assert provenance["grid_backend"] == BACKEND_PROCESS
         assert provenance["grid_jobs"] == 2
         # Quick fig11 lowers to 10 platforms x 3 reps, all in one dispatch.
         assert provenance["grid_width"] == 30
         record = report.record_for("fig11")
-        assert record.grid_backend == BACKEND_THREAD
+        assert record.grid_backend == BACKEND_PROCESS
         assert record.grid_jobs == 2
         assert record.grid_width == 30
-        assert record.to_dict()["grid_backend"] == BACKEND_THREAD
+        assert record.to_dict()["grid_backend"] == BACKEND_PROCESS
         assert record.to_dict()["grid_width"] == 30
 
     def test_cache_hits_have_no_grid_backend(self, tmp_path):
         store = ResultStore(tmp_path)
-        policy = ExecutionPolicy(grid_jobs=2, grid_backend=BACKEND_THREAD)
+        policy = ExecutionPolicy(grid_jobs=2, grid_backend=BACKEND_PROCESS)
         ExperimentScheduler(42, quick=True, policy=policy, store=store).run(["fig11"])
         warm = ExperimentScheduler(42, quick=True, policy=policy, store=store).run(
             ["fig11"]
@@ -373,11 +369,11 @@ class TestChunkedGridPolicy:
     """chunk_size as deployment policy: mapper, scheduler, provenance."""
 
     @pytest.mark.parametrize("chunk_size", [1, 3, 7, 30, 45])
-    def test_thread_mapper_bit_identical_across_chunk_sizes(self, chunk_size):
+    def test_pool_mapper_bit_identical_across_chunk_sizes(self, chunk_size):
         # Non-dividing, unit, exact-width, and wider-than-grid sizes all
         # flatten back to the serial result order.
         items = list(range(30))
-        with grid_mapper("thread", 2, chunk_size=chunk_size) as mapper:
+        with grid_mapper("process", 2, chunk_size=chunk_size) as mapper:
             assert mapper(_plus_one, items) == [item + 1 for item in items]
             assert mapper.last_chunk_size == chunk_size
 
@@ -389,11 +385,11 @@ class TestChunkedGridPolicy:
     def test_chunked_order_preserved_under_out_of_order_completion(self):
         total = 6
         items = [(index, total) for index in range(total)]
-        with grid_mapper("thread", 3, chunk_size=2) as mapper:
+        with grid_mapper("process", 3, chunk_size=2) as mapper:
             assert mapper(_sleepy_identity, items) == list(range(total))
 
     def test_auto_chunk_size_recorded_after_dispatch(self):
-        with grid_mapper("thread", 2) as mapper:
+        with grid_mapper("process", 2) as mapper:
             mapper(_plus_one, list(range(30)))
             assert mapper.last_chunk_size == 4  # ceil(30 / (4 * 2))
 
@@ -403,7 +399,7 @@ class TestChunkedGridPolicy:
 
     def test_invalid_chunk_size_rejected(self):
         with pytest.raises(ConfigurationError, match=">= 1"):
-            grid_mapper("thread", 2, chunk_size=0)
+            grid_mapper("process", 2, chunk_size=0)
         with pytest.raises(ConfigurationError, match="chunk_size must be >= 1"):
             ExecutionPolicy(chunk_size=0)
 
@@ -422,7 +418,7 @@ class TestChunkedGridPolicy:
 class TestChunkedSchedulerProvenance:
     def test_explicit_chunk_size_recorded(self):
         policy = ExecutionPolicy(
-            grid_jobs=2, grid_backend=BACKEND_THREAD, chunk_size=4
+            grid_jobs=2, grid_backend=BACKEND_PROCESS, chunk_size=4
         )
         report = ExperimentScheduler(42, quick=True, policy=policy).run(["fig11"])
         assert report.results["fig11"].provenance["chunk_size"] == 4
@@ -433,7 +429,7 @@ class TestChunkedSchedulerProvenance:
     def test_auto_resolution_is_what_gets_recorded(self):
         # The knob was unset; provenance records the slab size that
         # actually ran: ceil(30 / (4 * 2)) = 4.
-        policy = ExecutionPolicy(grid_jobs=2, grid_backend=BACKEND_THREAD)
+        policy = ExecutionPolicy(grid_jobs=2, grid_backend=BACKEND_PROCESS)
         report = ExperimentScheduler(42, quick=True, policy=policy).run(["fig11"])
         assert report.results["fig11"].provenance["chunk_size"] == 4
         assert report.record_for("fig11").chunk_size == 4

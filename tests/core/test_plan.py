@@ -4,7 +4,7 @@ The tentpole guarantees: every figure's lowered grid covers exactly its
 platform roster × repetitions (minus recorded exclusions), the whole grid
 goes through ONE mapper dispatch, stream derivation matches the
 historical per-platform loops, and execution is bit-identical across
-every grid backend (serial/thread/process/remote) at the runner,
+every grid backend (serial/process/remote) at the runner,
 scheduler, and suite layers.
 
 Lowering invariants are property-based (hypothesis): random rosters ×
@@ -308,7 +308,7 @@ class TestBitIdentity:
     """All grid backends agree bit-for-bit at every layer.
 
     One test per layer, parametrized over the shared ``grid_backend``
-    fixture — serial, thread, process, and remote-loopback all run the
+    fixture — serial, process, and remote-loopback all run the
     same assertions instead of per-backend copies.
     """
 

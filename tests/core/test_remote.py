@@ -554,7 +554,7 @@ class _FlakyWorker:
         with conn:
             try:
                 recv_frame(conn)  # hello
-                send_frame(conn, ("hello", {"slots": 1}))
+                send_frame(conn, ("hello", {"service": "worker", "slots": 1}))
                 while True:
                     message = recv_frame(conn)
                     self.jobs_seen += 1
@@ -604,7 +604,7 @@ class _RejectingWorker:
         with conn:
             try:
                 recv_frame(conn)  # hello
-                send_frame(conn, ("hello", {"slots": 1}))
+                send_frame(conn, ("hello", {"service": "worker", "slots": 1}))
                 recv_frame(conn)  # first job
                 send_frame(conn, ("error", None, self.message))
             except (EOFError, RemoteProtocolError, OSError):

@@ -11,51 +11,27 @@ from repro.platforms import get_platform
 from repro.workloads.iperf import IperfWorkload
 
 
-class TestRunner:
-    def test_repeat_summarizes(self):
-        runner = Runner(1, "scope")
-        platform = get_platform("native")
-        summary = runner.repeat(
-            IperfWorkload(), platform, 5, lambda r: r.throughput_gbit_per_s
-        )
-        assert summary.count == 5
-        assert summary.mean > 0
+def _throughputs(scope: str, repetitions: int, seed: int = 7) -> list[float]:
+    """One platform's repetitions run from the streams the runner derives."""
+    platform = get_platform("docker")
+    streams = Runner(seed, scope).rep_streams(platform, repetitions)
+    return [IperfWorkload().run(platform, s).throughput_gbit_per_s for s in streams]
 
+
+class TestRunner:
     def test_deterministic_given_seed_and_scope(self):
-        first = Runner(7, "scope").collect(
-            IperfWorkload(), get_platform("docker"), 3, lambda r: r.throughput_gbit_per_s
-        )
-        second = Runner(7, "scope").collect(
-            IperfWorkload(), get_platform("docker"), 3, lambda r: r.throughput_gbit_per_s
-        )
-        assert first == second
+        assert _throughputs("scope", 3) == _throughputs("scope", 3)
 
     def test_different_scopes_differ(self):
-        first = Runner(7, "a").collect(
-            IperfWorkload(), get_platform("docker"), 3, lambda r: r.throughput_gbit_per_s
-        )
-        second = Runner(7, "b").collect(
-            IperfWorkload(), get_platform("docker"), 3, lambda r: r.throughput_gbit_per_s
-        )
-        assert first != second
+        assert _throughputs("a", 3) != _throughputs("b", 3)
 
     def test_repetitions_are_independent_draws(self):
-        values = Runner(7, "scope").collect(
-            IperfWorkload(), get_platform("docker"), 5, lambda r: r.throughput_gbit_per_s
-        )
-        assert len(set(values)) > 1
+        assert len(set(_throughputs("scope", 5))) > 1
 
     def test_invalid_repetitions_rejected(self):
         runner = Runner(1, "scope")
         with pytest.raises(ConfigurationError):
-            runner.repeat(IperfWorkload(), get_platform("native"), 0, lambda r: 0.0)
-
-    def test_collect_results_returns_objects(self):
-        results = Runner(1, "scope").collect_results(
-            IperfWorkload(), get_platform("native"), 2
-        )
-        assert len(results) == 2
-        assert all(hasattr(r, "throughput_gbit_per_s") for r in results)
+            runner.rep_streams(get_platform("native"), 0)
 
 
 class TestReport:

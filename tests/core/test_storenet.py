@@ -99,6 +99,18 @@ class TestStoreServer:
             with pytest.raises(EOFError):
                 recv_frame(sock)  # server closed the connection
 
+    def test_wrong_arity_is_an_unexpected_frame(self, store_server):
+        with socket.create_connection(store_server.address, timeout=5) as sock:
+            send_frame(
+                sock,
+                ("hello", {"protocol": STORE_PROTOCOL_VERSION, "service": "store"}),
+            )
+            recv_frame(sock)  # hello reply
+            send_frame(sock, ("get", 1, 2))  # get takes one argument
+            kind, _seq, message = recv_frame(sock)
+        assert kind == "error"
+        assert "unexpected frame" in message
+
 
 class TestRemoteStore:
     def test_constructing_never_dials(self):
