@@ -1,13 +1,12 @@
 """CI benchmark smoke: serial vs. parallel-backend determinism gates.
 
 Runs a small figure subset through ``BenchmarkSuite(quick=True)`` —
-once on the serial backend, once across a figure-level process pool,
-once with the flat (platform x rep) grid pool (``grid_jobs``), once
-with an explicit non-dividing ``--chunk-size`` on that grid pool, and
-(when ``--remote-workers`` names a fleet) once through the remote grid
-backend plus a chunked remote leg — and asserts all summaries are
-bit-identical, then archives
-the pool run's JSON + manifest as the CI artifact. The emitted
+once on the serial backend, once with the flat (platform x rep) grid
+pool (``grid_jobs``), once with an explicit non-dividing
+``--chunk-size`` on that grid pool, and (when ``--remote-workers`` names
+a fleet) once through the remote grid backend plus a chunked remote leg
+— and asserts all summaries are bit-identical, then archives the grid
+pool run's JSON + manifest as the CI artifact. The emitted
 ``BENCH_smoke.json`` records per-backend wall times, seeding the repo's
 performance trajectory.
 
@@ -24,7 +23,7 @@ leg also exercises a mid-run join).
 
 Usage::
 
-    python benchmarks/ci_smoke.py --out bench-artifacts --jobs 2 --grid-jobs 2
+    python benchmarks/ci_smoke.py --out bench-artifacts --grid-jobs 2
     # with a worker started via `repro-bench worker --port 7077`:
     python benchmarks/ci_smoke.py --remote-workers 127.0.0.1:7077
     # with a store started via `repro-bench store --port 7078 --dir d`:
@@ -58,7 +57,6 @@ SMOKE_FIGURES = ["fig05", "cpu-prime", "fig11", "fig12", "fig17", "fig18"]
 
 def run_backend(
     seed: int,
-    jobs: int,
     figures: list[str],
     grid_jobs: int = 1,
     workers: tuple[str, ...] = (),
@@ -66,7 +64,7 @@ def run_backend(
     fleet_url: str | None = None,
 ) -> tuple[BenchmarkSuite, float]:
     suite = BenchmarkSuite(
-        seed=seed, quick=True, jobs=jobs, grid_jobs=grid_jobs, workers=workers,
+        seed=seed, quick=True, grid_jobs=grid_jobs, workers=workers,
         chunk_size=chunk_size, fleet_url=fleet_url,
     )
     started = time.perf_counter()
@@ -134,7 +132,6 @@ def run_store_gate(
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--jobs", type=int, default=2, help="pool width for the parallel leg")
     parser.add_argument(
         "--grid-jobs", type=int, default=2,
         help="pool width for the flat-grid leg",
@@ -170,17 +167,15 @@ def main(argv: list[str] | None = None) -> int:
         part.strip() for part in args.remote_workers.split(",") if part.strip()
     ) if args.remote_workers else ()
 
-    serial_suite, serial_wall = run_backend(args.seed, 1, args.figures)
-    parallel_suite, parallel_wall = run_backend(args.seed, args.jobs, args.figures)
-    grid_suite, grid_wall = run_backend(args.seed, 1, args.figures, grid_jobs=args.grid_jobs)
+    serial_suite, serial_wall = run_backend(args.seed, args.figures)
+    grid_suite, grid_wall = run_backend(args.seed, args.figures, grid_jobs=args.grid_jobs)
     # The chunked leg: same grid pool, but explicit (non-dividing) slabs —
     # the bit-identity gate for chunk geometry on the process backend.
     chunked_suite, chunked_wall = run_backend(
-        args.seed, 1, args.figures, grid_jobs=args.grid_jobs,
+        args.seed, args.figures, grid_jobs=args.grid_jobs,
         chunk_size=args.chunk_size,
     )
 
-    pool_mismatches = compare(serial_suite, parallel_suite, args.figures)
     grid_mismatches = compare(serial_suite, grid_suite, args.figures)
     chunked_mismatches = compare(serial_suite, chunked_suite, args.figures)
     remote_mismatches: list[str] = []
@@ -189,11 +184,11 @@ def main(argv: list[str] | None = None) -> int:
     chunked_remote_wall = None
     if remote_fleet:
         remote_suite, remote_wall = run_backend(
-            args.seed, 1, args.figures, workers=remote_fleet
+            args.seed, args.figures, workers=remote_fleet
         )
         remote_mismatches = compare(serial_suite, remote_suite, args.figures)
         chunked_remote_suite, chunked_remote_wall = run_backend(
-            args.seed, 1, args.figures, workers=remote_fleet,
+            args.seed, args.figures, workers=remote_fleet,
             chunk_size=args.chunk_size,
         )
         chunked_remote_mismatches = compare(
@@ -204,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
     fleet_roster: list[str] = []
     if args.fleet_url:
         fleet_suite, fleet_wall = run_backend(
-            args.seed, 1, args.figures, fleet_url=args.fleet_url
+            args.seed, args.figures, fleet_url=args.fleet_url
         )
         fleet_mismatches = compare(serial_suite, fleet_suite, args.figures)
         # The roster that materialized — CI asserts the mid-run joiner
@@ -224,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
         )
 
     mismatches = sorted(
-        set(pool_mismatches) | set(grid_mismatches) | set(chunked_mismatches)
+        set(grid_mismatches) | set(chunked_mismatches)
         | set(remote_mismatches) | set(chunked_remote_mismatches)
         | set(fleet_mismatches)
         | set(store_gate["mismatches"] if store_gate else ())
@@ -252,19 +247,18 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(
         f"smoke[{','.join(args.figures)}] seed={args.seed} "
-        f"serial={serial_wall:.2f}s jobs={args.jobs}={parallel_wall:.2f}s "
+        f"serial={serial_wall:.2f}s "
         f"grid-jobs={args.grid_jobs}={grid_wall:.2f}s "
         f"chunk{args.chunk_size}={chunked_wall:.2f}s{remote_note}{fleet_note}"
         f"{store_note} -> {status}"
     )
-    parallel_suite.save_results(out)
+    grid_suite.save_results(out)
     (out / "BENCH_smoke.json").write_text(
         json.dumps(
             {
                 "seed": args.seed,
                 "figures": args.figures,
                 "serial_wall_s": round(serial_wall, 4),
-                "parallel_wall_s": round(parallel_wall, 4),
                 "grid_parallel_wall_s": round(grid_wall, 4),
                 "chunked_wall_s": round(chunked_wall, 4),
                 "remote_wall_s": round(remote_wall, 4) if remote_wall is not None else None,
@@ -272,7 +266,6 @@ def main(argv: list[str] | None = None) -> int:
                     round(chunked_remote_wall, 4)
                     if chunked_remote_wall is not None else None
                 ),
-                "jobs": args.jobs,
                 "grid_jobs": args.grid_jobs,
                 "chunk_size": args.chunk_size,
                 "remote_workers": list(remote_fleet),
@@ -281,7 +274,6 @@ def main(argv: list[str] | None = None) -> int:
                 "fleet_roster": fleet_roster,
                 "identical": not mismatches,
                 "mismatches": mismatches,
-                "pool_mismatches": pool_mismatches,
                 "grid_mismatches": grid_mismatches,
                 "chunked_mismatches": chunked_mismatches,
                 "remote_mismatches": remote_mismatches,

@@ -7,7 +7,7 @@ Installed as ``repro-bench``::
     repro-bench [--seed N] run fig11 [--quick] [--json out/] [--cache DIR]
     repro-bench run fig11 [--grid-jobs 4]       # flat (platform x rep) pool
     repro-bench run fig11 --grid-jobs 4 --chunk-size 8   # slab dispatch
-    repro-bench [--seed N] run all [--quick] [--jobs 4] [--provenance]
+    repro-bench [--seed N] run all [--quick] [--grid-jobs 2] [--provenance]
     repro-bench run all   [--dry-run]           # print lowered grids only
     repro-bench plan fig09 [--quick]            # inspect one figure's grid
     repro-bench worker --port 7077              # join the worker fleet
@@ -59,10 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("figure", help="figure id (fig05..fig18, cpu-prime) or 'all'")
     run.add_argument("--quick", action="store_true", help="reduced repetitions")
     run.add_argument("--json", metavar="DIR", help="archive results as JSON")
-    run.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="execute figures across an N-worker process pool (default: serial)",
-    )
     run.add_argument(
         "--grid-jobs", dest="grid_jobs", type=int, default=1, metavar="N",
         help="execute each figure's flat (platform x rep) grid across an "
@@ -296,7 +292,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         part.strip() for part in args.workers.split(",") if part.strip()
     ) if args.workers else ()
     suite = BenchmarkSuite(
-        seed=args.seed, quick=args.quick, jobs=args.jobs, grid_jobs=args.grid_jobs,
+        seed=args.seed, quick=args.quick, grid_jobs=args.grid_jobs,
         grid_backend=args.grid_backend, workers=workers, fleet_url=args.fleet,
         store_url=args.store, chunk_size=args.chunk_size,
         cache_dir=args.cache,

@@ -8,7 +8,7 @@
 * :mod:`repro.core.figures`    — one reproduction plan per paper figure
 * :mod:`repro.core.report`     — ASCII rendering of tables and figures
 * :mod:`repro.core.findings`   — automated checks of the paper's findings
-* :mod:`repro.core.scheduler`  — parallel experiment scheduler + backends
+* :mod:`repro.core.scheduler`  — experiment scheduler + execution policy
 * :mod:`repro.core.service`    — the TCP service skeleton (server + client bases)
 * :mod:`repro.core.remote`     — remote grid backend (worker fleet over TCP)
 * :mod:`repro.core.store`      — persistent content-addressed result store
@@ -47,7 +47,6 @@ from repro.core.scheduler import (
     ExperimentScheduler,
     JobRecord,
     SchedulerReport,
-    topological_batches,
 )
 from repro.core.store import ResultStore, StoreKey
 from repro.core.storenet import RemoteStore, RemoteStoreError, StoreServer, TieredStore
@@ -98,7 +97,6 @@ __all__ = [
     "ExperimentScheduler",
     "JobRecord",
     "SchedulerReport",
-    "topological_batches",
     "ResultStore",
     "StoreKey",
     "StoreServer",

@@ -27,10 +27,6 @@ class Experiment:
     paper_observation: str
     repetitions: int = 10
     notes: tuple[str, ...] = field(default=())
-    #: Figures that must complete first (consumed by the scheduler's
-    #: topological batching; empty for every current artefact, so the whole
-    #: registry forms one independent batch).
-    depends_on: tuple[str, ...] = field(default=())
 
 
 EXPERIMENTS: dict[str, Experiment] = {

@@ -529,11 +529,12 @@ class RemoteMapper:
     dispatches (the perf harness's ``bytes_per_cell`` source).
 
     Failure policy: with a static roster, the whole roster must be
-    reachable at first dispatch (a member that is down before the run
-    even starts is a misconfiguration, and tolerating it would falsify
-    the recorded roster); after that, a worker that disconnects
-    mid-grid has its in-flight chunks re-queued to the surviving
-    workers (at most ``retries`` times per chunk — cells are
+    reachable while the mapper holds no connection (a member that is
+    down before the run even starts is a misconfiguration, and
+    tolerating it would falsify the recorded roster); each later
+    dispatch redials members whose connection was dropped. A worker
+    that disconnects mid-grid has its in-flight chunks re-queued to the
+    surviving workers (at most ``retries`` times per chunk — cells are
     deterministic, so re-execution cannot change results, only recover
     them); a cell that *raises* inside a worker is a real workload
     failure and surfaces as :class:`RemoteJobError`; losing every
@@ -635,10 +636,7 @@ class RemoteMapper:
         harness warms the fleet here so timed samples measure
         steady-state throughput, not TCP connect plus handshake).
         """
-        if self.fleet_url is not None:
-            self._connect_fleet()
-        else:
-            self._connect_all()
+        self._connect()
         return self
 
     def _dial(self, address: tuple[str, int]) -> _WorkerConnection:
@@ -649,55 +647,45 @@ class RemoteMapper:
             store_url=self.store_url,
         )
 
-    def _connect_all(self) -> list[_WorkerConnection]:
-        if self._connections:
-            return self._connections
-        connections: list[_WorkerConnection] = []
-        failures: list[str] = []
-        for address in self.addresses:
-            try:
-                connections.append(self._dial(address))
-            except (OSError, RemoteError) as exc:
-                failures.append(f"{address[0]}:{address[1]}: {exc}")
-        if failures:
-            # Strict roster: a member that is down *before* dispatch is a
-            # misconfiguration (typo'd port, worker not started), not a
-            # transient loss — running quietly on a partial fleet would
-            # also falsify the roster recorded in provenance. Mid-grid
-            # disconnects are the tolerated (re-queued) failure mode.
-            for connection in connections:
-                connection.close()
-            raise RemoteDispatchError(
-                "could not reach the whole worker fleet: " + "; ".join(failures)
-            )
-        self._connections = connections
-        return self._connections
-
     def _fleet_roster(self) -> list[tuple[str, int]]:
         """The coordinator's live roster as parsed addresses, sorted."""
         members = self._fleet().roster()
         return sorted(parse_worker_address(member["address"]) for member in members)
 
-    def _connect_fleet(self) -> list[_WorkerConnection]:
-        """Resolve the live roster and connect what is reachable.
+    def _connect(self) -> list[_WorkerConnection]:
+        """Connect the roster: reuse live connections, dial the rest.
 
-        Elastic membership inverts the static failure policy: the
-        coordinator's roster is *eventually* consistent (a member may
-        die between its last heartbeat and our dial), so individually
-        unreachable members are skipped — but zero reachable members is
-        still a hard error. Connections surviving a previous dispatch
-        are reused when still on the roster, closed when not.
+        The roster is the static list, or the coordinator's live roster
+        resolved now. Connections surviving a previous dispatch are
+        reused while their member is on the roster and closed once it
+        left; members with no connection (never dialed, or dropped after
+        a failed chunk) are dialed.
+
+        A static mapper holding no connection needs the whole roster: a
+        member that is down before the run even starts is a
+        misconfiguration (typo'd port, worker not started), and running
+        quietly on a partial fleet would falsify the roster recorded in
+        provenance. Otherwise a member that cannot be dialed is skipped —
+        the coordinator's roster is eventually consistent (a member may
+        die between its last heartbeat and our dial), and a static member
+        lost mid-run is the tolerated, re-queued failure mode. No
+        connection at all is an error in both modes.
         """
-        try:
-            roster = self._fleet_roster()
-        except RemoteError as exc:
-            raise RemoteDispatchError(
-                f"could not resolve the fleet roster from {self.fleet_url}: {exc}"
-            ) from exc
+        if self.fleet_url is not None:
+            try:
+                roster = self._fleet_roster()
+            except RemoteError as exc:
+                raise RemoteDispatchError(
+                    f"could not resolve the fleet roster from {self.fleet_url}: {exc}"
+                ) from exc
+        else:
+            roster = self.addresses
+        whole_roster = self.fleet_url is None and not self._connections
         kept = {connection.address: connection for connection in self._connections}
         connections: list[_WorkerConnection] = []
         failures: list[str] = []
-        for address in roster:
+        # dict.fromkeys: a member listed twice gets one connection.
+        for address in dict.fromkeys(roster):
             connection = kept.pop(address, None)
             if connection is None:
                 try:
@@ -707,7 +695,13 @@ class RemoteMapper:
                     continue
             connections.append(connection)
         for connection in kept.values():
-            connection.close()  # drained off the roster between dispatches
+            connection.close()  # left the roster between dispatches
+        if whole_roster and failures:
+            for connection in connections:
+                connection.close()
+            raise RemoteDispatchError(
+                "could not reach the whole worker fleet: " + "; ".join(failures)
+            )
         if not connections:
             detail = "; ".join(failures) if failures else "the roster is empty"
             raise RemoteDispatchError(
@@ -741,10 +735,7 @@ class RemoteMapper:
             return []
         # Connect before chunking: the auto heuristic spreads slabs over
         # the fleet's total advertised slots, known only after the hello.
-        if self.fleet_url is not None:
-            connections = self._connect_fleet()
-        else:
-            connections = self._connect_all()
+        connections = self._connect()
         slots = sum(connection.slots for connection in connections)
         size = resolve_chunk_size(self.chunk_size, len(items), max(1, slots))
         self.last_chunk_size = size

@@ -28,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
@@ -106,10 +107,13 @@ class PoolMapper:
 
     The plan layer dispatches a figure's whole ``(platform, rep)`` grid in
     a single call; the pool is created on first use and reused across
-    calls, so a multi-figure job forks once. Close (or use as a context
-    manager) to release the workers; the scheduler's job wrapper owns
-    that lifetime via an :class:`contextlib.ExitStack`, so the pool is
-    released even when a figure raises mid-grid.
+    calls, so a caller mapping many grids through one mapper forks once.
+    Close (or use as a context manager) to release the workers; the
+    scheduler enters each figure's mapper via an
+    :class:`contextlib.ExitStack`, so the pool is released even when a
+    figure raises mid-grid. A worker process that dies breaks the
+    executor for good: the call re-raises :class:`BrokenProcessPool`
+    and drops the executor, so the next call forks a fresh pool.
 
     Dispatch is *chunked*: the grid is split into contiguous slabs (see
     :mod:`repro.core.chunking` — explicit ``chunk_size``, or the auto
@@ -135,13 +139,17 @@ class PoolMapper:
             self._executor = ProcessPoolExecutor(max_workers=self.jobs)
         size = resolve_chunk_size(self.chunk_size, len(items), self.jobs)
         self.last_chunk_size = size
-        if size == 1:
-            return list(self._executor.map(fn, items))
-        payloads = [(fn, chunk) for chunk in chunk_items(items, size)]
-        results: list[Any] = []
-        for chunk_result in self._executor.map(run_chunk, payloads):
-            results.extend(chunk_result)
-        return results
+        try:
+            if size == 1:
+                return list(self._executor.map(fn, items))
+            payloads = [(fn, chunk) for chunk in chunk_items(items, size)]
+            results: list[Any] = []
+            for chunk_result in self._executor.map(run_chunk, payloads):
+                results.extend(chunk_result)
+            return results
+        except BrokenProcessPool:
+            self.close()
+            raise
 
     def close(self) -> None:
         """Shut the pool down (idempotent; the mapper may be used again)."""
@@ -222,7 +230,7 @@ def grid_mapper(
 
 
 #: The ambient grid mapper, installed by the scheduler layer around each
-#: figure execution (including inside figure-pool workers).
+#: figure execution.
 _ACTIVE_GRID_MAPPER: contextvars.ContextVar[Mapper | None] = contextvars.ContextVar(
     "repro_grid_mapper", default=None
 )

@@ -1,25 +1,21 @@
-"""Parallel experiment scheduler.
+"""Experiment scheduler.
 
 The figure registry defines *what* to run; this module decides *where and
-how*. An :class:`ExperimentScheduler` turns a set of figure ids into
-:class:`ExperimentJob` descriptions, batches them topologically by the
-``depends_on`` edges in the experiment registry, reads each job through
-the :class:`~repro.core.store.ResultStore`, and executes the misses on a
-backend chosen by :class:`ExecutionPolicy` — serially in-process, or
-across a ``concurrent.futures`` process pool. The policy also carries a
-*grid-level* dimension (``grid_jobs``/``grid_backend``): each job
-installs an order-preserving grid mapper via
-:func:`~repro.core.runner.execution_context` before it runs, so the
-figure's whole lowered ``(platform, rep)`` grid (see
-:mod:`repro.core.plan`) fans over one shared process pool —
-the speedup path for single-figure runs, where the figure pool is idle.
+how*. :meth:`ExperimentScheduler.run` walks the selected figures in
+order: it reads each one through the
+:class:`~repro.core.store.ResultStore`, and on a miss runs the figure
+under the grid mapper its :class:`ExecutionPolicy` prescribes, installed
+via :func:`~repro.core.runner.execution_context` — so the figure's whole
+lowered ``(platform, rep)`` grid (see :mod:`repro.core.plan`) fans over
+one process pool or one worker fleet — then records a :class:`JobRecord`
+and writes the result back.
 
 Determinism is preserved by construction: every figure function builds its
 own :class:`~repro.core.runner.Runner` seed subtree from ``(seed,
 figure_id)``, and each job additionally records its
-:func:`~repro.rng.derive_seed`-derived identity. No draw in one job can
-perturb another, so process-pool results are bit-identical to serial ones
-regardless of scheduling order.
+:func:`~repro.rng.derive_seed`-derived identity. Every cell's stream is
+derived before dispatch and every grid mapper preserves input order, so
+results are bit-identical to serial on every grid backend.
 
 Jobs are crash-isolated: an exception in one figure is captured in its
 :class:`JobRecord` and the remaining jobs still run to completion.
@@ -29,11 +25,9 @@ from __future__ import annotations
 
 import contextlib
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
-from repro.core.experiment import EXPERIMENTS
 from repro.core.figures import FIGURES, lower_figure, run_figure
 from repro.core.plan import LoweredGrid
 from repro.core.results import FigureResult
@@ -51,11 +45,9 @@ from repro.errors import ConfigurationError, ReproError
 
 __all__ = [
     "ExecutionPolicy",
-    "ExperimentJob",
     "JobRecord",
     "SchedulerReport",
     "ExperimentScheduler",
-    "topological_batches",
     "quick_overrides",
 ]
 
@@ -75,30 +67,25 @@ def quick_overrides(figure_id: str) -> dict[str, Any]:
 
 @dataclass(frozen=True)
 class ExecutionPolicy:
-    """How jobs execute, at both scheduling levels.
+    """Where each figure's grid executes.
 
-    The *figure* level (``jobs``/``backend``) fans independent figures over
-    a process pool; the *grid* level (``grid_jobs``/``grid_backend``) is a
-    single worker budget for everything inside one figure — the whole
-    lowered ``(platform, rep)`` grid fans over one shared process pool
-    instead of per-platform repetition batches. The two
-    levels compose:
-    a figure pool worker installs the grid mapper in its own process, so
-    ``jobs=4, grid_jobs=2`` runs four figures at once, each with a
-    two-worker grid pool.
+    Figures run one after another; the parallelism is inside each one.
+    ``grid_jobs``/``grid_backend`` are a single worker budget for the
+    figure's whole lowered ``(platform, rep)`` grid, which fans over one
+    shared process pool in one dispatch.
 
-    The grid level is also where a run leaves the machine: the
+    The grid is also where a run leaves the machine: the
     ``remote`` grid backend fans the lowered grid over a worker fleet
     (``workers=("host:port", ...)``, each started with ``repro-bench
     worker``). Distribution is pure deployment policy — naming a fleet
     is the only difference between a local and a remote run, and the
     results are bit-identical either way.
 
-    ``backend=None`` / ``grid_backend=None`` auto-select: serial for one
-    slot, a process pool otherwise (workloads are pure-Python simulation,
-    so only processes buy true parallelism), and ``remote`` whenever a
-    worker roster is given. Serial stays the default everywhere; callers
-    opt in via ``--jobs N`` / ``--grid-jobs N`` / ``--workers ...``.
+    ``grid_backend=None`` auto-selects: serial for one slot, a process
+    pool otherwise (workloads are pure-Python simulation, so only
+    processes buy true parallelism), and ``remote`` whenever a worker
+    roster is given. Serial stays the default; callers opt in via
+    ``--grid-jobs N`` / ``--workers ...``.
 
     ``fleet_url`` replaces the hand-named roster with an elastic one
     (CLI: ``run --fleet host:port``): the ``host:port`` of a
@@ -130,8 +117,6 @@ class ExecutionPolicy:
     names.
     """
 
-    jobs: int = 1
-    backend: str | None = None
     grid_jobs: int = 1
     grid_backend: str | None = None
     workers: tuple[str, ...] = ()
@@ -140,10 +125,6 @@ class ExecutionPolicy:
     chunk_size: int | None = None
 
     def __post_init__(self) -> None:
-        if self.jobs < 1:
-            raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
-        if self.backend not in (None, BACKEND_SERIAL, BACKEND_PROCESS):
-            raise ConfigurationError(f"unknown backend {self.backend!r}")
         if self.grid_jobs < 1:
             raise ConfigurationError(f"grid_jobs must be >= 1, got {self.grid_jobs}")
         if self.chunk_size is not None and self.chunk_size < 1:
@@ -195,13 +176,6 @@ class ExecutionPolicy:
                 raise ConfigurationError(f"invalid store address: {exc}") from None
 
     @property
-    def resolved_backend(self) -> str:
-        """The concrete figure-level backend this policy selects."""
-        if self.backend is not None:
-            return self.backend
-        return BACKEND_PROCESS if self.jobs > 1 else BACKEND_SERIAL
-
-    @property
     def resolved_grid_backend(self) -> str:
         """The concrete grid-level backend this policy selects."""
         if self.grid_backend is not None:
@@ -223,75 +197,7 @@ class ExecutionPolicy:
 
     @classmethod
     def serial(cls) -> "ExecutionPolicy":
-        return cls(
-            jobs=1, backend=BACKEND_SERIAL, grid_jobs=1, grid_backend=BACKEND_SERIAL
-        )
-
-
-@dataclass(frozen=True)
-class ExperimentJob:
-    """One schedulable figure execution (picklable).
-
-    ``grid_backend``/``grid_jobs`` describe *where* the job's lowered
-    ``(platform, rep)`` grid runs; they travel with the job (contextvars
-    do not cross a process pool) but are execution policy, not identity —
-    they never enter the store key, because every grid backend is
-    bit-identical by construction.
-    """
-
-    figure_id: str
-    seed: int
-    kwargs: tuple[tuple[str, Any], ...]
-    job_seed: int
-    grid_backend: str = BACKEND_SERIAL
-    grid_jobs: int = 1
-    workers: tuple[str, ...] = ()
-    #: Fleet coordinator resolving the live roster (None = static mode).
-    fleet_url: str | None = None
-    #: Shared store the remote grid's cells dedupe through (None = none).
-    store_url: str | None = None
-    #: Dispatch slab size prescribed by the policy (None = auto).
-    chunk_size: int | None = None
-
-    @classmethod
-    def build(
-        cls,
-        figure_id: str,
-        seed: int,
-        kwargs: dict[str, Any],
-        *,
-        grid_backend: str = BACKEND_SERIAL,
-        grid_jobs: int = 1,
-        workers: tuple[str, ...] = (),
-        fleet_url: str | None = None,
-        store_url: str | None = None,
-        chunk_size: int | None = None,
-    ) -> "ExperimentJob":
-        """Create a job; its identity seed comes from the shared seed tree."""
-        frozen = tuple(sorted(kwargs.items(), key=lambda item: item[0]))
-        return cls(
-            figure_id=figure_id,
-            seed=int(seed),
-            kwargs=_freeze_kwargs(frozen),
-            job_seed=Runner.job_seed(seed, figure_id),
-            grid_backend=grid_backend,
-            grid_jobs=grid_jobs,
-            workers=tuple(workers),
-            fleet_url=fleet_url,
-            store_url=store_url,
-            chunk_size=chunk_size,
-        )
-
-    def kwargs_dict(self) -> dict[str, Any]:
-        return {name: list(value) if isinstance(value, tuple) else value
-                for name, value in self.kwargs}
-
-
-def _freeze_kwargs(items: tuple[tuple[str, Any], ...]) -> tuple[tuple[str, Any], ...]:
-    return tuple(
-        (name, tuple(value) if isinstance(value, list) else value)
-        for name, value in items
-    )
+        return cls(grid_backend=BACKEND_SERIAL)
 
 
 class _CountingMapper:
@@ -299,8 +205,8 @@ class _CountingMapper:
 
     The figure's lowered grid width is execution provenance, but only the
     figure function knows it — wrapping the mapper observes it without
-    widening any figure signatures. Plan-based figures dispatch their
-    whole grid in one call; legacy per-batch callers accumulate.
+    widening any figure signatures. Every figure dispatches its whole
+    grid in one call.
     """
 
     def __init__(self, inner: Mapper) -> None:
@@ -313,83 +219,16 @@ class _CountingMapper:
         return self.inner(fn, items)
 
 
-#: One job's outcome: (result, error message, wall time, grid width,
-#: resolved chunk size, remote info) — exactly one of result/error is
-#: set; grid width and chunk size are None on failure (and chunk size
-#: also for mappers with no dispatch boundary, i.e. serial). Remote info
-#: is ``{"roster": [...], "dedupe": {...} | None}`` when the job ran on
-#: the remote grid backend (the roster that *materialized* — in fleet
-#: mode that includes workers which joined mid-run — and the summed
-#: worker-side cell-dedupe counters), else None.
-JobOutcome = tuple[
-    FigureResult | None, str | None, float, int | None, int | None,
-    dict[str, Any] | None,
-]
-
-
-def _execute_job(job: ExperimentJob) -> JobOutcome:
-    """Worker entry point — module-level so the process pool can pickle it.
-
-    Times and crash-isolates in-worker, so provenance reports each job's
-    own duration (success or failure) rather than submission-order queue
-    latency, and a raising figure never tears down the pool.
-
-    Installs the job's grid mapper via :func:`execution_context` here, in
-    the executing process, so the figure's lowered grid picks it up
-    whether the job runs in-process or inside a figure-pool worker. The
-    :class:`contextlib.ExitStack` owns the mapper's lifetime: a pool
-    mapper's workers are released even when the figure raises mid-grid.
-    """
-    started = time.perf_counter()
-    try:
-        mapper = grid_mapper(
-            job.grid_backend,
-            job.grid_jobs,
-            workers=job.workers or None,
-            chunk_size=job.chunk_size,
-            fleet_url=job.fleet_url,
-            store_url=job.store_url,
-        )
-        counting = _CountingMapper(mapper)
-        with contextlib.ExitStack() as stack:
-            if hasattr(mapper, "__exit__"):
-                # Every resource-holding mapper (local pool, remote fleet
-                # connections) is a context manager; the serial map is a
-                # bare function. One shared pool covers the figure's whole
-                # grid; release it when the job finishes — or raises.
-                stack.enter_context(mapper)
-            stack.enter_context(execution_context(counting))
-            result = run_figure(job.figure_id, job.seed, **job.kwargs_dict())
-        # The *resolved* slab size (auto heuristics resolve per dispatch);
-        # the serial map has no dispatch boundary and reports None.
-        chunk_size = getattr(mapper, "last_chunk_size", None)
-        roster = getattr(mapper, "last_roster", None)
-        dedupe = getattr(mapper, "last_dedupe", None)
-        remote_info = (
-            {"roster": list(roster), "dedupe": dedupe}
-            if roster is not None else None
-        )
-        return (
-            result, None, time.perf_counter() - started, counting.dispatched,
-            chunk_size, remote_info,
-        )
-    except Exception as exc:
-        return (
-            None, f"{type(exc).__name__}: {exc}", time.perf_counter() - started,
-            None, None, None,
-        )
-
-
 @dataclass
 class JobRecord:
     """Provenance for one scheduled job."""
 
     figure_id: str
     digest: str
+    #: ``serial`` for an executed figure, ``store`` for a cache hit.
     backend: str
     wall_time_s: float
     job_seed: int
-    batch: int
     error: str | None = None
     #: Cache disposition: ``hit-local`` (this client's store tier),
     #: ``hit-remote`` (the shared fleet store), or ``miss``.
@@ -431,7 +270,6 @@ class JobRecord:
             "cache_hit": self.cache_hit,
             "wall_time_s": self.wall_time_s,
             "job_seed": self.job_seed,
-            "batch": self.batch,
             "error": self.error,
             "cache": self.cache,
             "store": self.store,
@@ -450,8 +288,8 @@ class SchedulerReport:
     """Everything one scheduler run produced."""
 
     results: dict[str, FigureResult] = field(default_factory=dict)
+    #: One record per selected figure, in selection order.
     records: list[JobRecord] = field(default_factory=list)
-    batches: list[list[str]] = field(default_factory=list)
 
     @property
     def errors(self) -> dict[str, str]:
@@ -480,43 +318,8 @@ class SchedulerReport:
             raise ConfigurationError(f"{len(self.errors)} job(s) failed: {detail}")
 
 
-def topological_batches(
-    figure_ids: Iterable[str],
-    dependencies: Mapping[str, tuple[str, ...]] | None = None,
-) -> list[list[str]]:
-    """Kahn-level batches: each batch's jobs are mutually independent.
-
-    Dependencies default to ``Experiment.depends_on`` from the registry.
-    Edges pointing outside the selected set are ignored (the dependency is
-    assumed satisfied — e.g. by the cache). Cycles raise.
-    """
-    selected = list(figure_ids)
-    selected_set = set(selected)
-    if dependencies is None:
-        dependencies = {
-            fid: EXPERIMENTS[fid].depends_on if fid in EXPERIMENTS else ()
-            for fid in selected
-        }
-    remaining = {
-        fid: {dep for dep in dependencies.get(fid, ()) if dep in selected_set}
-        for fid in selected
-    }
-    batches: list[list[str]] = []
-    while remaining:
-        ready = [fid for fid, deps in remaining.items() if not deps]
-        if not ready:
-            cycle = ", ".join(sorted(remaining))
-            raise ConfigurationError(f"dependency cycle among experiments: {cycle}")
-        batches.append(ready)
-        for fid in ready:
-            del remaining[fid]
-        for deps in remaining.values():
-            deps.difference_update(ready)
-    return batches
-
-
 class ExperimentScheduler:
-    """Batches figure jobs and executes them through the store + backend."""
+    """Runs figures in order through the store and the policy's grid mapper."""
 
     def __init__(
         self,
@@ -586,6 +389,7 @@ class ExperimentScheduler:
         ``overrides`` maps figure ids to per-figure kwargs. Cached results
         are served from the store without executing anything; failures are
         captured per job (see :meth:`SchedulerReport.raise_for_errors`).
+        Records appear in selection order.
         """
         selected = list(figure_ids) if figure_ids is not None else list(FIGURES)
         unknown = [fid for fid in selected if fid not in FIGURES]
@@ -593,174 +397,109 @@ class ExperimentScheduler:
             raise ConfigurationError(
                 f"unknown figure(s) {', '.join(unknown)}; known: {', '.join(FIGURES)}"
             )
-        overrides = dict(overrides or {})
-        report = SchedulerReport(batches=topological_batches(selected))
-        for batch_index, batch in enumerate(report.batches):
-            self._run_batch(batch_index, batch, overrides, report)
-        return report
-
-    def _run_batch(
-        self,
-        batch_index: int,
-        batch: list[str],
-        overrides: Mapping[str, dict[str, Any]],
-        report: SchedulerReport,
-    ) -> None:
-        pending: list[tuple[ExperimentJob, StoreKey]] = []
-        for figure_id in batch:
+        overrides = overrides or {}
+        report = SchedulerReport()
+        for figure_id in selected:
             figure_overrides = overrides.get(figure_id)
             key = self.key_for(figure_id, figure_overrides)
             started = time.perf_counter()
-            cached = self.store.get(key) if self.store is not None else None
-            if cached is not None:
-                elapsed = time.perf_counter() - started
-                job_seed = Runner.job_seed(self.seed, figure_id)
+            result = self.store.get(key) if self.store is not None else None
+            if result is not None:
                 # Tiered stores report which tier satisfied the read; a
                 # plain local store is its own (only) local tier.
                 tier = getattr(self.store, "last_source", None) or "local"
-                cache_label = f"hit-{tier}"
-                self._attach_provenance(
-                    cached, key, "store", cache_label, elapsed, job_seed
+                record = JobRecord(
+                    figure_id=figure_id,
+                    digest=key.digest,
+                    backend="store",
+                    wall_time_s=time.perf_counter() - started,
+                    job_seed=Runner.job_seed(self.seed, figure_id),
+                    cache=f"hit-{tier}",
+                    store=self.store_address,
                 )
-                report.results[figure_id] = cached
-                report.records.append(
-                    JobRecord(
-                        figure_id=figure_id,
-                        digest=key.digest,
-                        backend="store",
-                        wall_time_s=elapsed,
-                        job_seed=job_seed,
-                        batch=batch_index,
-                        cache=cache_label,
-                        store=self.store_address,
-                    )
-                )
-                continue
-            kwargs = self.effective_kwargs(figure_id, figure_overrides)
-            pending.append(
-                (
-                    ExperimentJob.build(
-                        figure_id,
-                        self.seed,
-                        kwargs,
-                        grid_backend=self.policy.resolved_grid_backend,
-                        grid_jobs=self.policy.grid_jobs,
-                        workers=self.policy.workers,
-                        chunk_size=self.policy.chunk_size,
-                        fleet_url=self.policy.fleet_url,
-                        store_url=self.policy.store_url,
-                    ),
-                    key,
-                )
-            )
-        if not pending:
-            return
-        backend = self.policy.resolved_backend
-        if backend == BACKEND_PROCESS and len(pending) > 1:
-            outcomes = self._run_pool(pending)
-        else:
-            # A single pending job gains nothing from a pool; run in-process.
-            backend = BACKEND_SERIAL
-            outcomes = self._run_serial(pending)
-        for (job, key), outcome in zip(pending, outcomes):
-            result, error, elapsed, grid_width, chunk_size, remote_info = outcome
-            # In fleet mode the roster is resolved (and grown) at dispatch
-            # time — record what materialized, not what was configured.
-            roster = job.workers or None
-            dedupe = None
-            if remote_info is not None:
-                if remote_info.get("roster"):
-                    roster = tuple(remote_info["roster"])
-                dedupe = remote_info.get("dedupe")
-            record = JobRecord(
-                figure_id=job.figure_id,
-                digest=key.digest,
-                backend=backend,
-                wall_time_s=elapsed,
-                job_seed=job.job_seed,
-                batch=batch_index,
-                error=error,
-                cache="miss",
-                store=self.store_address,
-                grid_backend=job.grid_backend,
-                grid_jobs=job.grid_jobs,
-                grid_width=grid_width,
-                workers=roster,
-                chunk_size=chunk_size,
-                fleet=job.fleet_url,
-                dedupe=dedupe,
-            )
+            else:
+                record, result = self._execute(figure_id, key, figure_overrides)
             report.records.append(record)
             if result is None:
                 continue
-            self._attach_provenance(
-                result, key, backend, "miss", elapsed, job.job_seed,
-                grid_backend=job.grid_backend, grid_jobs=job.grid_jobs,
-                grid_width=grid_width, workers=roster,
-                chunk_size=chunk_size, fleet=job.fleet_url, dedupe=dedupe,
-            )
-            if self.store is not None:
+            self._attach_provenance(result, record, key)
+            if not record.cache_hit and self.store is not None:
                 self.store.put(key, result)
-            report.results[job.figure_id] = result
+            report.results[figure_id] = result
+        return report
 
-    def _run_serial(
-        self, pending: list[tuple[ExperimentJob, StoreKey]]
-    ) -> list[JobOutcome]:
-        return [_execute_job(job) for job, _key in pending]
+    def _execute(
+        self, figure_id: str, key: StoreKey, overrides: dict[str, Any] | None
+    ) -> tuple[JobRecord, FigureResult | None]:
+        """Run one figure under the policy's grid mapper, crash-isolated.
 
-    def _run_pool(
-        self, pending: list[tuple[ExperimentJob, StoreKey]]
-    ) -> list[JobOutcome]:
-        workers = min(self.policy.jobs, len(pending))
-        outcomes: list[JobOutcome] = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_execute_job, job) for job, _key in pending]
-            for future in futures:
-                # Per-future clock: a failed job reports the wait for *its*
-                # future, not time accumulated since the pool started.
-                started = time.perf_counter()
-                try:
-                    outcomes.append(future.result())
-                except Exception as exc:
-                    # Only infrastructure failures (broken pool, unpicklable
-                    # payload) reach here — figure errors are captured
-                    # in-worker by _execute_job.
-                    outcomes.append((None, f"{type(exc).__name__}: {exc}",
-                                     time.perf_counter() - started,
-                                     None, None, None))
-        return outcomes
+        The :class:`contextlib.ExitStack` owns the mapper's lifetime: a
+        pool mapper's workers (or a remote mapper's connections) are
+        released when the figure finishes — or raises mid-grid. The
+        record's wall time covers the mapper's set-up and release.
+        """
+        policy = self.policy
+        record = JobRecord(
+            figure_id=figure_id,
+            digest=key.digest,
+            backend=BACKEND_SERIAL,
+            wall_time_s=0.0,
+            job_seed=Runner.job_seed(self.seed, figure_id),
+            store=self.store_address,
+            grid_backend=policy.resolved_grid_backend,
+            grid_jobs=policy.grid_jobs,
+            workers=policy.workers or None,
+            fleet=policy.fleet_url,
+        )
+        result = None
+        started = time.perf_counter()
+        try:
+            mapper = policy.mapper()
+            counting = _CountingMapper(mapper)
+            with contextlib.ExitStack() as stack:
+                if hasattr(mapper, "__exit__"):
+                    # Every resource-holding mapper (local pool, remote
+                    # fleet connections) is a context manager; the serial
+                    # map is a bare function.
+                    stack.enter_context(mapper)
+                stack.enter_context(execution_context(counting))
+                result = run_figure(
+                    figure_id, self.seed, **self.effective_kwargs(figure_id, overrides)
+                )
+        except Exception as exc:
+            record.error = f"{type(exc).__name__}: {exc}"
+        else:
+            record.grid_width = counting.dispatched
+            # The *resolved* slab size (auto heuristics resolve per
+            # dispatch); the serial map has no dispatch boundary.
+            record.chunk_size = getattr(mapper, "last_chunk_size", None)
+            # In fleet mode the roster is resolved (and grown) at dispatch
+            # time — record what materialized, not what was configured.
+            roster = getattr(mapper, "last_roster", None)
+            if roster is not None:
+                record.workers = tuple(roster) or record.workers
+                record.dedupe = getattr(mapper, "last_dedupe", None)
+        record.wall_time_s = time.perf_counter() - started
+        return record, result
 
     def _attach_provenance(
-        self,
-        result: FigureResult,
-        key: StoreKey,
-        backend: str,
-        cache: str,
-        wall_time_s: float,
-        job_seed: int,
-        grid_backend: str | None = None,
-        grid_jobs: int = 1,
-        grid_width: int | None = None,
-        workers: tuple[str, ...] | None = None,
-        chunk_size: int | None = None,
-        fleet: str | None = None,
-        dedupe: dict[str, int] | None = None,
+        self, result: FigureResult, record: JobRecord, key: StoreKey
     ) -> None:
         result.metadata["provenance"] = {
-            "backend": backend,
-            "grid_backend": grid_backend,
-            "grid_jobs": grid_jobs,
-            "grid_width": grid_width,
-            "workers": list(workers) if workers is not None else None,
-            "chunk_size": chunk_size,
-            "fleet": fleet,
-            "dedupe": dict(dedupe) if dedupe is not None else None,
-            "cache": cache,
-            "store": self.store_address,
-            "wall_time_s": round(wall_time_s, 6),
+            "backend": record.backend,
+            "grid_backend": record.grid_backend,
+            "grid_jobs": record.grid_jobs,
+            "grid_width": record.grid_width,
+            "workers": list(record.workers) if record.workers is not None else None,
+            "chunk_size": record.chunk_size,
+            "fleet": record.fleet,
+            "dedupe": dict(record.dedupe) if record.dedupe is not None else None,
+            "cache": record.cache,
+            "store": record.store,
+            "wall_time_s": round(record.wall_time_s, 6),
             "seed": self.seed,
             "quick": self.quick,
-            "job_seed": job_seed,
-            "digest": key.digest,
+            "job_seed": record.job_seed,
+            "digest": record.digest,
             "overrides": key.overrides,
         }

@@ -58,7 +58,8 @@ __all__ = [
 #: not pin a handler thread until ``stop()``.
 HELLO_TIMEOUT_S = 10.0
 
-#: Frames above this size indicate a corrupt length prefix, not a figure.
+#: Frames above this size indicate a corrupt length prefix, not a figure;
+#: a compressed frame may not inflate past it either.
 _MAX_FRAME_BYTES = 1 << 30
 
 #: Top bit of the header word: the payload is zlib-compressed.
@@ -174,8 +175,9 @@ def recv_frame(sock: socket.socket, *, stats: WireStats | None = None) -> Any:
 
     Raises :class:`EOFError` on a clean close at a frame boundary and
     :class:`RemoteProtocolError` on a mid-frame close, a corrupt length
-    prefix, or a corrupt compressed payload. ``stats`` (if given) counts
-    the frame's on-wire bytes.
+    prefix, a corrupt compressed payload, or one that inflates past
+    ``_MAX_FRAME_BYTES``. ``stats`` (if given) counts the frame's on-wire
+    bytes.
     """
     header = b""
     while len(header) < _LENGTH.size:
@@ -194,10 +196,19 @@ def recv_frame(sock: socket.socket, *, stats: WireStats | None = None) -> Any:
     if stats is not None:
         stats.add_received(_LENGTH.size + size)
     if compressed:
+        # Bounded: a small frame from any peer must not inflate to any
+        # size before pickle sees it.
+        inflater = zlib.decompressobj()
         try:
-            payload = zlib.decompress(payload)
+            payload = inflater.decompress(payload, _MAX_FRAME_BYTES)
         except zlib.error as exc:
             raise RemoteProtocolError(f"corrupt compressed frame: {exc}") from None
+        if inflater.unconsumed_tail:
+            raise RemoteProtocolError(
+                f"compressed frame inflates past {_MAX_FRAME_BYTES} bytes"
+            )
+        if not inflater.eof:
+            raise RemoteProtocolError("corrupt compressed frame: truncated stream")
     return pickle.loads(payload)
 
 

@@ -6,17 +6,16 @@ the paper's findings, and archives everything as JSON.
 
 Execution goes through the :class:`~repro.core.scheduler.ExperimentScheduler`
 layer: results are read through an optional persistent
-:class:`~repro.core.store.ResultStore` before any workload runs, and the
-whole evaluation can execute across a process pool (``jobs=N``) — and
-each figure's lowered ``(platform, rep)`` grid across one shared worker
-pool (``grid_jobs=N``, see :mod:`repro.core.plan`) — with bit-identical
-output to the serial default.
+:class:`~repro.core.store.ResultStore` before any workload runs, and
+each figure's lowered ``(platform, rep)`` grid can execute across one
+shared worker pool (``grid_jobs=N``, see :mod:`repro.core.plan`) — with
+bit-identical output to the serial default.
 
 Example::
 
     from repro import BenchmarkSuite
 
-    suite = BenchmarkSuite(seed=42, jobs=4, grid_jobs=2, cache_dir="results-cache")
+    suite = BenchmarkSuite(seed=42, grid_jobs=2, cache_dir="results-cache")
     print(suite.run_figure("fig11").render())
     report = suite.findings_report()
 
@@ -58,7 +57,6 @@ class BenchmarkSuite:
         seed: int = 42,
         *,
         quick: bool = False,
-        jobs: int = 1,
         grid_jobs: int = 1,
         grid_backend: str | None = None,
         workers: tuple[str, ...] | list[str] = (),
@@ -74,7 +72,6 @@ class BenchmarkSuite:
         self.quick = quick
         self.machine = paper_testbed()
         self.policy = policy or ExecutionPolicy(
-            jobs=jobs,
             grid_jobs=grid_jobs,
             grid_backend=grid_backend,
             workers=tuple(workers),
@@ -163,9 +160,9 @@ class BenchmarkSuite:
     def run_all(self, figure_ids: list[str] | None = None) -> dict[str, FigureResult]:
         """Run every figure reproduction (or a subset) through the scheduler.
 
-        With ``jobs > 1`` the figures execute across a process pool;
-        summaries are bit-identical to the serial backend because every
-        figure derives its own independent seed subtree.
+        Figures run one after another, each under the policy's grid
+        mapper; summaries are bit-identical to the serial backend because
+        every figure derives its own independent seed subtree.
         """
         selected = list(figure_ids) if figure_ids is not None else self.figure_ids()
         pending = [
@@ -243,9 +240,7 @@ class BenchmarkSuite:
         return (
             f"Isolation-platform benchmark suite (seed={self.seed})\n"
             f"Simulated testbed: {self.machine.describe()}\n"
-            f"Execution: backend={self.policy.resolved_backend} "
-            f"jobs={self.policy.jobs} "
-            f"grid_backend={self.policy.resolved_grid_backend} "
+            f"Execution: grid_backend={self.policy.resolved_grid_backend} "
             f"grid_jobs={self.policy.grid_jobs} "
             f"{workers}"
             f"{fleet}"
@@ -282,8 +277,6 @@ class BenchmarkSuite:
                 {
                     "seed": self.seed,
                     "quick": self.quick,
-                    "backend": self.policy.resolved_backend,
-                    "jobs": self.policy.jobs,
                     "grid_backend": self.policy.resolved_grid_backend,
                     "grid_jobs": self.policy.grid_jobs,
                     "workers": list(self.policy.workers),

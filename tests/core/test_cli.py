@@ -21,13 +21,13 @@ class TestParser:
         assert args.figure == "fig11"
         assert args.quick
         assert args.json == "out"
-        assert args.jobs == 1  # serial remains the default backend
+        assert args.grid_jobs == 1  # serial remains the default backend
 
     def test_run_execution_flags(self):
         args = build_parser().parse_args(
-            ["run", "all", "--jobs", "4", "--cache", "store", "--provenance"]
+            ["run", "all", "--grid-jobs", "4", "--cache", "store", "--provenance"]
         )
-        assert args.jobs == 4
+        assert args.grid_jobs == 4
         assert args.cache == "store"
         assert args.provenance
 
@@ -76,7 +76,7 @@ class TestCommands:
         assert (tmp_path / "results" / "manifest.json").exists()
 
     def test_run_parallel_with_provenance(self, capsys):
-        assert main(["run", "fig12", "--quick", "--jobs", "2", "--provenance"]) == 0
+        assert main(["run", "fig12", "--quick", "--grid-jobs", "2", "--provenance"]) == 0
         out = capsys.readouterr().out
         assert "Netperf" in out
         assert "[provenance] backend=" in out

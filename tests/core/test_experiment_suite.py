@@ -108,7 +108,7 @@ class TestSuiteExecutionLayer:
 
     def test_run_all_process_pool_matches_serial(self):
         serial = BenchmarkSuite(seed=42, quick=True).run_all(self.SUBSET)
-        parallel = BenchmarkSuite(seed=42, quick=True, jobs=2).run_all(self.SUBSET)
+        parallel = BenchmarkSuite(seed=42, quick=True, grid_jobs=2).run_all(self.SUBSET)
         for figure_id in self.SUBSET:
             assert (
                 serial[figure_id].comparable_dict()
@@ -165,7 +165,9 @@ class TestSuiteExecutionLayer:
         variants = [n for n in written if n.startswith("fig11-")]
         assert len(variants) == 1  # override run saved under digest suffix
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["backend"] == "serial"
+        assert manifest["grid_backend"] == "serial"
+        assert "backend" not in manifest and "jobs" not in manifest
+        assert manifest["provenance"]["fig11"]["backend"] == "serial"
         assert manifest["provenance"]["fig11"]["cache"] == "miss"
 
     def test_findings_share_figures_through_suite(self):

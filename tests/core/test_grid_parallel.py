@@ -1,13 +1,15 @@
 """Tests for grid-level parallelism (the unified (platform × rep) pool).
 
 Covers the picklable RepJob worker (a closure-based dispatch would break
-every process-pool mapper), the serial/process grid mappers and their
-order preservation, the ``execution_context`` plumbing from
+every process-pool mapper), the serial/process grid mappers, their
+order preservation and their recovery after a pool worker dies, the
+``execution_context`` plumbing from
 ExecutionPolicy down to the plan layer, mapper lifetime under mid-grid
 failures, and serial-vs-grid-pool bit-identity at every layer (lowered
 grid, scheduler, suite).
 """
 
+import os
 import pickle
 import time
 
@@ -28,7 +30,6 @@ from repro.core.scheduler import (
     BACKEND_PROCESS,
     BACKEND_SERIAL,
     ExecutionPolicy,
-    ExperimentJob,
     ExperimentScheduler,
 )
 from repro.core.store import ResultStore
@@ -50,6 +51,13 @@ def _sleepy_identity(item):
     index, total = item
     time.sleep(0.02 * (total - index))
     return index
+
+
+def _exit_on_three(value):
+    """Kills its pool worker on item 3 (module-level, so it pickles)."""
+    if value == 3:
+        os._exit(1)
+    return value + 1
 
 
 def _grid_values(mapper=None) -> list:
@@ -125,6 +133,16 @@ class TestGridMappers:
         finally:
             mapper.close()
         assert mapper._executor is None
+
+    def test_dead_worker_does_not_break_the_mapper_for_good(self):
+        from concurrent.futures.process import BrokenProcessPool
+
+        with grid_mapper("process", 2, chunk_size=1) as mapper:
+            with pytest.raises(BrokenProcessPool):
+                mapper(_exit_on_three, range(6))
+            # The next call forks a fresh pool instead of reusing the
+            # broken one.
+            assert mapper(_plus_one, range(6)) == [1, 2, 3, 4, 5, 6]
 
     def test_single_item_skips_the_pool(self):
         mapper = grid_mapper("process", 4)
@@ -210,26 +228,18 @@ class TestPolicyGridDimension:
 
     def test_serial_classmethod_pins_both_levels(self):
         policy = ExecutionPolicy.serial()
-        assert policy.resolved_backend == BACKEND_SERIAL
+        assert policy.grid_backend == BACKEND_SERIAL
         assert policy.resolved_grid_backend == BACKEND_SERIAL
+        assert not isinstance(policy.mapper(), PoolMapper)
 
     def test_grid_backends_constant_matches_scheduler_names(self):
         from repro.core.scheduler import BACKEND_REMOTE
 
         assert set(GRID_BACKENDS) == {BACKEND_SERIAL, BACKEND_PROCESS, BACKEND_REMOTE}
 
-    def test_jobs_carry_the_grid_policy(self):
-        job = ExperimentJob.build(
-            "fig11", 42, {}, grid_backend=BACKEND_PROCESS, grid_jobs=2
-        )
-        assert job.grid_backend == BACKEND_PROCESS
-        assert job.grid_jobs == 2
-        # Grid policy is execution detail, not identity.
-        assert job.job_seed == ExperimentJob.build("fig11", 42, {}).job_seed
-
 
 class TestMapperLifetime:
-    """The scheduler's job wrapper owns the grid pool, even on failure."""
+    """The scheduler's per-figure step owns the grid pool, even on failure."""
 
     @pytest.fixture
     def tracked_pools(self, monkeypatch):
@@ -290,20 +300,6 @@ class TestGridLevelDeterminism:
                 report.results[figure_id].comparable_dict()
                 == serial_report.results[figure_id].comparable_dict()
             ), figure_id
-
-    def test_figure_pool_composes_with_grid_pool(self, serial_report, grid_backend):
-        # Figure-level process pool workers install the grid mapper in
-        # their own process — including a remote mapper, which then dials
-        # the fleet from inside the pool worker.
-        policy = grid_backend.policy(jobs=2)
-        report = ExperimentScheduler(42, quick=True, policy=policy).run(SUBSET)
-        for figure_id in SUBSET:
-            assert (
-                report.results[figure_id].comparable_dict()
-                == serial_report.results[figure_id].comparable_dict()
-            ), figure_id
-        assert {r.backend for r in report.records} == {BACKEND_PROCESS}
-        assert {r.grid_backend for r in report.records} == {grid_backend.name}
 
     def test_grid_backend_recorded_in_provenance(self):
         policy = ExecutionPolicy(grid_jobs=2, grid_backend=BACKEND_PROCESS)
@@ -408,11 +404,6 @@ class TestChunkedGridPolicy:
         mapper = policy.mapper()
         assert isinstance(mapper, PoolMapper)
         assert mapper.chunk_size == 5
-
-    def test_chunk_size_is_execution_detail_not_identity(self):
-        job = ExperimentJob.build("fig11", 42, {}, chunk_size=8)
-        assert job.chunk_size == 8
-        assert job.job_seed == ExperimentJob.build("fig11", 42, {}).job_seed
 
 
 class TestChunkedSchedulerProvenance:

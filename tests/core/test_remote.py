@@ -19,6 +19,7 @@ import subprocess
 import sys
 import threading
 import time
+import zlib
 
 import pytest
 
@@ -39,7 +40,6 @@ from repro.core.scheduler import (
     BACKEND_REMOTE,
     BACKEND_SERIAL,
     ExecutionPolicy,
-    ExperimentJob,
     ExperimentScheduler,
 )
 from repro.core.store import ResultStore
@@ -189,6 +189,36 @@ class TestFraming:
             left.close()
             right.close()
 
+    def test_truncated_compressed_payload_is_a_protocol_error(self):
+        left, right = self._pair()
+        squeezed = zlib.compress(pickle.dumps(b"\x00" * 10_000))[:-8]
+        left.sendall((len(squeezed) | (1 << 31)).to_bytes(4, "big") + squeezed)
+        try:
+            with pytest.raises(RemoteProtocolError, match="corrupt compressed"):
+                recv_frame(right)
+        finally:
+            left.close()
+            right.close()
+
+    def test_compressed_payload_may_not_inflate_past_the_frame_limit(
+        self, monkeypatch
+    ):
+        # A small frame must not inflate to any size before pickle sees
+        # it: the inflated size is held to the same limit as the wire size.
+        from repro.core import service
+
+        monkeypatch.setattr(service, "_MAX_FRAME_BYTES", 4096)
+        left, right = self._pair()
+        squeezed = zlib.compress(pickle.dumps(b"\x00" * 100_000))
+        assert len(squeezed) < 4096
+        left.sendall((len(squeezed) | (1 << 31)).to_bytes(4, "big") + squeezed)
+        try:
+            with pytest.raises(RemoteProtocolError, match="inflates past 4096"):
+                recv_frame(right)
+        finally:
+            left.close()
+            right.close()
+
     def test_parse_worker_address(self):
         assert parse_worker_address("127.0.0.1:7077") == ("127.0.0.1", 7077)
         assert parse_worker_address(("host", 9)) == ("host", 9)
@@ -320,6 +350,18 @@ class TestRemoteMapper:
             with pytest.raises(RemoteJobError):
                 mapper(_slow_or_boom, ["slow", "boom"])
             assert mapper(_tag_new, ["a", "b"]) == [("NEW", "a"), ("NEW", "b")]
+
+    def test_job_error_does_not_lose_a_healthy_worker(self):
+        # A job error drops the erroring worker's connection (it may carry
+        # stale frames); the next dispatch must dial that worker again
+        # instead of running on the survivor alone.
+        with WorkerServer(port=0) as first, WorkerServer(port=0) as second:
+            roster = [first.address_string, second.address_string]
+            with RemoteMapper(roster, chunk_size=1) as mapper:
+                with pytest.raises(RemoteJobError):
+                    mapper(_slow_or_boom, ["slow", "boom"])
+                assert mapper(_double, list(range(8))) == [x * 2 for x in range(8)]
+                assert sorted(mapper.last_roster) == sorted(roster)
 
     def test_two_worker_fleet_covers_all_items(self):
         with WorkerServer(port=0) as first, WorkerServer(port=0) as second:
@@ -647,18 +689,6 @@ class TestPolicyRemote:
         mapper = policy.mapper()
         assert isinstance(mapper, RemoteMapper)
         assert mapper.roster == (DEAD_ADDRESS,)
-
-    def test_experiment_job_carries_the_roster(self):
-        job = ExperimentJob.build(
-            "fig11", SEED, {}, grid_backend=BACKEND_REMOTE,
-            workers=("127.0.0.1:7077",),
-        )
-        assert job.workers == ("127.0.0.1:7077",)
-        # Fleet topology is execution policy, not identity.
-        assert job.job_seed == ExperimentJob.build("fig11", SEED, {}).job_seed
-        clone = pickle.loads(pickle.dumps(job))
-        assert clone.workers == job.workers
-
 
 class TestSchedulerRemote:
     def test_remote_run_records_roster_and_width(self, loopback_worker):

@@ -1,20 +1,16 @@
-"""Tests for the parallel experiment scheduler.
+"""Tests for the experiment scheduler.
 
-Covers the issue's scheduler checklist: serial-vs-parallel determinism
-across seeds, cache invalidation on seed/override change, topological
-batching, and crash isolation when one job raises.
+Covers job identity and provenance, determinism across seeds, cache
+invalidation on seed/override change, record order over mixed store
+hits and misses, and crash isolation when one job raises.
 """
 
 import pytest
 
 from repro.core.scheduler import (
-    BACKEND_PROCESS,
     BACKEND_SERIAL,
-    ExecutionPolicy,
-    ExperimentJob,
     ExperimentScheduler,
     quick_overrides,
-    topological_batches,
 )
 from repro.core.store import ResultStore
 from repro.errors import ConfigurationError
@@ -23,53 +19,16 @@ from repro.errors import ConfigurationError
 SUBSET = ["cpu-prime", "fig11", "fig12", "fig18"]
 
 
-class TestExecutionPolicy:
-    def test_serial_is_default(self):
-        assert ExecutionPolicy().resolved_backend == BACKEND_SERIAL
-
-    def test_jobs_opt_into_pool(self):
-        assert ExecutionPolicy(jobs=2).resolved_backend == BACKEND_PROCESS
-
-    def test_explicit_backend_wins(self):
-        assert ExecutionPolicy(jobs=4, backend="serial").resolved_backend == BACKEND_SERIAL
-
-    def test_invalid_policy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ExecutionPolicy(jobs=0)
-        with pytest.raises(ConfigurationError):
-            ExecutionPolicy(backend="gpu")
-
-
-class TestTopologicalBatches:
-    def test_registry_is_one_independent_batch(self):
-        batches = topological_batches(SUBSET)
-        assert batches == [SUBSET]
-
-    def test_dependencies_split_into_levels(self):
-        deps = {"a": (), "b": ("a",), "c": ("a",), "d": ("b", "c")}
-        batches = topological_batches(["a", "b", "c", "d"], dependencies=deps)
-        assert batches == [["a"], ["b", "c"], ["d"]]
-
-    def test_dependency_outside_selection_is_satisfied(self):
-        deps = {"b": ("a",)}
-        assert topological_batches(["b"], dependencies=deps) == [["b"]]
-
-    def test_cycle_detected(self):
-        deps = {"a": ("b",), "b": ("a",)}
-        with pytest.raises(ConfigurationError, match="cycle"):
-            topological_batches(["a", "b"], dependencies=deps)
-
-
 class TestJobs:
     def test_job_seed_derived_from_seed_tree(self):
-        job = ExperimentJob.build("fig11", 42, {})
-        assert job.job_seed == ExperimentJob.build("fig11", 42, {}).job_seed
-        assert job.job_seed != ExperimentJob.build("fig12", 42, {}).job_seed
-        assert job.job_seed != ExperimentJob.build("fig11", 43, {}).job_seed
-
-    def test_kwargs_round_trip_lists(self):
-        job = ExperimentJob.build("fig11", 42, {"platforms": ["native", "qemu"]})
-        assert job.kwargs_dict() == {"platforms": ["native", "qemu"]}
+        report = ExperimentScheduler(42, quick=True).run(["fig11", "fig12"])
+        again = ExperimentScheduler(42, quick=True).run(["fig11"])
+        other_seed = ExperimentScheduler(43, quick=True).run(["fig11"])
+        job_seed = report.record_for("fig11").job_seed
+        assert job_seed == again.record_for("fig11").job_seed
+        assert job_seed != report.record_for("fig12").job_seed
+        assert job_seed != other_seed.record_for("fig11").job_seed
+        assert report.results["fig11"].provenance["job_seed"] == job_seed
 
     def test_quick_overrides_table(self):
         assert quick_overrides("fig13") == {"startups": 60}
@@ -78,20 +37,6 @@ class TestJobs:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("seed", [42, 7])
-    def test_parallel_identical_to_serial(self, seed):
-        serial = ExperimentScheduler(seed, quick=True).run(SUBSET)
-        parallel = ExperimentScheduler(
-            seed, quick=True, policy=ExecutionPolicy(jobs=2)
-        ).run(SUBSET)
-        for figure_id in SUBSET:
-            assert (
-                serial.results[figure_id].comparable_dict()
-                == parallel.results[figure_id].comparable_dict()
-            ), figure_id
-        assert {r.backend for r in parallel.records} == {BACKEND_PROCESS}
-        assert {r.backend for r in serial.records} == {BACKEND_SERIAL}
-
     def test_different_seeds_differ(self):
         a = ExperimentScheduler(42, quick=True).run(["fig11"])
         b = ExperimentScheduler(43, quick=True).run(["fig11"])
@@ -106,6 +51,16 @@ class TestDeterminism:
         assert provenance["cache"] == "miss"
         assert provenance["seed"] == 42
         assert provenance["wall_time_s"] >= 0.0
+        # Stored entries and --provenance lines read these keys, in order.
+        assert list(provenance) == [
+            "backend", "grid_backend", "grid_jobs", "grid_width", "workers",
+            "chunk_size", "fleet", "dedupe", "cache", "store", "wall_time_s",
+            "seed", "quick", "job_seed", "digest", "overrides",
+        ]
+        record = report.record_for("fig11").to_dict()
+        for name in ("backend", "grid_backend", "grid_jobs", "grid_width",
+                     "chunk_size", "cache", "job_seed", "digest"):
+            assert provenance[name] == record[name], name
 
 
 class TestStoreIntegration:
@@ -140,6 +95,16 @@ class TestStoreIntegration:
         warm = explicit.run(["fig13"], overrides={"fig13": {"startups": 60}})
         assert warm.executed == 0 and warm.cache_hits == 1
 
+    def test_mixed_hits_and_misses_keep_selection_order(self, tmp_path):
+        store = ResultStore(tmp_path)
+        ExperimentScheduler(42, quick=True, store=store).run(["fig12"])
+        report = ExperimentScheduler(42, quick=True, store=store).run(
+            ["fig11", "fig12", "fig18"]
+        )
+        assert [r.figure_id for r in report.records] == ["fig11", "fig12", "fig18"]
+        assert [r.cache for r in report.records] == ["miss", "hit-local", "miss"]
+        assert list(report.results) == ["fig11", "fig12", "fig18"]
+
     def test_override_change_invalidates(self, tmp_path):
         store = ResultStore(tmp_path)
         scheduler = ExperimentScheduler(42, quick=True, store=store)
@@ -163,36 +128,6 @@ class TestCrashIsolation:
         with pytest.raises(ConfigurationError, match="fig11"):
             report.raise_for_errors()
 
-    def test_pool_failure_does_not_stop_batch(self):
-        scheduler = ExperimentScheduler(42, quick=True, policy=ExecutionPolicy(jobs=2))
-        report = scheduler.run(
-            ["fig11", "fig12", "fig18"], overrides={"fig12": {"bogus_kwarg": 1}}
-        )
-        assert set(report.errors) == {"fig12"}
-        assert set(report.results) == {"fig11", "fig18"}
-
     def test_unknown_figure_rejected_up_front(self):
         with pytest.raises(ConfigurationError, match="fig99"):
             ExperimentScheduler(42).run(["fig99"])
-
-    def test_pool_infrastructure_failure_timed_per_future(self):
-        # Regression: infrastructure failures (here an unpicklable job
-        # payload) used to be stamped with time accumulated since the pool
-        # started, so a failed job riding behind a slow one reported the
-        # slow job's wall time. The failed future resolves instantly; only
-        # the wait for *it* may be charged.
-        import dataclasses
-
-        scheduler = ExperimentScheduler(42, policy=ExecutionPolicy(jobs=2))
-        slow = ExperimentJob.build("fig13", 42, {"startups": 120})
-        good = ExperimentJob.build("fig13", 42, {})
-        bad = dataclasses.replace(good, kwargs=(("metric", lambda r: r),))
-        key = scheduler.key_for("fig13")
-        outcomes = scheduler._run_pool([(slow, key), (bad, key)])
-        slow_result, slow_error, slow_elapsed = outcomes[0][:3]
-        bad_result, bad_error, bad_elapsed = outcomes[1][:3]
-        assert slow_result is not None and slow_error is None
-        assert bad_result is None and "pickle" in bad_error.lower()
-        # The bad future had already failed while the slow one ran; its
-        # reported time must not include the slow job's execution.
-        assert bad_elapsed < slow_elapsed / 2
