@@ -7,8 +7,9 @@ pool (``grid_jobs``), once with an explicit non-dividing
 a fleet) once through the remote grid backend plus a chunked remote leg
 — and asserts all summaries are bit-identical, then archives the grid
 pool run's JSON + manifest as the CI artifact. The emitted
-``BENCH_smoke.json`` records per-backend wall times, seeding the repo's
-performance trajectory.
+``BENCH_smoke.json`` records per-backend wall times, for reading in the
+artifact only; the repo's benchmark is ``perfbench/`` (see
+``BENCHMARK.json``).
 
 With ``--store-url`` the smoke also gates the shared fleet store:
 client A warms the named ``repro-bench store`` server, then client B —

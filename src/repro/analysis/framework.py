@@ -61,9 +61,9 @@ class AnalysisConfig:
 
     ``seams`` maps a rule code to ``{path suffix: justification}`` —
     modules allowlisted for that rule because nondeterminism is their
-    *job* (the scheduler timing wall clocks, the perf harness timing
-    itself, the store stamping recency). A seam is deliberate, central,
-    and reviewed here, unlike an inline ignore scattered at a call site;
+    *job* (the scheduler timing wall clocks, the store stamping
+    recency). A seam is deliberate, central, and reviewed here, unlike
+    an inline ignore scattered at a call site;
     ``docs/ANALYSIS.md`` documents every default entry. Unused seams are
     reported (like unused suppressions) when the seam's module was part
     of the analyzed set.
@@ -120,10 +120,6 @@ DEFAULT_SEAMS: dict[str, dict[str, str]] = {
         "repro/core/scheduler.py": (
             "wall-time provenance: perf_counter spans recorded in JobRecord, "
             "never fed into any model draw"
-        ),
-        "repro/core/perf.py": (
-            "the perf harness's whole purpose is timing the repo; "
-            "perf_counter/time are its instrument, not an input to results"
         ),
         "repro/core/store.py": (
             "cache recency stamps and stale-temp ages: eviction policy, "

@@ -253,10 +253,10 @@ class SeedDisciplineRule(Rule):
 
     All model randomness must flow from :mod:`repro.rng`'s seed tree;
     all timing belongs in the allowlisted infra seams (the scheduler's
-    provenance spans, the perf harness, the store's recency stamps).
-    A ``random.random()`` or ``time.time()`` anywhere else silently
-    forks results between two runs of the same seed — the exact failure
-    the bit-identity gates exist to prevent, caught here for free.
+    provenance spans, the store's recency stamps, the fleet's liveness
+    stamps). A ``random.random()`` or ``time.time()`` anywhere else
+    silently forks results between two runs of the same seed — the exact
+    failure the bit-identity gates exist to prevent, caught here for free.
     """
 
     code = "RB102"

@@ -19,7 +19,6 @@ Installed as ``repro-bench``::
     repro-bench run fig05 --fleet 127.0.0.1:7079   # roster resolved live
     repro-bench [--seed N] findings [--cache DIR] [--store HOST:PORT]
     repro-bench hap [platform ...]
-    repro-bench perf [--full] [--pr N] [--baseline BENCH_5.json]
     repro-bench lint [src tests ...] [--format=json]   # determinism analyzer
 
 ``--seed`` is a global option and precedes the subcommand.
@@ -221,13 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     hap = subparsers.add_parser("hap", help="HAP + defense-in-depth audit")
     hap.add_argument("platforms", nargs="*", help="platform names (default: main roster)")
 
-    perf = subparsers.add_parser(
-        "perf", help="measure the repo's perf trajectory into BENCH_<pr>.json"
-    )
-    from repro.core.perf import add_perf_arguments
-
-    add_perf_arguments(perf)
-
     lint = subparsers.add_parser(
         "lint",
         help="run the determinism & distribution-safety analyzer "
@@ -279,6 +271,7 @@ def _print_grids(suite: BenchmarkSuite, targets: list[str]) -> None:
                 backend=policy.resolved_grid_backend,
                 workers=policy.grid_jobs,
                 roster=policy.workers,
+                fleet=policy.fleet_url,
                 chunk_size=policy.chunk_size,
             )
         )
@@ -474,10 +467,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_findings(args)
         if args.command == "hap":
             return _cmd_hap(args)
-        if args.command == "perf":
-            from repro.core.perf import run_perf_command
-
-            return run_perf_command(args)
         if args.command == "lint":
             from repro.analysis.cli import run_lint_command
 

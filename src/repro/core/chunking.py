@@ -3,11 +3,11 @@
 Every non-serial grid backend pays a fixed per-dispatch cost per unit of
 work it ships — a future submission for the local pools, a full framed
 pickle round-trip for the remote fleet. Dispatching one *cell* per unit
-makes that overhead dominate the moment cells are cheap (the perf
-trajectory's ``grid_cells_per_s`` family quantifies it). Chunking
+makes that overhead dominate the moment cells are cheap. Chunking
 amortizes the overhead: the lowered grid is split into contiguous
 ``[start, stop)`` slabs of ``chunk_size`` cells and each slab travels as
-one unit.
+one unit (perfbench's ``fleet-cold`` workload reports the mean slab as
+``remote.chunk_cells``).
 
 This module is the *policy arithmetic only* — pure functions of
 ``(width, chunk_size, jobs)`` with no I/O, no RNG, and no knowledge of

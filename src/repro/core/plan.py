@@ -211,12 +211,14 @@ class LoweredGrid:
         backend: str = "serial",
         workers: int = 1,
         roster: Sequence[str] = (),
+        fleet: str | None = None,
         chunk_size: int | None = None,
     ) -> str:
         """Human-readable grid summary for ``plan`` / ``--dry-run``.
 
         ``workers`` is the local pool width; for the remote backend the
-        fleet ``roster`` defines the parallelism instead, so it replaces
+        fleet ``roster``, or the ``fleet`` coordinator that resolves it at
+        dispatch time, defines the parallelism instead, so it replaces
         the meaningless grid-jobs count in the header. ``chunk_size`` is
         the policy's dispatch-slab knob; non-serial backends show it
         (``auto`` when unset — the resolved size depends on the fleet,
@@ -224,6 +226,8 @@ class LoweredGrid:
         """
         if roster:
             policy_note = f"backend={backend}, workers={', '.join(roster)}"
+        elif fleet is not None:
+            policy_note = f"backend={backend}, fleet={fleet}"
         else:
             policy_note = f"backend={backend}, grid-jobs={workers}"
         if backend != "serial":

@@ -526,7 +526,7 @@ class RemoteMapper:
     which worker finishes what first. :attr:`last_chunk_size` records
     the resolved slab size of the most recent dispatch (provenance);
     :attr:`wire_stats` accumulates on-wire byte counts across
-    dispatches (the perf harness's ``bytes_per_cell`` source).
+    dispatches (perfbench's ``remote.bytes_per_cell`` source).
 
     Failure policy: with a static roster, the whole roster must be
     reachable while the mapper holds no connection (a member that is
@@ -632,9 +632,9 @@ class RemoteMapper:
     def connect(self) -> "RemoteMapper":
         """Open (and keep) the fleet connections now instead of lazily.
 
-        Idempotent pre-warm for callers that time dispatches (the perf
-        harness warms the fleet here so timed samples measure
-        steady-state throughput, not TCP connect plus handshake).
+        Idempotent pre-warm for callers that time dispatches (perfbench
+        connects here during set-up, so timed passes measure steady-state
+        dispatch, not TCP connect plus handshake).
         """
         self._connect()
         return self

@@ -92,7 +92,7 @@ class RemoteDispatchError(RemoteError):
 class WireStats:
     """Thread-safe byte/frame counters for one peer's framed traffic.
 
-    Feeds the perf trajectory's ``bytes_per_cell`` wire metric: pass an
+    Feeds perfbench's ``remote.bytes_per_cell`` metric: pass an
     instance to :func:`send_frame`/:func:`recv_frame` (the remote mapper
     owns one per client) and read the totals after a dispatch. Counts
     bytes *on the wire* — header word plus the possibly-compressed
@@ -115,13 +115,6 @@ class WireStats:
         with self._lock:
             self.bytes_received += size
             self.frames_received += 1
-
-    def reset(self) -> None:
-        with self._lock:
-            self.bytes_sent = 0
-            self.bytes_received = 0
-            self.frames_sent = 0
-            self.frames_received = 0
 
     @property
     def total_bytes(self) -> int:

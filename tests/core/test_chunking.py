@@ -63,7 +63,7 @@ class TestChunkSpans:
 
 class TestAutoHeuristic:
     def test_documented_values(self):
-        # The perf harness's quick fig05 grid: 36 cells over 2 slots.
+        # 36 cells over 2 slots: ceil(36 / (4 * 2)) = 5 cells per slab.
         assert auto_chunk_size(36, 2) == 5
         # A huge grid caps at MAX_AUTO_CHUNK regardless of parallelism.
         assert auto_chunk_size(100_000, 1) == MAX_AUTO_CHUNK

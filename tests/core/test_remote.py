@@ -772,15 +772,19 @@ class TestCliRemote:
 
     def test_dry_run_shows_the_fleet_roster(self, capsys):
         # The dry run reports the parallelism a real run would use; for
-        # the remote backend that is the roster, not a grid-jobs count.
-        assert main([
-            "run", "fig05", "--quick", "--dry-run",
-            "--workers", "127.0.0.1:7077,127.0.0.1:7078",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "backend=remote" in out
-        assert "workers=127.0.0.1:7077, 127.0.0.1:7078" in out
-        assert "grid-jobs" not in out
+        # the remote backend that is the roster (or the coordinator that
+        # resolves it), not a grid-jobs count.
+        cases = [
+            (["--workers", "127.0.0.1:7077,127.0.0.1:7078"],
+             "workers=127.0.0.1:7077, 127.0.0.1:7078"),
+            (["--fleet", "127.0.0.1:1"], "fleet=127.0.0.1:1"),
+        ]
+        for flags, shown in cases:
+            assert main(["run", "fig05", "--quick", "--dry-run", *flags]) == 0
+            out = capsys.readouterr().out
+            assert "backend=remote" in out, flags
+            assert shown in out, flags
+            assert "grid-jobs" not in out, flags
 
     def test_unreachable_fleet_is_a_clean_error(self, capsys):
         assert main([
