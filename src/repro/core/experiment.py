@@ -150,7 +150,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             paper_artifact="Figure 16",
             workload="memcached under YCSB workload-a",
             parameters="50/50 read/update, 5 runs",
-            modules=("repro.workloads.memcached", "repro.workloads.ycsb", "repro.simcore"),
+            modules=("repro.workloads.memcached", "repro.workloads.ycsb"),
             bench_target="benchmarks/test_fig16_memcached.py",
             paper_observation="containers (esp. LXC) best; Kata surprisingly low; gVisor poor",
             repetitions=5,

@@ -276,6 +276,11 @@ class RngStream:
 
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
         """One uniform draw in ``[low, high)``."""
+        if low == 0.0 and high == 1.0:
+            # numpy's uniform is ``low + (high - low) * next_double``, which
+            # on [0, 1) is next_double itself: the same bits without the
+            # argument broadcasting that dominates the call.
+            return self.generator.random()
         return float(self.generator.uniform(low, high))
 
     def integers(self, low: int, high: int) -> int:

@@ -2,8 +2,7 @@
 
 Memcached holds small values entirely in memory; under YCSB workload-a the
 benchmark stresses the network and memory subsystems (Section 3.6). The
-model runs a closed-loop client/server simulation on the discrete-event
-engine:
+model is a closed-loop client/server simulation:
 
 * ``clients`` YCSB threads each loop: think -> request over the platform's
   network round trip -> service at the memcached worker pool -> response;
@@ -12,17 +11,29 @@ engine:
 * the platform's small-packet rate ceiling (virtqueue/agent crossings)
   throttles the guest/host boundary — the mechanism behind Kata's
   surprisingly low score (Finding 18).
+
+Each client draws from its own ``client-<i>`` stream in a fixed order
+(think, request, update coin, service, response), and the clients share
+only the FIFO pool of server threads. So :meth:`MemcachedYcsbWorkload.run`
+is a small dedicated kernel rather than generators on the
+:mod:`repro.simcore` engine: a heap of ``(time, seq, client, phase)``
+entries, an idle-thread count and a deque of waiters. It keeps the
+engine's agenda discipline — ``seq`` in push order, a released thread
+handed to the oldest waiter at the same instant, every time computed as
+``now + delay`` — so its results are the engine model's, bit for bit;
+``tests/workloads/test_memcached_kernel.py`` keeps that model as the
+oracle.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import deque
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.platforms.base import Platform
 from repro.rng import RngStream
-from repro.simcore.engine import Simulator, Timeout
-from repro.simcore.resources import Resource
 from repro.units import us
 from repro.workloads.base import Workload
 from repro.workloads.ycsb import WORKLOAD_A, YcsbWorkloadSpec
@@ -38,6 +49,12 @@ _UPDATE_SERVICE_FACTOR = 1.25
 
 #: YCSB client-side record selection/serialization per op.
 _CLIENT_THINK_S = us(100.0)
+
+#: What happens when a client's agenda entry pops: its think time is over
+#: and the request leaves; the request reaches the server; a server thread
+#: takes it; the service is done and the response leaves; the response
+#: arrives.
+_REQUEST, _ARRIVE, _SERVE, _RELEASE, _RESPOND = range(5)
 
 
 @dataclass(frozen=True)
@@ -88,40 +105,75 @@ class MemcachedYcsbWorkload(Workload):
     # --- simulation -------------------------------------------------------------
 
     def run(self, platform: Platform, rng: RngStream) -> MemcachedResult:
-        simulator = Simulator()
-        workers = Resource(simulator, self.server_threads, "memcached-workers")
         round_trip = self._round_trip(platform)
+        read_service = self._service_time(platform, update=False)
+        update_service = self._service_time(platform, update=True)
+        for label, coefficient in (
+            ("round trip", round_trip),
+            ("read service time", read_service),
+            ("update service time", update_service),
+        ):
+            if not coefficient >= 0.0:  # negative or NaN
+                raise SimulationError(f"memcached {label} must be >= 0, got {coefficient!r}")
+        half_trip = round_trip / 2.0
+        is_update = self.spec.is_update
+        streams = rng.children(f"client-{index}" for index in range(self.clients))
+        lognormal = [stream.lognormal_factor for stream in streams]
+        uniform = [stream.uniform for stream in streams]
+        started = [0.0] * self.clients
+        remaining = [self.ops_per_client] * self.clients
         latencies: list[float] = []
+        idle = self.server_threads
+        waiters: deque[int] = deque()
 
-        def client(index: int):
-            client_rng = rng.child(f"client-{index}")
-            for op in range(self.ops_per_client):
-                yield Timeout(_CLIENT_THINK_S * client_rng.lognormal_factor(0.2))
-                started = simulator.now
-                # Request travels to the guest...
-                yield Timeout(round_trip / 2.0 * client_rng.lognormal_factor(0.1))
-                yield from workers.acquire()
-                try:
-                    update = self.spec.is_update(client_rng.uniform())
-                    service = self._service_time(platform, update=update)
-                    yield Timeout(service * client_rng.lognormal_factor(0.15))
-                finally:
-                    workers.release()
-                # ...and the response travels back.
-                yield Timeout(round_trip / 2.0 * client_rng.lognormal_factor(0.1))
-                latencies.append(simulator.now - started)
-            return None
-
-        processes = [
-            simulator.spawn(client(index), name=f"ycsb-{index}")
-            for index in range(self.clients)
+        # The agenda: (time, seq, client, phase) with seq in push order, so
+        # equal times pop first-pushed first. The phase says what happens
+        # to the client when its entry pops.
+        now = 0.0
+        agenda = [
+            (now + _CLIENT_THINK_S * lognormal[client](0.2), client, client, _REQUEST)
+            for client in range(self.clients)
         ]
-        simulator.run()
-        if not all(process.finished for process in processes):
+        heapq.heapify(agenda)
+        seq = self.clients
+        while agenda:
+            now, _, client, phase = heapq.heappop(agenda)
+            if phase == _ARRIVE:
+                if not idle:
+                    waiters.append(client)
+                    continue
+                idle -= 1
+                phase = _SERVE
+            if phase == _SERVE:
+                service = update_service if is_update(uniform[client]()) else read_service
+                delay, phase = service * lognormal[client](0.15), _RELEASE
+            elif phase == _REQUEST:
+                started[client] = now
+                delay, phase = half_trip * lognormal[client](0.1), _ARRIVE
+            elif phase == _RELEASE:
+                if waiters:
+                    # Hand the thread to the oldest waiter at this instant.
+                    # Its entry is pushed before this client's response, as
+                    # on the event engine; the order only shows on exact
+                    # time ties, so keep it by construction.
+                    heapq.heappush(agenda, (now, seq, waiters.popleft(), _SERVE))
+                    seq += 1
+                else:
+                    idle += 1
+                delay, phase = half_trip * lognormal[client](0.1), _RESPOND
+            else:  # _RESPOND
+                latencies.append(now - started[client])
+                remaining[client] -= 1
+                if not remaining[client]:
+                    continue
+                delay, phase = _CLIENT_THINK_S * lognormal[client](0.2), _REQUEST
+            heapq.heappush(agenda, (now + delay, seq, client, phase))
+            seq += 1
+        if any(remaining):
             raise ConfigurationError("memcached simulation deadlocked")
 
         operations = self.clients * self.ops_per_client
-        throughput = operations / simulator.now
+        throughput = operations / now
 
         # Guest/host boundary ceiling: one request + one response packet per op.
         ceiling = platform.packet_rate_capacity()

@@ -103,6 +103,35 @@ class TestRngStream:
             assert factor > 0
             assert abs(factor - 1.0) <= 4.0 * std + 1e-12
 
+    @given(
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.lists(
+            st.one_of(
+                st.none(),
+                st.tuples(
+                    st.floats(min_value=-1e3, max_value=1e3),
+                    st.floats(min_value=1e-3, max_value=1e3),
+                ),
+            ),
+            min_size=1,
+            max_size=200,
+        ),
+    )
+    @settings(max_examples=60)
+    def test_uniform_matches_numpy_bit_for_bit(self, seed, bounds):
+        """The default-bounds fast path is numpy's ``uniform(0, 1)``; other
+        bounds still go through numpy's ``uniform``."""
+        stream, twin = RngStream(seed), RngStream(seed)
+        for bound in bounds:
+            if bound is None:
+                draw = stream.uniform()
+                expected = float(twin.generator.uniform(0.0, 1.0))
+            else:
+                low, width = bound
+                draw = stream.uniform(low, low + width)
+                expected = float(twin.generator.uniform(low, low + width))
+            assert draw.hex() == expected.hex()
+
     def test_gaussian_factor_zero_std_is_identity(self):
         assert RngStream(7).gaussian_factor(0.0) == 1.0
 

@@ -1,0 +1,153 @@
+"""The memcached closed-loop kernel against the generator model it replaced.
+
+``MemcachedYcsbWorkload.run`` (Figure 16) is a heap of ``(time, seq,
+client, phase)`` tuples, an idle-thread counter and a FIFO deque of
+waiters. ``engine_run`` below is the model it replaced, kept as the
+oracle: one generator per YCSB client on the discrete-event engine,
+sharing a :class:`~repro.simcore.resources.Resource` of server threads.
+The kernel must give exactly the oracle's result, not an approximation
+of it.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import SimulationError
+from repro.platforms import get_platform, platform_names
+from repro.rng import RngStream
+from repro.simcore.engine import Simulator, Timeout
+from repro.simcore.resources import Resource
+from repro.workloads.memcached import (
+    _CLIENT_THINK_S,
+    MemcachedResult,
+    MemcachedYcsbWorkload,
+)
+from repro.workloads.ycsb import WORKLOAD_A, WORKLOAD_B, WORKLOAD_C, YcsbWorkloadSpec
+
+
+def engine_run(self: MemcachedYcsbWorkload, platform, rng: RngStream) -> MemcachedResult:
+    """``MemcachedYcsbWorkload.run`` as generators on the event engine.
+
+    Reads every client's ``.result``, so a client that raised fails the
+    run instead of dropping out.
+    """
+    simulator = Simulator()
+    workers = Resource(simulator, self.server_threads, "memcached-workers")
+    round_trip = self._round_trip(platform)
+    latencies: list[float] = []
+
+    def client(index: int):
+        client_rng = rng.child(f"client-{index}")
+        for op in range(self.ops_per_client):
+            yield Timeout(_CLIENT_THINK_S * client_rng.lognormal_factor(0.2))
+            started = simulator.now
+            # Request travels to the guest...
+            yield Timeout(round_trip / 2.0 * client_rng.lognormal_factor(0.1))
+            yield from workers.acquire()
+            try:
+                update = self.spec.is_update(client_rng.uniform())
+                service = self._service_time(platform, update=update)
+                yield Timeout(service * client_rng.lognormal_factor(0.15))
+            finally:
+                workers.release()
+            # ...and the response travels back.
+            yield Timeout(round_trip / 2.0 * client_rng.lognormal_factor(0.1))
+            latencies.append(simulator.now - started)
+        return None
+
+    processes = [
+        simulator.spawn(client(index), name=f"ycsb-{index}")
+        for index in range(self.clients)
+    ]
+    simulator.run()
+    for process in processes:
+        process.result  # re-raises the client's error; raises if it never finished
+
+    operations = self.clients * self.ops_per_client
+    throughput = operations / simulator.now
+
+    # Guest/host boundary ceiling: one request + one response packet per op.
+    ceiling = platform.packet_rate_capacity()
+    if ceiling is not None:
+        throughput = min(throughput, ceiling / 2.0)
+    throughput *= rng.child("run-noise").gaussian_factor(0.03)
+
+    return MemcachedResult(
+        platform=platform.name,
+        throughput_ops_per_s=throughput,
+        mean_latency_s=sum(latencies) / len(latencies),
+        operations=operations,
+        workload=self.spec.name,
+    )
+
+
+def kernel_run(workload, platform, rng):
+    return workload.run(platform, rng)
+
+
+def _custom_spec(update: float) -> YcsbWorkloadSpec:
+    return YcsbWorkloadSpec("custom", read_proportion=1.0 - update, update_proportion=update)
+
+
+SPECS = st.one_of(
+    st.sampled_from([WORKLOAD_A, WORKLOAD_B, WORKLOAD_C]),
+    st.builds(_custom_spec, st.floats(min_value=0.0, max_value=1.0)),
+)
+
+
+@given(
+    clients=st.integers(min_value=1, max_value=24),
+    ops=st.integers(min_value=1, max_value=25),
+    threads=st.integers(min_value=1, max_value=10),
+    spec=SPECS,
+    platform_name=st.sampled_from(platform_names()),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_kernel_equals_engine(clients, ops, threads, spec, platform_name, seed):
+    workload = MemcachedYcsbWorkload(
+        spec, clients=clients, ops_per_client=ops, server_threads=threads
+    )
+    platform = get_platform(platform_name)
+    kernel = workload.run(platform, RngStream(seed, "memcached"))
+    engine = engine_run(workload, platform, RngStream(seed, "memcached"))
+    assert kernel == engine
+
+
+class _FailingSpec:
+    """A YCSB spec whose update coin raises on its fifth call."""
+
+    name = "failing"
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def is_update(self, draw: float) -> bool:
+        self.calls += 1
+        if self.calls == 5:
+            raise RuntimeError("update coin failed")
+        return WORKLOAD_A.is_update(draw)
+
+
+@pytest.mark.parametrize("run", [kernel_run, engine_run], ids=["kernel", "engine"])
+@pytest.mark.parametrize(
+    "make_spec, coefficient, value, error",
+    [
+        (_FailingSpec, None, None, RuntimeError),
+        (lambda: WORKLOAD_A, "_round_trip", -1e-6, SimulationError),
+        (lambda: WORKLOAD_A, "_round_trip", math.nan, SimulationError),
+        (lambda: WORKLOAD_A, "_service_time", -1e-6, SimulationError),
+        (lambda: WORKLOAD_A, "_service_time", math.nan, SimulationError),
+    ],
+    ids=["client-raises", "negative-rtt", "nan-rtt", "negative-service", "nan-service"],
+)
+def test_failures_are_loud(run, make_spec, coefficient, value, error, monkeypatch, rng):
+    """A failing client or a bad coefficient fails the run; no op is dropped."""
+    if coefficient is not None:
+        monkeypatch.setattr(MemcachedYcsbWorkload, coefficient, lambda *args, **kwargs: value)
+    workload = MemcachedYcsbWorkload(make_spec(), clients=8, ops_per_client=20)
+    with pytest.raises(error):
+        run(workload, get_platform("native"), rng)
