@@ -1,8 +1,10 @@
 """Deterministic discrete-event simulation engine.
 
-The engine drives every timed behaviour in the reproduction: guest boot
+The engine drives the timed behaviour of the reproduction: guest boot
 sequences, QEMU's event loop, virtqueue kicks, request/response protocols
-(ttRPC, 9p), and the closed-loop clients of the macro-benchmarks.
+(ttRPC, 9p) and iperf's packet-level cross-check. fig16's memcached clients
+are the exception: they run a dedicated kernel with this engine's agenda
+discipline (:mod:`repro.workloads.memcached`).
 
 The programming model is the classic generator-coroutine DES (as popularized
 by SimPy): a *process* is a generator that yields commands —

@@ -53,7 +53,6 @@ def pins_payload(seed: int = SEED) -> dict:
 
 def test_quick_outputs_match_pins():
     pins = json.loads(PINS_FILE.read_text(encoding="utf-8"))
-    assert pins["seed"] == SEED and pins["quick"] is True
     actual = quick_digests(pins["seed"])
     expected = pins["figures"]
     moved = sorted(
