@@ -188,8 +188,10 @@ class BootPhase:
     tail_probability: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.mean_s < 0:
-            raise ConfigurationError(f"{self.name}: negative duration")
+        if not self.mean_s >= 0.0:  # negative or NaN
+            raise ConfigurationError(
+                f"boot phase {self.name!r}: mean duration must be >= 0, got {self.mean_s!r}"
+            )
 
     def sample(self, rng: RngStream) -> float:
         """Draw one realization of this phase's duration."""

@@ -22,7 +22,12 @@ engine's agenda discipline — ``seq`` in push order, a released thread
 handed to the oldest waiter at the same instant, every time computed as
 ``now + delay`` — so its results are the engine model's, bit for bit;
 ``tests/workloads/test_memcached_kernel.py`` keeps that model as the
-oracle.
+oracle. The client streams are seeded in one
+:func:`~repro.rng.materialize_streams` pass, and each client draws
+through numpy methods bound once per cell
+(:meth:`~repro.rng.RngStream.lognormal_sampler` and the generator's
+``random``), which return the doubles ``lognormal_factor`` and
+``uniform()`` would.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.platforms.base import Platform
-from repro.rng import RngStream
+from repro.rng import RngStream, materialize_streams
 from repro.units import us
 from repro.workloads.base import Workload
 from repro.workloads.ycsb import WORKLOAD_A, YcsbWorkloadSpec
@@ -118,8 +123,11 @@ class MemcachedYcsbWorkload(Workload):
         half_trip = round_trip / 2.0
         is_update = self.spec.is_update
         streams = rng.children(f"client-{index}" for index in range(self.clients))
-        lognormal = [stream.lognormal_factor for stream in streams]
-        uniform = [stream.uniform for stream in streams]
+        materialize_streams(streams)
+        think = [stream.lognormal_sampler(0.2) for stream in streams]
+        trip = [stream.lognormal_sampler(0.1) for stream in streams]
+        serve = [stream.lognormal_sampler(0.15) for stream in streams]
+        coin = [stream.generator.random for stream in streams]
         started = [0.0] * self.clients
         remaining = [self.ops_per_client] * self.clients
         latencies: list[float] = []
@@ -131,7 +139,7 @@ class MemcachedYcsbWorkload(Workload):
         # to the client when its entry pops.
         now = 0.0
         agenda = [
-            (now + _CLIENT_THINK_S * lognormal[client](0.2), client, client, _REQUEST)
+            (now + _CLIENT_THINK_S * think[client](), client, client, _REQUEST)
             for client in range(self.clients)
         ]
         heapq.heapify(agenda)
@@ -145,11 +153,11 @@ class MemcachedYcsbWorkload(Workload):
                 idle -= 1
                 phase = _SERVE
             if phase == _SERVE:
-                service = update_service if is_update(uniform[client]()) else read_service
-                delay, phase = service * lognormal[client](0.15), _RELEASE
+                service = update_service if is_update(coin[client]()) else read_service
+                delay, phase = service * serve[client](), _RELEASE
             elif phase == _REQUEST:
                 started[client] = now
-                delay, phase = half_trip * lognormal[client](0.1), _ARRIVE
+                delay, phase = half_trip * trip[client](), _ARRIVE
             elif phase == _RELEASE:
                 if waiters:
                     # Hand the thread to the oldest waiter at this instant.
@@ -160,17 +168,17 @@ class MemcachedYcsbWorkload(Workload):
                     seq += 1
                 else:
                     idle += 1
-                delay, phase = half_trip * lognormal[client](0.1), _RESPOND
+                delay, phase = half_trip * trip[client](), _RESPOND
             else:  # _RESPOND
                 latencies.append(now - started[client])
                 remaining[client] -= 1
                 if not remaining[client]:
                     continue
-                delay, phase = _CLIENT_THINK_S * lognormal[client](0.2), _REQUEST
+                delay, phase = _CLIENT_THINK_S * think[client](), _REQUEST
             heapq.heappush(agenda, (now + delay, seq, client, phase))
             seq += 1
         if any(remaining):
-            raise ConfigurationError("memcached simulation deadlocked")
+            raise SimulationError("memcached simulation deadlocked")
 
         operations = self.clients * self.ops_per_client
         throughput = operations / now

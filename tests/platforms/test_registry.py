@@ -1,10 +1,13 @@
 """Tests for the platform registry and common Platform behaviour."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.hardware.topology import paper_testbed
 from repro.platforms import PLATFORM_SETS, PlatformFamily, get_platform, platform_names
+from repro.platforms.base import BootPhase
 
 
 class TestRegistry:
@@ -91,3 +94,11 @@ class TestCommonBehaviour:
 
     def test_syscall_factor_positive(self, any_platform):
         assert any_platform.syscall_overhead_factor() > 0.0
+
+
+@pytest.mark.parametrize("mean_s", [-1e-3, math.nan], ids=["negative", "nan"])
+def test_boot_phase_rejects_bad_mean(mean_s):
+    """A negative or NaN mean fails at construction, naming the phase,
+    instead of inside the engine."""
+    with pytest.raises(ConfigurationError, match="guest-kernel"):
+        BootPhase("guest-kernel", mean_s)

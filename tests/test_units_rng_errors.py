@@ -132,6 +132,35 @@ class TestRngStream:
                 expected = float(twin.generator.uniform(low, low + width))
             assert draw.hex() == expected.hex()
 
+    @given(
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.one_of(
+            st.floats(max_value=0.0, allow_nan=False),
+            st.floats(min_value=0.0, max_value=3.0),
+        ),
+        st.lists(st.booleans(), min_size=1, max_size=200),
+    )
+    @settings(max_examples=60)
+    def test_lognormal_sampler_matches_lognormal_factor(self, seed, sigma, steps):
+        """A bound sampler returns the float ``lognormal_factor`` would, bit
+        for bit, between ``uniform()`` draws; ``sigma <= 0`` draws nothing."""
+        stream, twin = RngStream(seed), RngStream(seed)
+        sample = stream.lognormal_sampler(sigma)
+        for lognormal in steps:
+            if lognormal:
+                draw, expected = sample(), twin.lognormal_factor(sigma)
+                assert type(draw) is float
+            else:
+                draw, expected = stream.uniform(), twin.uniform()
+            assert draw.hex() == expected.hex()
+        state = stream.generator.bit_generator.state
+        assert state == twin.generator.bit_generator.state
+        if sigma <= 0.0:  # only the uniform() steps moved the stream
+            uniforms = RngStream(seed)
+            for _ in range(steps.count(False)):
+                uniforms.uniform()
+            assert state == uniforms.generator.bit_generator.state
+
     def test_gaussian_factor_zero_std_is_identity(self):
         assert RngStream(7).gaussian_factor(0.0) == 1.0
 

@@ -151,3 +151,11 @@ def test_failures_are_loud(run, make_spec, coefficient, value, error, monkeypatc
     workload = MemcachedYcsbWorkload(make_spec(), clients=8, ops_per_client=20)
     with pytest.raises(error):
         run(workload, get_platform("native"), rng)
+
+
+def test_deadlock_is_a_simulation_error(rng):
+    """With no server thread, every request waits and the agenda runs dry."""
+    workload = MemcachedYcsbWorkload(clients=4, ops_per_client=3)
+    workload.server_threads = 0
+    with pytest.raises(SimulationError, match="deadlock"):
+        workload.run(get_platform("native"), rng)
