@@ -50,12 +50,16 @@ if _SRC.is_dir() and str(_SRC) not in sys.path:
 
 from repro.core.suite import BenchmarkSuite  # noqa: E402
 
-#: Small, fast subset spanning bar figures, series figures, the memcached
-#: closed-loop kernel, and the deterministic HAP table. fig05 is the
-#: acceptance gate for grid-level parallelism (widest roster: 9
-#: platforms); fig16's 27 quick cells do not divide by the chunked legs'
-#: default ``--chunk-size 7``, so those legs end on a short slab.
-SMOKE_FIGURES = ["fig05", "cpu-prime", "fig11", "fig12", "fig16", "fig17", "fig18"]
+#: Small, fast subset spanning bar figures, series figures, a startup CDF
+#: on the ``simcore`` engine, the memcached closed-loop kernel, and the
+#: deterministic HAP table. fig05 is the acceptance gate for grid-level
+#: parallelism (widest roster: 9 platforms). fig15 stands for fig13–15,
+#: the figures still on the engine: both measurement methods at width 6.
+#: fig16's 27 quick cells do not divide by the chunked legs' default
+#: ``--chunk-size 7``, so those legs end on a short slab.
+SMOKE_FIGURES = [
+    "fig05", "cpu-prime", "fig11", "fig12", "fig15", "fig16", "fig17", "fig18",
+]
 
 
 def run_backend(
