@@ -54,18 +54,8 @@ from repro.core.suite import BenchmarkSuite
 from repro.core.findings import FindingCheck, check_all_findings
 from repro.core.density import DensityModel, GuestFootprint
 from repro.core.advisor import PlatformAdvisor, WorkloadNeeds, Recommendation
-from repro.core.sensitivity import (
-    SensitivityResult,
-    sweep_clh_net_maturity,
-    sweep_ninep_amplification,
-    sweep_ninep_vs_virtiofs_crossover,
-)
 
 __all__ = [
-    "SensitivityResult",
-    "sweep_ninep_amplification",
-    "sweep_clh_net_maturity",
-    "sweep_ninep_vs_virtiofs_crossover",
     "Summary",
     "summarize",
     "percentile",

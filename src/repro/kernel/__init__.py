@@ -2,13 +2,9 @@
 
 Everything an isolation platform touches on the host side lives here:
 
-* :mod:`repro.kernel.syscalls`    — syscall table, categories, dispatch costs
 * :mod:`repro.kernel.functions`   — the host-kernel *function catalog* that the
   HAP (horizontal attack profile) measurement traces against
 * :mod:`repro.kernel.ftrace`      — the function tracer (trace-cmd equivalent)
-* :mod:`repro.kernel.pagecache`   — page/buffer cache incl. the host/guest
-  double-caching pitfall from Section 3.3
-* :mod:`repro.kernel.vfs`         — mounts and file-system dispatch
 * :mod:`repro.kernel.filesystems` — ext4 / ZFS / overlayfs / tmpfs models
 * :mod:`repro.kernel.netstack`    — TCP/IP stack per-packet costs
 * :mod:`repro.kernel.netdev`      — bridge / veth / TAP virtual devices
@@ -19,11 +15,8 @@ Everything an isolation platform touches on the host side lives here:
 * :mod:`repro.kernel.seccomp`     — seccomp-bpf filter overhead
 """
 
-from repro.kernel.syscalls import Syscall, SyscallCategory, SyscallTable
 from repro.kernel.functions import KernelFunction, KernelFunctionCatalog, Subsystem
 from repro.kernel.ftrace import Ftrace
-from repro.kernel.pagecache import PageCache
-from repro.kernel.vfs import Vfs, Mount
 from repro.kernel.filesystems import Filesystem, FILESYSTEMS
 from repro.kernel.netstack import NetStack, HostLinuxStack, GvisorNetstack, GuestLinuxStack, OsvStack
 from repro.kernel.netdev import (
@@ -42,16 +35,10 @@ from repro.kernel.kvm import KvmModule, KvmVm, ExitReason
 from repro.kernel.seccomp import SeccompFilter
 
 __all__ = [
-    "Syscall",
-    "SyscallCategory",
-    "SyscallTable",
     "KernelFunction",
     "KernelFunctionCatalog",
     "Subsystem",
     "Ftrace",
-    "PageCache",
-    "Vfs",
-    "Mount",
     "Filesystem",
     "FILESYSTEMS",
     "NetStack",

@@ -22,10 +22,13 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.kernel.kvm import ExitReason, KvmModule
-from repro.kernel.syscalls import MODE_SWITCH_COST, Syscall
-from repro.units import us
+from repro.units import ns, us
 
 __all__ = ["InterceptionPlatform", "PtracePlatform", "KvmPlatform"]
+
+#: Cost of one user->kernel->user mode switch on the testbed (syscall +
+#: sysret + pipeline effects), without the work of the call itself.
+MODE_SWITCH_COST = ns(60.0)
 
 
 @dataclass(frozen=True)
@@ -53,19 +56,6 @@ class InterceptionPlatform:
             + self.switch_count * self.switch_cost_s
             + self.sentry_dispatch_s
         )
-
-    def effective_syscall_cost(self, syscall: Syscall) -> float:
-        """Total cost of one guest syscall handled by the Sentry.
-
-        The Sentry *emulates* the call, so the host in-kernel service time
-        is replaced by Sentry work of comparable size for the common calls
-        the model cares about; the dominant difference is interception.
-        """
-        return syscall.total_cost_s + self.interception_cost()
-
-    def overhead_factor(self, syscall: Syscall) -> float:
-        """Slowdown versus executing the same syscall natively."""
-        return self.effective_syscall_cost(syscall) / syscall.total_cost_s
 
 
 def PtracePlatform() -> InterceptionPlatform:

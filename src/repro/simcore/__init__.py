@@ -17,7 +17,6 @@ anywhere, so runs are exactly reproducible.
 from repro.simcore.engine import Simulator, Timeout, Wait, Process
 from repro.simcore.event import Event, EventQueue
 from repro.simcore.resources import Resource, Store, TokenBucket
-from repro.simcore.tracing import SimTrace, TraceRecord
 
 __all__ = [
     "Simulator",
@@ -29,6 +28,4 @@ __all__ = [
     "Resource",
     "Store",
     "TokenBucket",
-    "SimTrace",
-    "TraceRecord",
 ]

@@ -4,7 +4,6 @@ The paravirtualized device family every hypervisor in the study relies on:
 
 * :mod:`repro.virtio.queue` — the virtqueue ring (descriptors, kicks, irqs)
 * :mod:`repro.virtio.blk`   — virtio-blk block devices
-* :mod:`repro.virtio.net`   — virtio-net (paired with a host TAP device)
 * :mod:`repro.virtio.fs`    — virtio-fs (FUSE over virtio, with DAX)
 * :mod:`repro.virtio.ninep` — the 9P filesystem protocol (Kata default,
   gVisor's Sentry<->Gofer channel)
@@ -13,7 +12,6 @@ The paravirtualized device family every hypervisor in the study relies on:
 
 from repro.virtio.queue import Virtqueue
 from repro.virtio.blk import VirtioBlk
-from repro.virtio.net import VirtioNet
 from repro.virtio.fs import VirtioFs
 from repro.virtio.ninep import NinePChannel
 from repro.virtio.vsock import VsockChannel
@@ -21,7 +19,6 @@ from repro.virtio.vsock import VsockChannel
 __all__ = [
     "Virtqueue",
     "VirtioBlk",
-    "VirtioNet",
     "VirtioFs",
     "NinePChannel",
     "VsockChannel",

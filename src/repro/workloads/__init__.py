@@ -28,14 +28,8 @@ from repro.workloads.startup import StartupWorkload, StartupResult, MeasurementM
 from repro.workloads.memcached import MemcachedYcsbWorkload, MemcachedResult
 from repro.workloads.ycsb import YcsbWorkloadSpec, WORKLOAD_A
 from repro.workloads.mysql import MysqlOltpWorkload, MysqlOltpResult
-from repro.workloads.sysbench_memory import SysbenchMemoryWorkload, SysbenchMemoryResult
-from repro.workloads.sysbench_fileio import SysbenchFileioWorkload, SysbenchFileioResult
 
 __all__ = [
-    "SysbenchMemoryWorkload",
-    "SysbenchMemoryResult",
-    "SysbenchFileioWorkload",
-    "SysbenchFileioResult",
     "Workload",
     "WorkloadResult",
     "FfmpegEncodeWorkload",

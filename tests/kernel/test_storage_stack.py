@@ -1,58 +1,9 @@
-"""Tests for the page cache, filesystems, and VFS."""
+"""Tests for the filesystem models."""
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.kernel.filesystems import FILESYSTEMS, Filesystem
-from repro.kernel.pagecache import PageCache
-from repro.kernel.vfs import VFS_DISPATCH_COST, Vfs
-from repro.rng import RngStream
-from repro.units import GIB, MIB
-
-
-class TestPageCache:
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PageCache(0)
-
-    def test_cold_cache_misses(self):
-        cache = PageCache(1 * GIB)
-        assert not cache.hit("file")
-        assert cache.resident_fraction("file") == 0.0
-
-    def test_small_file_fully_resident_after_populate(self):
-        cache = PageCache(1 * GIB)
-        cache.populate("file", 100 * MIB)
-        assert cache.resident_fraction("file") == 1.0
-        assert cache.hit("file")
-
-    def test_large_file_partially_resident(self):
-        cache = PageCache(1 * GIB)
-        cache.populate("file", 4 * GIB)
-        assert cache.resident_fraction("file") == pytest.approx(0.25)
-
-    def test_drop_clears_residency(self):
-        cache = PageCache(1 * GIB)
-        cache.populate("file", 100 * MIB)
-        cache.drop()
-        assert not cache.hit("file")
-
-    def test_probabilistic_hits_follow_fraction(self):
-        cache = PageCache(1 * GIB)
-        cache.populate("file", 2 * GIB)  # 50% resident
-        rng = RngStream(7)
-        hits = sum(cache.hit("file", rng) for _ in range(2000))
-        assert 0.4 < hits / 2000 < 0.6
-
-    def test_populate_never_reduces_residency(self):
-        cache = PageCache(1 * GIB)
-        cache.populate("file", 100 * MIB)
-        cache.populate("file", 100 * GIB)
-        assert cache.resident_fraction("file") == 1.0
-
-    def test_invalid_working_set_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PageCache(1 * GIB).populate("file", 0)
 
 
 class TestFilesystems:
@@ -79,59 +30,3 @@ class TestFilesystems:
         with pytest.raises(ConfigurationError):
             Filesystem("bad", per_op_overhead_s=-1.0, bandwidth_efficiency=0.5)
 
-
-class TestVfs:
-    def test_mount_and_resolve(self):
-        vfs = Vfs()
-        vfs.mount("/", "ext4")
-        vfs.mount("/data", "zfs")
-        assert vfs.resolve("/data/file").filesystem.name == "zfs"
-        assert vfs.resolve("/etc/passwd").filesystem.name == "ext4"
-
-    def test_longest_prefix_wins(self):
-        vfs = Vfs()
-        vfs.mount("/", "ext4")
-        vfs.mount("/data", "zfs")
-        vfs.mount("/data/shared", "9p")
-        assert vfs.resolve("/data/shared/x").filesystem.name == "9p"
-
-    def test_unknown_filesystem_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Vfs().mount("/", "reiserfs")
-
-    def test_relative_path_rejected(self):
-        vfs = Vfs()
-        vfs.mount("/", "ext4")
-        with pytest.raises(ConfigurationError):
-            vfs.resolve("relative/path")
-
-    def test_unmounted_path_rejected(self):
-        vfs = Vfs()
-        vfs.mount("/data", "zfs")
-        with pytest.raises(ConfigurationError):
-            vfs.resolve("/other")
-
-    def test_umount(self):
-        vfs = Vfs()
-        vfs.mount("/", "ext4")
-        vfs.mount("/data", "zfs")
-        vfs.umount("/data")
-        assert vfs.resolve("/data/file").filesystem.name == "ext4"
-
-    def test_umount_missing_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Vfs().umount("/data")
-
-    def test_operation_overhead_includes_dispatch(self):
-        vfs = Vfs()
-        vfs.mount("/", "ext4")
-        overhead = vfs.operation_overhead("/file")
-        assert overhead == pytest.approx(
-            VFS_DISPATCH_COST + FILESYSTEMS["ext4"].per_op_overhead_s
-        )
-
-    def test_mounts_sorted(self):
-        vfs = Vfs()
-        vfs.mount("/z", "ext4")
-        vfs.mount("/a", "zfs")
-        assert [m.mountpoint for m in vfs.mounts()] == ["/a", "/z"]

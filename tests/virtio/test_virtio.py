@@ -6,7 +6,6 @@ from repro.errors import ConfigurationError
 from repro.units import KIB, MIB
 from repro.virtio.blk import VirtioBlk
 from repro.virtio.fs import VirtioFs
-from repro.virtio.net import VirtioNet
 from repro.virtio.ninep import NinePChannel
 from repro.virtio.queue import Virtqueue
 from repro.virtio.vsock import VsockChannel
@@ -48,22 +47,6 @@ class TestVirtioBlk:
     def test_invalid_efficiency_rejected(self):
         with pytest.raises(ConfigurationError):
             VirtioBlk(bandwidth_efficiency=0.0)
-
-
-class TestVirtioNet:
-    def test_per_packet_cost_positive(self):
-        assert VirtioNet().per_packet_queue_cost() > 0
-
-    def test_efficiency_scales_costs(self):
-        tuned = VirtioNet(datapath_efficiency=1.0)
-        rough = VirtioNet(datapath_efficiency=0.5)
-        assert rough.per_packet_queue_cost() == pytest.approx(
-            2 * tuned.per_packet_queue_cost()
-        )
-
-    def test_invalid_efficiency_rejected(self):
-        with pytest.raises(ConfigurationError):
-            VirtioNet(datapath_efficiency=1.5)
 
 
 class TestNinePChannel:

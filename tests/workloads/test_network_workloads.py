@@ -109,3 +109,19 @@ class TestNetperf:
                                           "firecracker", "kata", "osv")]
         ratio = gvisor / (sum(others) / len(others))
         assert 2.5 < ratio < 6.0
+
+
+class TestIperfDesCrossValidation:
+    """The packet-level simulation must agree with the analytic model."""
+
+    @pytest.mark.parametrize("name", ["native", "docker", "qemu", "gvisor", "osv"])
+    def test_des_matches_analytic_within_tolerance(self, rng, name):
+        platform = get_platform(name)
+        workload = IperfWorkload()
+        analytic = workload.run(platform, rng.child("a")).throughput_bytes_per_s
+        simulated = workload.run_simulated(platform, rng.child("d")).throughput_bytes_per_s
+        assert simulated == pytest.approx(analytic, rel=0.15)
+
+    def test_invalid_simulation_parameters_rejected(self, rng):
+        with pytest.raises(ConfigurationError):
+            IperfWorkload().run_simulated(get_platform("native"), rng, sim_duration_s=0)
