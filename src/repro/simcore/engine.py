@@ -186,8 +186,6 @@ class Simulator:
                 self.now = until
                 break
             entry = self._queue.pop()
-            if entry is None:
-                break
             if entry.time < self.now - 1e-15:
                 raise SimulationError(
                     f"time went backwards: {entry.time} < {self.now}"

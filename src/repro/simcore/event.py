@@ -80,13 +80,12 @@ class Event:
 class ScheduledEntry:
     """A (time, sequence, callback) agenda entry. Comparable for heapq."""
 
-    __slots__ = ("time", "sequence", "callback", "cancelled")
+    __slots__ = ("time", "sequence", "callback")
 
     def __init__(self, time: float, sequence: int, callback: Callable[[], None]) -> None:
         self.time = time
         self.sequence = sequence
         self.callback = callback
-        self.cancelled = False
 
     def __lt__(self, other: "ScheduledEntry") -> bool:
         return (self.time, self.sequence) < (other.time, other.sequence)
@@ -100,7 +99,7 @@ class EventQueue:
         self._counter = itertools.count()
 
     def __len__(self) -> int:
-        return sum(1 for entry in self._heap if not entry.cancelled)
+        return len(self._heap)
 
     def push(self, time: float, callback: Callable[[], None]) -> ScheduledEntry:
         """Schedule ``callback`` to run at absolute virtual ``time``."""
@@ -111,15 +110,9 @@ class EventQueue:
         return entry
 
     def pop(self) -> Optional[ScheduledEntry]:
-        """Pop the earliest non-cancelled entry, or None when empty."""
-        while self._heap:
-            entry = heapq.heappop(self._heap)
-            if not entry.cancelled:
-                return entry
-        return None
+        """Pop the earliest entry, or None when empty."""
+        return heapq.heappop(self._heap) if self._heap else None
 
     def peek_time(self) -> Optional[float]:
         """The virtual time of the next pending entry, or None."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
         return self._heap[0].time if self._heap else None

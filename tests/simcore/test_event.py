@@ -82,13 +82,6 @@ class TestEventQueue:
         queue.push(2.0, lambda: None)
         assert len(queue) == 2
 
-    def test_cancelled_entries_are_skipped(self):
-        queue = EventQueue()
-        entry = queue.push(1.0, lambda: None)
-        entry.cancelled = True
-        queue.push(2.0, lambda: None)
-        assert queue.pop().time == 2.0
-
     def test_peek_time_returns_earliest(self):
         queue = EventQueue()
         queue.push(5.0, lambda: None)
