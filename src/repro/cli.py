@@ -27,6 +27,7 @@ Installed as ``repro-bench``::
 from __future__ import annotations
 
 import argparse
+import pathlib
 import sys
 
 from repro.core.experiment import EXPERIMENTS
@@ -297,6 +298,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.dry_run:
         _print_grids(suite, targets)
         return 0
+    if args.json:
+        try:
+            pathlib.Path(args.json).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot create --json directory {args.json}: {exc.strerror}"
+            ) from None
     results = suite.run_all(targets)
     for figure_id in targets:
         figure = results[figure_id]

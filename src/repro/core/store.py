@@ -148,9 +148,11 @@ class ResultStore:
 
     ``get`` returns the cached :class:`~repro.core.results.FigureResult`
     or ``None`` (corrupt and stale-schema entries behave like misses);
-    ``put`` is an atomic write safe under concurrent writers. With
-    ``max_bytes`` set, writes evict least-recently-*read* entries until
-    the directory fits. This is the local tier; a fleet composes it with
+    ``put`` is an atomic write safe under concurrent writers. The root
+    directory is created on construction, so a path that cannot be one
+    fails there, before anything runs. With ``max_bytes`` set, writes
+    evict least-recently-*read* entries until the directory fits. This
+    is the local tier; a fleet composes it with
     a :class:`~repro.core.storenet.RemoteStore` via
     :class:`~repro.core.storenet.TieredStore` (cache semantics and the
     provenance labels are documented in ``docs/OPERATIONS.md``).
@@ -167,6 +169,16 @@ class ResultStore:
         if max_bytes is not None and max_bytes < 1:
             raise ConfigurationError(f"max_bytes must be >= 1, got {max_bytes}")
         self.root = pathlib.Path(root)
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+        except FileExistsError:
+            raise ConfigurationError(
+                f"result store path {self.root} exists and is not a directory"
+            ) from None
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot create result store directory {self.root}: {exc.strerror}"
+            ) from None
         self.max_bytes = max_bytes
         # A store behind a StoreServer is read/written from every handler
         # thread at once; unguarded += on the counters loses increments.
@@ -279,11 +291,6 @@ class ResultStore:
 
     def put(self, key: StoreKey, result: FigureResult) -> pathlib.Path:
         """Persist a result under its key (atomic rename)."""
-        if self.root.exists() and not self.root.is_dir():
-            raise ConfigurationError(
-                f"result store path {self.root} exists and is not a directory"
-            )
-        self.root.mkdir(parents=True, exist_ok=True)
         path = self.path_for(key)
         payload = {
             "schema": _SCHEMA_VERSION,

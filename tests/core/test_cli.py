@@ -8,6 +8,7 @@ import time
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.plan import FigurePlan
 from repro.core.storenet import StoreServer
 
 
@@ -251,6 +252,55 @@ class TestChunkSizeCli:
             "--chunk-size", "9",
         ]) == 0
         assert "chunk-size=9" in capsys.readouterr().out
+
+
+def _unusable_directory(tmp_path, under_file):
+    """A regular file, or a path beneath one: neither can be a directory."""
+    clash = tmp_path / "afile"
+    clash.write_text("occupied")
+    return clash / "x" if under_file else clash
+
+
+class TestUnusableDirectories:
+    """A directory argument that cannot be used is one error line and
+    exit 2, before any figure runs or any socket opens."""
+
+    @pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "fig05", "--quick", "--cache"],
+            ["findings", "--cache"],
+            ["run", "fig05", "--quick", "--json"],
+        ],
+        ids=["run-cache", "findings-cache", "run-json"],
+    )
+    def test_rejected_before_any_figure_runs(self, tmp_path, monkeypatch, capsys,
+                                             argv, under_file):
+        def refuse(plan, seed):
+            raise AssertionError(f"{plan.figure_id} ran despite an unusable directory")
+
+        monkeypatch.setattr(FigurePlan, "lower", refuse)
+        path = _unusable_directory(tmp_path, under_file)
+        assert main([*argv, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro-bench: error:")
+        assert captured.err.count("\n") == 1 and str(path) in captured.err
+
+    @pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
+    def test_store_rejected_before_listening(self, tmp_path, monkeypatch, capsys,
+                                             under_file):
+        def refuse(server):
+            raise AssertionError("the store started on an unusable --dir")
+
+        monkeypatch.setattr(StoreServer, "start", refuse)
+        path = _unusable_directory(tmp_path, under_file)
+        assert main(["store", "--port", "0", "--dir", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "listening on" not in captured.out
+        assert captured.err.startswith("repro-bench: error:")
+        assert captured.err.count("\n") == 1 and str(path) in captured.err
 
 
 class TestServiceLauncher:

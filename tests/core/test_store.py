@@ -117,9 +117,8 @@ class TestResultStore:
     def test_store_path_colliding_with_file_rejected(self, tmp_path):
         clash = tmp_path / "afile"
         clash.write_text("occupied")
-        store = ResultStore(clash)
         with pytest.raises(ConfigurationError, match="not a directory"):
-            store.put(StoreKey.for_run("figX", 42, False, None), sample_result())
+            ResultStore(clash)
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         store = ResultStore(tmp_path)
