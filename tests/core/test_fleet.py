@@ -335,6 +335,7 @@ def _gated_double(item):
 
 _CHURN_LOCK = threading.Lock()
 _CHURN_COUNTS: dict[int, int] = {}
+_CHURN_STARTED = threading.Event()
 _CHURN_STALL = threading.Event()
 
 
@@ -344,6 +345,7 @@ def _stall_first_zero(item):
         _CHURN_COUNTS[item] = _CHURN_COUNTS.get(item, 0) + 1
         first = _CHURN_COUNTS[item] == 1
     if item == 0 and first:
+        _CHURN_STARTED.set()
         _CHURN_STALL.wait(timeout=30)
     return item * 2
 
@@ -406,6 +408,7 @@ class TestMembershipChurn:
         # the healthy joiner B and runs again exactly once, everything
         # else exactly once in total.
         _CHURN_COUNTS.clear()
+        _CHURN_STARTED.clear()
         _CHURN_STALL.clear()
         items = list(range(6))
         with FleetCoordinator(port=0, heartbeat_timeout=0.6) as coord:
@@ -428,6 +431,9 @@ class TestMembershipChurn:
                     thread = threading.Thread(target=dispatch)
                     thread.start()
                     # Admit the healthy survivor while A stalls on item 0.
+                    # Started any earlier, B can be on the roster the
+                    # dispatch first reads and claim item 0 itself.
+                    assert _CHURN_STARTED.wait(timeout=10)
                     healthy = WorkerServer(
                         port=0, workers=1, fleet_url=coord.address_string,
                         heartbeat_interval=0.1,
