@@ -62,8 +62,9 @@ _SET_ANNOTATION_NAMES = {
 #: covers ``.values()`` (float accumulation is order-sensitive even over
 #: a deterministically-ordered dict once the dict's *insertion* order is
 #: itself backend-dependent); ``min``/``max``/``join``/``list``/``tuple``
-#: only fire on genuinely unordered set-like iterables.
-_SUM_FOLDS = {"sum"}
+#: only fire on genuinely unordered set-like iterables. ``left_sum``
+#: (:mod:`repro.units`) is ``sum`` as Python 3.11 adds.
+_SUM_FOLDS = {"sum", "left_sum"}
 _ORDER_SENSITIVE_FOLDS = {"min", "max", "list", "tuple"}
 
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.errors import ConfigurationError
+from repro.units import left_sum
 
 __all__ = ["Summary", "summarize", "percentile", "cdf_points", "coefficient_of_variation"]
 
@@ -53,8 +54,8 @@ def summarize(values: Sequence[float]) -> Summary:
     if not values:
         raise ConfigurationError("cannot summarize no data")
     count = len(values)
-    mean = sum(values) / count
-    variance = sum((v - mean) ** 2 for v in values) / count if count > 1 else 0.0
+    mean = left_sum(values) / count
+    variance = left_sum((v - mean) ** 2 for v in values) / count if count > 1 else 0.0
     return Summary(
         count=count,
         mean=mean,

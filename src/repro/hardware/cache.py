@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.units import KIB, MIB, ns
+from repro.units import KIB, MIB, left_sum, ns
 
 __all__ = ["CacheLevel", "CacheHierarchy"]
 
@@ -92,7 +92,9 @@ class CacheHierarchy:
 
     def random_access_latency(self, buffer_bytes: int) -> float:
         """Expected latency of one random access within ``buffer_bytes``."""
-        return sum(fraction * latency for _, fraction, latency in self.hit_fractions(buffer_bytes))
+        return left_sum(
+            fraction * latency for _, fraction, latency in self.hit_fractions(buffer_bytes)
+        )
 
     def extra_latency_over_l1(self, buffer_bytes: int) -> float:
         """Expected latency above the L1 floor (the Figure 6 y-axis)."""

@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
-from repro.units import us
+from repro.units import left_sum, us
 
 __all__ = ["NamespaceKind", "NamespaceSet"]
 
@@ -84,7 +84,7 @@ class NamespaceSet:
         made process/remote grid results differ from serial ones in the
         last ulp.
         """
-        return sum(
+        return left_sum(
             cost for kind, cost in _CREATION_COST_S.items() if kind in self.kinds
         )
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.units import us
+from repro.units import left_sum, us
 
 __all__ = [
     "NetDevice",
@@ -55,11 +55,11 @@ class NetPath:
 
     def per_packet_cost(self) -> float:
         """Total extra per-packet CPU cost across all hops."""
-        return sum(d.per_packet_cost_s for d in self.devices) * self.maturity_overhead
+        return left_sum(d.per_packet_cost_s for d in self.devices) * self.maturity_overhead
 
     def added_latency(self) -> float:
         """One-way latency added by the path."""
-        return sum(d.per_hop_latency_s for d in self.devices) * self.maturity_overhead
+        return left_sum(d.per_hop_latency_s for d in self.devices) * self.maturity_overhead
 
 
 _VETH = NetDevice("veth", per_packet_cost_s=us(0.028), per_hop_latency_s=us(1.1))

@@ -16,6 +16,7 @@ import functools
 import hashlib
 
 from repro.kernel.functions import KernelFunction, Subsystem
+from repro.units import left_sum
 
 __all__ = ["EpssModel"]
 
@@ -85,4 +86,4 @@ class EpssModel:
 
     def total_score(self, functions: list[KernelFunction]) -> float:
         """Sum of scores — the extended-HAP weighting."""
-        return sum(self.score(fn) for fn in functions)
+        return left_sum(self.score(fn) for fn in functions)

@@ -3,8 +3,9 @@
 The engine drives the timed behaviour of the reproduction: guest boot
 sequences, QEMU's event loop, virtqueue kicks, request/response protocols
 (ttRPC, 9p) and iperf's packet-level cross-check. fig16's memcached clients
-are the exception: they run a dedicated kernel with this engine's agenda
-discipline (:mod:`repro.workloads.memcached`).
+are the exception: they meet only at a FIFO pool of server threads, so
+they run as a multi-server queue recursion that needs no agenda
+(:mod:`repro.workloads.memcached`).
 
 The programming model is the classic generator-coroutine DES (as popularized
 by SimPy): a *process* is a generator that yields commands —

@@ -14,6 +14,10 @@ read like the quantities in the paper (``128 * KIB``, ``gbit_per_s(37.28)``).
 
 from __future__ import annotations
 
+import functools
+import operator
+from collections.abc import Iterable
+
 # --- data sizes -----------------------------------------------------------
 
 KIB = 1024
@@ -64,6 +68,21 @@ def us(value: float) -> float:
 def ns(value: float) -> float:
     """Express a duration given in nanoseconds in canonical seconds."""
     return value * NSEC
+
+
+# --- sums -----------------------------------------------------------------
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """Add ``values`` left to right, starting from the int 0.
+
+    This is what the built-in ``sum`` computes on Python 3.10 and 3.11.
+    From 3.12 on, ``sum`` adds floats with compensated (Neumaier)
+    summation, which can round differently in the last bit; a figure
+    that sums through this helper gives the same output on every
+    interpreter.
+    """
+    return functools.reduce(operator.add, values, 0)
 
 
 # --- bandwidth ------------------------------------------------------------

@@ -13,18 +13,23 @@ model is a closed-loop client/server simulation:
   surprisingly low score (Finding 18).
 
 Each client draws from its own ``client-<i>`` stream in a fixed order
-(think, request, update coin, service, response), and the clients share
-only the FIFO pool of server threads. So :meth:`MemcachedYcsbWorkload.run`
-is a small dedicated kernel rather than generators on the
-:mod:`repro.simcore` engine: a heap of ``(time, seq, client, phase)``
-entries, an idle-thread count and a deque of waiters. It keeps the
-engine's agenda discipline — ``seq`` in push order, a released thread
-handed to the oldest waiter at the same instant, every time computed as
-``now + delay`` — so its results are the engine model's, bit for bit;
+(think, request, update coin, service, response), and the clients meet
+only at a FIFO pool of identical server threads. A FIFO multi-server queue
+needs no event agenda: requests start in the order they reach the server,
+each at its arrival or at the instant the first thread comes free,
+whichever is later. So :meth:`MemcachedYcsbWorkload.run` is that recursion
+over two heaps, every client's next ``(arrival, client)`` and the instants
+at which the threads are next free, with one heap entry per operation. A
+client's next request leaves only after its response, so taking the
+earliest pending arrival visits the requests in the order they reach the
+server. Every instant is the float expression the engine model computes,
+and latencies are summed in response order, so whenever no two clients
+share an instant the result is the engine model's, bit for bit;
 ``tests/workloads/test_memcached_kernel.py`` keeps that model as the
-oracle. The client streams are seeded in one
-:func:`~repro.rng.materialize_streams` pass, and each client draws
-through numpy methods bound once per cell
+oracle. On a bitwise tie the engine orders the clients by push sequence,
+and this kernel by client index, for arrivals and responses alike. The
+client streams are seeded in one :func:`~repro.rng.materialize_streams`
+pass, and each client draws through numpy methods bound once per cell
 (:meth:`~repro.rng.RngStream.lognormal_sampler` and the generator's
 ``random``), which return the doubles ``lognormal_factor`` and
 ``uniform()`` would.
@@ -33,7 +38,6 @@ through numpy methods bound once per cell
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, SimulationError
@@ -54,12 +58,6 @@ _UPDATE_SERVICE_FACTOR = 1.25
 
 #: YCSB client-side record selection/serialization per op.
 _CLIENT_THINK_S = us(100.0)
-
-#: What happens when a client's agenda entry pops: its think time is over
-#: and the request leaves; the request reaches the server; a server thread
-#: takes it; the service is done and the response leaves; the response
-#: arrives.
-_REQUEST, _ARRIVE, _SERVE, _RELEASE, _RESPOND = range(5)
 
 
 @dataclass(frozen=True)
@@ -85,8 +83,14 @@ class MemcachedYcsbWorkload(Workload):
         ops_per_client: int = 120,
         server_threads: int = 8,
     ) -> None:
-        if clients < 1 or ops_per_client < 1 or server_threads < 1:
-            raise ConfigurationError("clients, ops and threads must be >= 1")
+        for field, value in (
+            ("clients", clients),
+            ("ops_per_client", ops_per_client),
+            ("server_threads", server_threads),
+        ):
+            # A float or NaN count never runs down to zero; bool is an int.
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ConfigurationError(f"memcached {field} must be an int >= 1, got {value!r}")
         self.spec = spec
         self.clients = clients
         self.ops_per_client = ops_per_client
@@ -120,6 +124,8 @@ class MemcachedYcsbWorkload(Workload):
         ):
             if not coefficient >= 0.0:  # negative or NaN
                 raise SimulationError(f"memcached {label} must be >= 0, got {coefficient!r}")
+        if self.server_threads < 1:
+            raise SimulationError("memcached simulation deadlocked: no server thread")
         half_trip = round_trip / 2.0
         is_update = self.spec.is_update
         streams = rng.children(f"client-{index}" for index in range(self.clients))
@@ -128,57 +134,38 @@ class MemcachedYcsbWorkload(Workload):
         trip = [stream.lognormal_sampler(0.1) for stream in streams]
         serve = [stream.lognormal_sampler(0.15) for stream in streams]
         coin = [stream.generator.random for stream in streams]
-        started = [0.0] * self.clients
         remaining = [self.ops_per_client] * self.clients
-        latencies: list[float] = []
-        idle = self.server_threads
-        waiters: deque[int] = deque()
+        free = [0.0] * self.server_threads
+        # (response, client, latency) per operation, sorted at the end.
+        responses: list[tuple[float, int, float]] = []
 
-        # The agenda: (time, seq, client, phase) with seq in push order, so
-        # equal times pop first-pushed first. The phase says what happens
-        # to the client when its entry pops.
-        now = 0.0
-        agenda = [
-            (now + _CLIENT_THINK_S * think[client](), client, client, _REQUEST)
+        # A request leaves when its client's think time is over.
+        started = [_CLIENT_THINK_S * think[client]() for client in range(self.clients)]
+        arrivals = [
+            (started[client] + half_trip * trip[client](), client)
             for client in range(self.clients)
         ]
-        heapq.heapify(agenda)
-        seq = self.clients
-        while agenda:
-            now, _, client, phase = heapq.heappop(agenda)
-            if phase == _ARRIVE:
-                if not idle:
-                    waiters.append(client)
-                    continue
-                idle -= 1
-                phase = _SERVE
-            if phase == _SERVE:
-                service = update_service if is_update(coin[client]()) else read_service
-                delay, phase = service * serve[client](), _RELEASE
-            elif phase == _REQUEST:
-                started[client] = now
-                delay, phase = half_trip * trip[client](), _ARRIVE
-            elif phase == _RELEASE:
-                if waiters:
-                    # Hand the thread to the oldest waiter at this instant.
-                    # Its entry is pushed before this client's response, as
-                    # on the event engine; the order only shows on exact
-                    # time ties, so keep it by construction.
-                    heapq.heappush(agenda, (now, seq, waiters.popleft(), _SERVE))
-                    seq += 1
-                else:
-                    idle += 1
-                delay, phase = half_trip * trip[client](), _RESPOND
-            else:  # _RESPOND
-                latencies.append(now - started[client])
-                remaining[client] -= 1
-                if not remaining[client]:
-                    continue
-                delay, phase = _CLIENT_THINK_S * think[client](), _REQUEST
-            heapq.heappush(agenda, (now + delay, seq, client, phase))
-            seq += 1
-        if any(remaining):
-            raise SimulationError("memcached simulation deadlocked")
+        heapq.heapify(arrivals)
+        while arrivals:
+            arrival, client = arrivals[0]
+            # The first thread to come free takes the oldest request.
+            start = free[0] if free[0] > arrival else arrival
+            service = update_service if is_update(coin[client]()) else read_service
+            release = start + service * serve[client]()
+            heapq.heapreplace(free, release)
+            response = release + half_trip * trip[client]()
+            responses.append((response, client, response - started[client]))
+            remaining[client] -= 1
+            if remaining[client]:
+                request = response + _CLIENT_THINK_S * think[client]()
+                started[client] = request
+                heapq.heapreplace(arrivals, (request + half_trip * trip[client](), client))
+            else:
+                heapq.heappop(arrivals)
+        # The engine model records latencies as responses arrive.
+        responses.sort()
+        now = responses[-1][0]
+        latencies = [latency for _, _, latency in responses]
 
         operations = self.clients * self.ops_per_client
         throughput = operations / now

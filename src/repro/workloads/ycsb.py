@@ -26,6 +26,14 @@ class YcsbWorkloadSpec:
     distribution: str = "zipfian"
 
     def __post_init__(self) -> None:
+        for label, proportion in (
+            ("read", self.read_proportion),
+            ("update", self.update_proportion),
+        ):
+            if not 0.0 <= proportion <= 1.0:  # out of range or NaN
+                raise ConfigurationError(
+                    f"{label} proportion must be in [0, 1], got {proportion!r}"
+                )
         total = self.read_proportion + self.update_proportion
         if abs(total - 1.0) > 1e-9:
             raise ConfigurationError("read + update proportions must sum to 1")

@@ -50,6 +50,11 @@ class TestUnorderedFoldRule:
         assert findings[0].line == 10
         assert "order is not stable" in findings[0].message
 
+    def test_left_sum_over_frozenset_is_caught(self, lint_source, codes_of):
+        """``repro.units.left_sum`` folds like ``sum``."""
+        source = PR4_FROZENSET_FLOAT_SUM.replace("return sum(", "return left_sum(")
+        assert codes_of(lint_source(source, rules=[self.CODE])) == [self.CODE]
+
     def test_sum_over_set_literal_variable(self, lint_source, codes_of):
         source = dedent(
             """

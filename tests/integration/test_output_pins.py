@@ -12,6 +12,13 @@ numpy does not promise ``Generator`` streams across versions, so the
 fixture records the numpy it was made with; on another numpy a mismatch
 names both versions.
 
+CPython 3.12 sums floats with compensated summation, where 3.10 and 3.11
+add left to right, and CI runs all three. The second test checks the
+pins with ``builtins.sum`` replaced by a pure-Python copy of 3.12's
+(``py312_sum.py``), so a figure that folds floats with the built-in
+``sum`` fails on any interpreter; such folds use
+:func:`repro.units.left_sum`.
+
 Regenerate the fixture with ``python tests/integration/make_output_pins.py``,
 and only when a change is meant to move a figure: say in CHANGES.md
 which figure moved and why. Never regenerate to make a failure go away.
@@ -19,11 +26,17 @@ which figure moved and why. Never regenerate to make a failure go away.
 
 from __future__ import annotations
 
+import builtins
 import hashlib
 import json
 import pathlib
+import sys
 
 import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from py312_sum import py312_sum
 
 from repro.core.figures import FIGURES
 from repro.core.scheduler import ExperimentScheduler
@@ -70,3 +83,32 @@ def test_quick_outputs_match_pins():
             " versions."
         )
     raise AssertionError(message)
+
+
+def test_quick_outputs_match_pins_under_py312_sum(monkeypatch):
+    """The pins hold when ``sum`` adds floats as CPython 3.12 does."""
+    monkeypatch.setattr(builtins, "sum", py312_sum)
+    test_quick_outputs_match_pins()
+
+
+@pytest.mark.parametrize(
+    "values, start, expected",
+    [
+        ([0.1] * 10, 0, 1.0),
+        ([1.0, 1e100, 1.0, -1e100], 0, 2.0),
+        ([0.1, 0.2, 0.3], 0, 0.6),
+        ([1e-16] * 10, 1.0, 1.000000000000001),
+    ],
+)
+def test_py312_sum_compensates(values, start, expected):
+    """Results CPython 3.12.1's ``sum`` gives; 3.11's differs on each."""
+    assert py312_sum(values, start) == expected
+
+
+@pytest.mark.skipif(sys.version_info < (3, 12), reason="compares with CPython 3.12's sum")
+@given(st.lists(st.one_of(st.floats(), st.integers(-(2**80), 2**80), st.booleans())),
+       st.sampled_from([0, 0.0, -0.0, 5]))
+def test_py312_sum_equals_the_builtin(values, start):
+    expected, actual = sum(values, start), py312_sum(values, start)
+    assert type(actual) is type(expected)
+    assert repr(actual) == repr(expected)

@@ -1,5 +1,7 @@
 """Tests for memcached/YCSB and MySQL/sysbench (Figures 16-17)."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -14,9 +16,21 @@ class TestYcsbSpec:
         assert WORKLOAD_A.read_proportion == 0.5
         assert WORKLOAD_A.update_proportion == 0.5
 
-    def test_proportions_must_sum_to_one(self):
+    @pytest.mark.parametrize(
+        "read, update",
+        [
+            (0.6, 0.6),
+            (math.nan, math.nan),
+            (0.5, math.nan),
+            (1.5, -0.5),
+            (-0.25, 1.25),
+        ],
+        ids=["sum-above-one", "both-nan", "update-nan", "read-above-one", "read-negative"],
+    )
+    def test_proportions_must_sum_to_one(self, read, update):
+        """Each proportion is in [0, 1] and they sum to 1; NaN fails both."""
         with pytest.raises(ConfigurationError):
-            YcsbWorkloadSpec("bad", read_proportion=0.6, update_proportion=0.6)
+            YcsbWorkloadSpec("bad", read_proportion=read, update_proportion=update)
 
     def test_is_update_classification(self):
         assert WORKLOAD_A.is_update(0.1)
@@ -34,9 +48,23 @@ def _throughput(name, rng, **kwargs):
 
 
 class TestMemcached:
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MemcachedYcsbWorkload(clients=0)
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("clients", 0),
+            ("clients", 2.5),
+            ("ops_per_client", 0),
+            ("ops_per_client", 2.5),
+            ("ops_per_client", math.nan),
+            ("ops_per_client", True),
+            ("server_threads", -1),
+            ("server_threads", 2.0),
+        ],
+    )
+    def test_invalid_parameters_rejected(self, field, value):
+        """Counts are ints >= 1: a float or NaN count would never run down."""
+        with pytest.raises(ConfigurationError, match=field):
+            MemcachedYcsbWorkload(**{field: value})
 
     def test_all_clients_complete(self, rng):
         workload = MemcachedYcsbWorkload(clients=8, ops_per_client=20)

@@ -1,18 +1,25 @@
-"""The memcached closed-loop kernel against the generator model it replaced.
+"""The memcached FIFO kernel against the generator model it replaced.
 
-``MemcachedYcsbWorkload.run`` (Figure 16) is a heap of ``(time, seq,
-client, phase)`` tuples, an idle-thread counter and a FIFO deque of
-waiters. ``engine_run`` below is the model it replaced, kept as the
-oracle: one generator per YCSB client on the discrete-event engine,
-sharing a :class:`~repro.simcore.resources.Resource` of server threads.
-The kernel must give exactly the oracle's result, not an approximation
-of it.
+``MemcachedYcsbWorkload.run`` (Figure 16) is the FIFO multi-server
+recursion: a heap of every client's next ``(arrival, client)`` and a
+heap of the instants at which the server threads are next free.
+``engine_run`` below is the model it replaced, kept as the oracle: one
+generator per YCSB client on the discrete-event engine, sharing a
+:class:`~repro.simcore.resources.Resource` of server threads.
+
+The contract: whenever no two clients share an instant, the kernel gives
+exactly the oracle's result, not an approximation of it. When two
+clients share a bitwise-equal instant, the engine orders them by push
+sequence and the kernel by client index, for arrivals and responses
+alike; ``test_tied_arrivals_are_served_in_client_order`` pins that rule.
+Continuous draws make such a tie practically impossible: none occurred
+in fig16's paper-scale cells.
 """
 
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
@@ -107,6 +114,10 @@ SPECS = st.one_of(
     seed=st.integers(min_value=0, max_value=2**64 - 1),
 )
 @settings(max_examples=300, deadline=None)
+# fig16's production cell, where the packet-rate ceiling (kata) and the
+# syscall factor (gvisor) bind.
+@example(clients=48, ops=120, threads=8, spec=WORKLOAD_A, platform_name="kata", seed=16)
+@example(clients=48, ops=120, threads=8, spec=WORKLOAD_A, platform_name="gvisor", seed=2**63)
 def test_kernel_equals_engine(clients, ops, threads, spec, platform_name, seed):
     workload = MemcachedYcsbWorkload(
         spec, clients=clients, ops_per_client=ops, server_threads=threads
@@ -115,6 +126,38 @@ def test_kernel_equals_engine(clients, ops, threads, spec, platform_name, seed):
     kernel = workload.run(platform, RngStream(seed, "memcached"))
     engine = engine_run(workload, platform, RngStream(seed, "memcached"))
     assert kernel == engine
+
+
+def test_tied_arrivals_are_served_in_client_order(monkeypatch):
+    """Three requests reach one server thread at the same instant.
+
+    Every think and trip draw is 1.0, so all three clients send at the
+    think time and arrive together; client ``i``'s service draw is
+    ``i + 1``, so the order they are served in shows in the mean
+    latency. The kernel serves a tie in client order.
+    """
+
+    def fixed_sampler(stream, sigma):
+        client = int(stream.path.rsplit("client-", 1)[1])
+        draw = float(client + 1) if sigma == 0.15 else 1.0  # 0.15: service
+        return lambda: draw
+
+    monkeypatch.setattr(RngStream, "lognormal_sampler", fixed_sampler)
+    workload = MemcachedYcsbWorkload(WORKLOAD_C, clients=3, ops_per_client=1, server_threads=1)
+    platform = get_platform("native")
+    half_trip = workload._round_trip(platform) / 2.0
+    service = workload._service_time(platform, update=False)
+
+    arrival = _CLIENT_THINK_S + half_trip * 1.0
+    release_0 = arrival + service * 1.0
+    release_1 = release_0 + service * 2.0
+    release_2 = release_1 + service * 3.0
+    responses = [release + half_trip * 1.0 for release in (release_0, release_1, release_2)]
+    noise = RngStream(7, "memcached").child("run-noise").gaussian_factor(0.03)
+
+    result = workload.run(platform, RngStream(7, "memcached"))
+    assert result.mean_latency_s == sum(r - _CLIENT_THINK_S for r in responses) / 3
+    assert result.throughput_ops_per_s == 3 / responses[-1] * noise
 
 
 class _FailingSpec:
@@ -154,7 +197,7 @@ def test_failures_are_loud(run, make_spec, coefficient, value, error, monkeypatc
 
 
 def test_deadlock_is_a_simulation_error(rng):
-    """With no server thread, every request waits and the agenda runs dry."""
+    """With no server thread, no request is ever served: a deadlock, not a hang."""
     workload = MemcachedYcsbWorkload(clients=4, ops_per_client=3)
     workload.server_threads = 0
     with pytest.raises(SimulationError, match="deadlock"):
