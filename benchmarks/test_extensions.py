@@ -1,20 +1,13 @@
 """Extension benchmarks — ablations beyond the paper's headline figures.
 
-These exercise the design choices DESIGN.md calls out: the gVisor
-platform choice (ptrace vs KVM), the VMM event-loop architectures, the
-YCSB mix sensitivity of Figure 16, unprivileged LXC, and the per-workload
-HAP breakdown.
+These exercise three design choices: the gVisor platform choice (ptrace
+vs KVM), unprivileged LXC, and the YCSB mix sensitivity of Figure 16.
 """
 
 from benchmarks.conftest import run_once
 from repro.core.figures import fig11_iperf, fig13_container_boot
-from repro.kernel.functions import KernelFunctionCatalog
 from repro.platforms import get_platform
-from repro.platforms.vmm_loop import loop_for
 from repro.rng import RngStream
-from repro.security.hap import measure_hap_per_workload
-from repro.simcore.engine import Simulator, Wait
-from repro.units import us
 from repro.workloads.memcached import MemcachedYcsbWorkload
 from repro.workloads.ycsb import WORKLOAD_A, WORKLOAD_B, WORKLOAD_C
 
@@ -86,53 +79,3 @@ def test_ycsb_mix_sensitivity(benchmark, seed):
             results["workload-a"][name].mean_latency_s
             > results["workload-c"][name].mean_latency_s
         )
-
-
-def test_vmm_event_loop_architectures(benchmark):
-    """Dispatch latency of the three VMM loops under a device-event burst."""
-
-    def drive(vmm: str) -> float:
-        sim = Simulator()
-        loop = loop_for(sim, vmm)
-
-        def poster():
-            events = [loop.post("fd", us(2.0)) for _ in range(200)]
-            for event in events:
-                yield Wait(event)
-
-        sim.run_process(poster())
-        return loop.mean_dispatch_latency
-
-    latencies = benchmark.pedantic(
-        lambda: {vmm: drive(vmm) for vmm in ("qemu", "firecracker", "cloud-hypervisor")},
-        rounds=1,
-        iterations=1,
-    )
-    print()
-    for vmm, latency in latencies.items():
-        print(f"{vmm}: mean dispatch {latency * 1e6:.1f} us")
-    assert all(latency > 0 for latency in latencies.values())
-
-
-def test_hap_per_workload_breakdown(benchmark):
-    """Which workload widens each platform's host interface the most."""
-    catalog = KernelFunctionCatalog()
-
-    def breakdown():
-        return {
-            name: {
-                workload: score.unique_functions
-                for workload, score in measure_hap_per_workload(
-                    get_platform(name), catalog
-                ).items()
-            }
-            for name in ("docker", "qemu", "kata", "gvisor", "osv")
-        }
-
-    rows = benchmark.pedantic(breakdown, rounds=1, iterations=1)
-    print()
-    for name, per_workload in rows.items():
-        widest = max(per_workload, key=per_workload.get)
-        print(f"{name}: widest under {widest} ({per_workload[widest]} fns) — {per_workload}")
-    # The boot/lifecycle trace is what widens Kata beyond a hypervisor.
-    assert rows["kata"]["boot-shutdown"] > rows["docker"]["boot-shutdown"]

@@ -30,7 +30,8 @@ def main() -> int:
 
     native = iperf.row("native").summary.mean
     print("Relative network throughput (native = 100%):")
-    for row in sorted(iperf.rows, key=lambda r: r.summary.mean, reverse=True):
+    for platform in iperf.ranking(ascending=False):
+        row = iperf.row(platform)
         print(f"  {row.label:<18} {100 * row.summary.mean / native:6.1f}%")
     print()
 

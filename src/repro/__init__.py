@@ -17,14 +17,12 @@ Quickstart::
 """
 
 from repro.errors import (
-    BootError,
     ConfigurationError,
     PlatformError,
     ReproError,
     SimulationError,
     TraceError,
     UnsupportedOperationError,
-    WorkloadError,
 )
 from repro.rng import RngStream
 
@@ -36,9 +34,7 @@ __all__ = [
     "ConfigurationError",
     "PlatformError",
     "UnsupportedOperationError",
-    "WorkloadError",
     "TraceError",
-    "BootError",
     "RngStream",
     "__version__",
     "BenchmarkSuite",

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import ast
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.analysis.findings import Finding, sort_findings
@@ -217,47 +217,28 @@ class ModuleSource:
                 tree=None,
                 load_error=f"cannot read file: {exc}",
             )
-        try:
-            tree = ast.parse(text, filename=str(path))
-            error = None
-        except SyntaxError as exc:
-            tree, error = None, exc
-        except ValueError as exc:  # e.g. source containing null bytes
-            return cls(
-                path=path,
-                relpath=relpath,
-                text=text,
-                lines=text.splitlines(),
-                tree=None,
-                load_error=f"cannot parse file: {exc}",
-            )
-        return cls(
-            path=path,
-            relpath=relpath,
-            text=text,
-            lines=text.splitlines(),
-            tree=tree,
-            syntax_error=error,
-        )
+        # Parsed under the file's own path, reported under the relative one.
+        return replace(cls.from_text(text, str(path)), relpath=relpath)
 
     @classmethod
     def from_text(
         cls, text: str, relpath: str = "<memory>.py"
     ) -> "ModuleSource":
-        """An in-memory module (the fixture-corpus tests use this)."""
-        try:
-            tree = ast.parse(text, filename=relpath)
-            error = None
-        except SyntaxError as exc:
-            tree, error = None, exc
-        return cls(
+        """Parse source text (:meth:`load` and the fixture-corpus tests)."""
+        module = cls(
             path=pathlib.Path(relpath),
             relpath=relpath,
             text=text,
             lines=text.splitlines(),
-            tree=tree,
-            syntax_error=error,
+            tree=None,
         )
+        try:
+            module.tree = ast.parse(text, filename=relpath)
+        except SyntaxError as exc:
+            module.syntax_error = exc
+        except ValueError as exc:  # e.g. source containing null bytes
+            module.load_error = f"cannot parse file: {exc}"
+        return module
 
     def line_text(self, line: int) -> str:
         """The stripped source text of a 1-indexed line ('' out of range)."""

@@ -1,6 +1,6 @@
 """The benchmark suite — the paper's primary contribution, as a library.
 
-* :mod:`repro.core.stats`      — summary statistics, percentiles, CDFs
+* :mod:`repro.core.stats`      — summary statistics and percentiles
 * :mod:`repro.core.results`    — figure/table result containers + JSON
 * :mod:`repro.core.experiment` — the experiment registry (per-figure metadata)
 * :mod:`repro.core.runner`     — repetition engine with seed management
@@ -16,7 +16,7 @@
 * :mod:`repro.core.suite`      — the user-facing BenchmarkSuite facade
 """
 
-from repro.core.stats import Summary, summarize, percentile, cdf_points
+from repro.core.stats import Summary, summarize, percentile
 from repro.core.results import FigureResult, ResultRow, SeriesRow
 from repro.core.experiment import Experiment, EXPERIMENTS, get_experiment
 from repro.core.runner import (
@@ -51,7 +51,7 @@ from repro.core.scheduler import (
 from repro.core.store import ResultStore, StoreKey
 from repro.core.storenet import RemoteStore, RemoteStoreError, StoreServer, TieredStore
 from repro.core.suite import BenchmarkSuite
-from repro.core.findings import FindingCheck, check_all_findings
+from repro.core.findings import FindingCheck
 from repro.core.density import DensityModel, GuestFootprint
 from repro.core.advisor import PlatformAdvisor, WorkloadNeeds, Recommendation
 
@@ -59,7 +59,6 @@ __all__ = [
     "Summary",
     "summarize",
     "percentile",
-    "cdf_points",
     "FigureResult",
     "ResultRow",
     "SeriesRow",
@@ -95,7 +94,6 @@ __all__ = [
     "TieredStore",
     "BenchmarkSuite",
     "FindingCheck",
-    "check_all_findings",
     "DensityModel",
     "GuestFootprint",
     "PlatformAdvisor",

@@ -1,8 +1,7 @@
 """Experiment registry: metadata for every reproduced artefact.
 
-This is the machine-readable version of DESIGN.md's per-experiment index:
-paper artefact, workload and parameters, implementing modules, and the
-benchmark target that regenerates it.
+Each entry records the paper artefact, the workload and its parameters,
+the implementing modules, and the benchmark target that regenerates it.
 """
 
 from __future__ import annotations

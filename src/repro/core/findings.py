@@ -19,7 +19,7 @@ from repro.security.analysis import audit_platform
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
     from repro.core.suite import BenchmarkSuite
 
-__all__ = ["FindingCheck", "FindingsEvaluator", "check_all_findings"]
+__all__ = ["FindingCheck", "FindingsEvaluator"]
 
 
 @dataclass(frozen=True)
@@ -96,9 +96,6 @@ class FindingsEvaluator:
             result = run_figure(figure_id, self.seed, **overrides)
         self._cache[figure_id] = result
         return result
-
-    def _mean(self, figure_id: str, platform: str) -> float:
-        return self.figure(figure_id).row(platform).summary.mean
 
     # --- helpers ----------------------------------------------------------------------
 
@@ -546,8 +543,3 @@ class FindingsEvaluator:
             f"{docker_audit.depth_score:.1f}; HAP {hap.row('kata').summary.mean:.0f} "
             f"vs {hap.row('docker').summary.mean:.0f}",
         )
-
-
-def check_all_findings(seed: int = 42, *, quick: bool = True) -> list[FindingCheck]:
-    """Evaluate all 28 findings and return the verdicts."""
-    return FindingsEvaluator(seed, quick=quick).evaluate()

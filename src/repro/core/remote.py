@@ -63,6 +63,7 @@ cell re-runs the same pure function of the same stream).
 from __future__ import annotations
 
 import pickle
+import signal
 import socket
 import threading
 import time
@@ -310,7 +311,9 @@ class WorkerServer(Service):
         if self._listener is not None:
             raise RemoteDispatchError("worker already started")
         if self.workers > 1:
-            self._executor = ProcessPoolExecutor(max_workers=self.workers)
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.workers, initializer=_ignore_stop_signals
+            )
             # Fork the pool's processes now, from the starting thread —
             # ProcessPoolExecutor forks lazily on first submit, which
             # would otherwise happen inside a connection handler thread.
@@ -473,6 +476,18 @@ def _execute_reply(
 
 def _noop() -> None:
     """Pool warm-up payload (forks the workers at start() time)."""
+
+
+def _ignore_stop_signals() -> None:
+    """Pool initializer: leave SIGTERM and SIGINT to the parent's drain.
+
+    A fork inherits the parent's handlers, so a signal sent to the whole
+    process group (``pkill -f``, a supervisor stopping a control group)
+    would otherwise raise in every idle child; :meth:`WorkerServer.stop`
+    shuts the pool down either way.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 # --- client ----------------------------------------------------------------------

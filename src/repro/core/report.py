@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.core.results import FigureResult, ResultRow, SeriesRow
 from repro.core.stats import percentile
 
-__all__ = ["render_figure", "render_rows", "render_series", "render_markdown"]
+__all__ = ["render_figure", "render_rows", "render_series"]
 
 _BAR_WIDTH = 32
 
@@ -96,34 +96,3 @@ def render_figure(figure: FigureResult) -> str:
     for note in figure.notes:
         parts.append(f"note: {note}")
     return "\n".join(parts)
-
-
-def render_markdown(figure: FigureResult) -> str:
-    """GitHub-flavoured markdown rendering (for EXPERIMENTS-style docs)."""
-    lines = [f"### {figure.figure_id}: {figure.title}", ""]
-    if figure.rows:
-        lines.append(f"| platform | mean ({figure.unit}) | std | p90 |")
-        lines.append("|---|---:|---:|---:|")
-        for row in figure.rows:
-            lines.append(
-                f"| {row.label} | {row.summary.mean:,.1f} | "
-                f"{row.summary.std:,.1f} | {row.summary.p90:,.1f} |"
-            )
-        lines.append("")
-    for series in figure.series:
-        if _is_cdf(series):
-            values = list(series.x_values)
-            lines.append(
-                f"- **{series.label}** (CDF, {figure.unit}): "
-                f"p50 {percentile(values, 50):,.1f}, p90 {percentile(values, 90):,.1f}"
-            )
-        else:
-            pairs = ", ".join(
-                f"{x:,.0f}:{y:,.1f}" for x, y in zip(series.x_values, series.y_values)
-            )
-            lines.append(f"- **{series.label}** ({figure.x_label} -> {figure.unit}): {pairs}")
-    if figure.series:
-        lines.append("")
-    for note in figure.notes:
-        lines.append(f"> {note}")
-    return "\n".join(lines)

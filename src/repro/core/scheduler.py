@@ -297,19 +297,9 @@ class SchedulerReport:
         return {r.figure_id: r.error for r in self.records if r.error}
 
     @property
-    def cache_hits(self) -> int:
-        return sum(1 for r in self.records if r.cache_hit)
-
-    @property
     def executed(self) -> int:
         """Jobs that actually ran a workload (miss, no error)."""
         return sum(1 for r in self.records if not r.cache_hit and not r.error)
-
-    def record_for(self, figure_id: str) -> JobRecord:
-        for record in self.records:
-            if record.figure_id == figure_id:
-                return record
-        raise KeyError(f"no job record for {figure_id!r}")
 
     def raise_for_errors(self) -> None:
         """Re-raise (as ConfigurationError) if any job failed."""

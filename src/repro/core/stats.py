@@ -9,7 +9,7 @@ from typing import Sequence
 from repro.errors import ConfigurationError
 from repro.units import left_sum
 
-__all__ = ["Summary", "summarize", "percentile", "cdf_points", "coefficient_of_variation"]
+__all__ = ["Summary", "summarize", "percentile"]
 
 
 @dataclass(frozen=True)
@@ -24,11 +24,6 @@ class Summary:
     p50: float
     p90: float
     p99: float
-
-    @property
-    def relative_std(self) -> float:
-        """std / mean (0 when the mean is 0)."""
-        return self.std / self.mean if self.mean else 0.0
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -66,17 +61,3 @@ def summarize(values: Sequence[float]) -> Summary:
         p90=percentile(values, 90),
         p99=percentile(values, 99),
     )
-
-
-def cdf_points(values: Sequence[float]) -> list[tuple[float, float]]:
-    """Empirical CDF as (value, cumulative probability) pairs."""
-    if not values:
-        raise ConfigurationError("cannot build a CDF of no data")
-    ordered = sorted(values)
-    count = len(ordered)
-    return [(value, (index + 1) / count) for index, value in enumerate(ordered)]
-
-
-def coefficient_of_variation(values: Sequence[float]) -> float:
-    """std/mean shortcut used by the stability checks."""
-    return summarize(values).relative_std

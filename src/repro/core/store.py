@@ -114,11 +114,6 @@ class StoreKey:
         return json.loads(self.overrides_json)
 
     @property
-    def is_default(self) -> bool:
-        """True when the key encodes no effective kwargs at all."""
-        return self.overrides_json == "{}"
-
-    @property
     def digest(self) -> str:
         """Short content digest addressing this execution."""
         payload = json.dumps(

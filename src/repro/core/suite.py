@@ -214,16 +214,6 @@ class BenchmarkSuite:
 
     # --- reporting -------------------------------------------------------------------
 
-    def experiment_index(self) -> str:
-        """The DESIGN.md per-experiment index, rendered from the registry."""
-        lines = ["figure    paper artefact   bench target"]
-        for experiment in EXPERIMENTS.values():
-            lines.append(
-                f"{experiment.figure_id:<9} {experiment.paper_artifact:<16} "
-                f"{experiment.bench_target}"
-            )
-        return "\n".join(lines)
-
     def describe(self) -> str:
         """Suite header: testbed, scope, and execution policy."""
         workers = (

@@ -34,13 +34,5 @@ class UnsupportedOperationError(PlatformError):
     """
 
 
-class WorkloadError(ReproError):
-    """A workload could not be prepared or executed."""
-
-
 class TraceError(ReproError):
     """ftrace-style tracing was misused (e.g. stopped before started)."""
-
-
-class BootError(PlatformError):
-    """A guest failed to complete its boot sequence."""

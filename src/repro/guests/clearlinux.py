@@ -29,7 +29,3 @@ class ClearLinuxRootfs:
     def __post_init__(self) -> None:
         if self.size_bytes <= 0:
             raise ConfigurationError("rootfs size must be positive")
-
-    def userspace_boot_time(self) -> float:
-        """systemd start until the kata-agent listens on the vsock."""
-        return self.systemd_bringup_s + self.agent_ready_s

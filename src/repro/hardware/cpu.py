@@ -76,17 +76,3 @@ class CpuModel:
         smt_pairs = threads - self.physical_cores
         singles = self.physical_cores - smt_pairs
         return singles + smt_pairs * self.smt_throughput_factor
-
-    # --- timing -------------------------------------------------------------
-
-    def scalar_time(self, operations: float, threads: int = 1) -> float:
-        """Seconds to retire ``operations`` scalar ops on ``threads`` threads."""
-        return operations / self.scalar_ops_per_second(threads)
-
-    def simd_time(self, operations: float, threads: int = 1) -> float:
-        """Seconds to retire ``operations`` SIMD lane-ops on ``threads`` threads."""
-        return operations / self.simd_ops_per_second(threads)
-
-    def cycles_to_seconds(self, cycles: float) -> float:
-        """Convert core cycles to seconds at base frequency."""
-        return cycles / self.base_frequency_hz

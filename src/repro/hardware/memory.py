@@ -87,9 +87,3 @@ class MemorySubsystem:
     def stream_bandwidth(self) -> float:
         """STREAM COPY sustained bandwidth."""
         return self.stream_copy_bw
-
-    def copy_time(self, total_bytes: float, *, sse2: bool = False) -> float:
-        """Seconds to copy ``total_bytes`` sequentially, one thread."""
-        if total_bytes < 0:
-            raise ConfigurationError("copy size must be non-negative")
-        return total_bytes / self.copy_bandwidth(sse2=sse2)

@@ -36,12 +36,6 @@ class NicModel:
         if self.mtu_bytes < 576:
             raise ConfigurationError("MTU unrealistically small")
 
-    def packets_for(self, total_bytes: float) -> float:
-        """Number of MTU-sized segments needed for a byte stream."""
-        if total_bytes < 0:
-            raise ConfigurationError("byte count must be non-negative")
-        return total_bytes / self.mtu_bytes
-
     def achievable_throughput(self, per_packet_cost_s: float) -> float:
         """Goodput in bytes/second given the full datapath per-packet cost.
 
@@ -53,9 +47,3 @@ class NicModel:
         total_cost = self.base_packet_cost_s + per_packet_cost_s
         cpu_limit = self.mtu_bytes / total_cost if total_cost > 0 else float("inf")
         return min(self.line_rate, cpu_limit)
-
-    def request_response_latency(self, extra_per_hop_s: float, hops: int = 2) -> float:
-        """One request/response round-trip with per-hop datapath overhead."""
-        if hops < 1:
-            raise ConfigurationError("need at least one hop")
-        return self.base_rtt_s + extra_per_hop_s * hops

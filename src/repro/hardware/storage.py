@@ -58,14 +58,6 @@ class NvmeDevice:
         peak = self.seq_write_bw if write else self.seq_read_bw
         return peak * self.queue_depth_scaling(queue_depth)
 
-    def transfer_time(
-        self, total_bytes: float, *, write: bool, queue_depth: int = 32
-    ) -> float:
-        """Seconds to stream ``total_bytes`` sequentially."""
-        if total_bytes < 0:
-            raise ConfigurationError("transfer size must be non-negative")
-        return total_bytes / self.sequential_bandwidth(write=write, queue_depth=queue_depth)
-
     # --- latency -----------------------------------------------------------------
 
     def random_read_latency(self, rng: RngStream | None = None, block_bytes: int = 4 * KIB) -> float:

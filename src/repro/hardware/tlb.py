@@ -76,15 +76,3 @@ class TlbModel:
         walk = self.page_walk_s * (self.nested_walk_multiplier if nested else 1.0)
         l2_hit_only = max(0.0, l1_miss - l2_miss)
         return l2_hit_only * self.l2_hit_penalty_s + l2_miss * walk
-
-    def hugepage_speedup(self, buffer_bytes: int, *, nested: bool = False) -> float:
-        """Relative reduction in TLB overhead when switching to hugepages.
-
-        Returns a value in [0, 1]; the paper reports ~0.3 effective latency
-        reduction on large buffers once cache latency is included.
-        """
-        base = self.expected_overhead(buffer_bytes, huge_pages=False, nested=nested)
-        if base == 0.0:
-            return 0.0
-        huge = self.expected_overhead(buffer_bytes, huge_pages=True, nested=nested)
-        return 1.0 - huge / base

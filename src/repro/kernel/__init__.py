@@ -11,8 +11,7 @@ Everything an isolation platform touches on the host side lives here:
 * :mod:`repro.kernel.namespaces`  — namespace kinds and creation costs
 * :mod:`repro.kernel.cgroups`     — cgroup v1/v2 controllers
 * :mod:`repro.kernel.sched`       — CFS scheduling-efficiency model
-* :mod:`repro.kernel.kvm`         — /dev/kvm: VM and vCPU ioctls, exits
-* :mod:`repro.kernel.seccomp`     — seccomp-bpf filter overhead
+* :mod:`repro.kernel.kvm`         — VM exit costs
 """
 
 from repro.kernel.functions import KernelFunction, KernelFunctionCatalog, Subsystem
@@ -31,8 +30,7 @@ from repro.kernel.netdev import (
 from repro.kernel.namespaces import NamespaceKind, NamespaceSet
 from repro.kernel.cgroups import CgroupVersion, CgroupSetup
 from repro.kernel.sched import CfsScheduler, ThreadScheduler
-from repro.kernel.kvm import KvmModule, KvmVm, ExitReason
-from repro.kernel.seccomp import SeccompFilter
+from repro.kernel.kvm import ExitReason, exit_cost
 
 __all__ = [
     "KernelFunction",
@@ -59,8 +57,6 @@ __all__ = [
     "CgroupSetup",
     "CfsScheduler",
     "ThreadScheduler",
-    "KvmModule",
-    "KvmVm",
     "ExitReason",
-    "SeccompFilter",
+    "exit_cost",
 ]

@@ -34,10 +34,6 @@ class FtraceReport:
         """Total function invocations across the session."""
         return sum(self._hits.values())  # repro: ignore[RB101] int sum is exact in any order
 
-    def hit_count(self, name: str) -> int:
-        """Invocations of one function (0 if never hit)."""
-        return self._hits.get(name, 0)
-
     def functions(self) -> list[KernelFunction]:
         """All distinct functions observed, in catalog order."""
         return sorted(
@@ -84,17 +80,6 @@ class Ftrace:
             raise TraceError("ftrace session not active")
         self._active = False
         return FtraceReport(Counter(self._hits), self.catalog)
-
-    # --- hit recording --------------------------------------------------------
-
-    def record_function(self, name: str, count: int = 1) -> None:
-        """Record ``count`` invocations of one named function."""
-        if not self._active:
-            raise TraceError("cannot record outside an active session")
-        if count < 1:
-            raise TraceError(f"invocation count must be >= 1, got {count}")
-        self.catalog.get(name)  # validate
-        self._hits[name] += count
 
     def record_breadth(
         self, subsystem: Subsystem, breadth: float, invocations_per_function: float = 1.0

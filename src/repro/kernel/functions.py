@@ -287,14 +287,6 @@ class KernelFunctionCatalog:
         except KeyError:
             raise ConfigurationError(f"unknown kernel function: {name!r}") from None
 
-    def subsystem_functions(self, subsystem: Subsystem) -> list[KernelFunction]:
-        """All functions of one subsystem, in rank order."""
-        return list(self._by_subsystem[subsystem])
-
-    def subsystem_size(self, subsystem: Subsystem) -> int:
-        """Number of traceable functions in one subsystem."""
-        return len(self._by_subsystem[subsystem])
-
     def select_breadth(self, subsystem: Subsystem, breadth: float) -> list[KernelFunction]:
         """The first ``breadth`` fraction of a subsystem's ranks.
 
@@ -308,10 +300,6 @@ class KernelFunctionCatalog:
         functions = self._by_subsystem[subsystem]
         count = max(1, int(round(breadth * len(functions))))
         return functions[:count]
-
-    def all_functions(self) -> list[KernelFunction]:
-        """Every function in the catalog (subsystem-major, rank order)."""
-        return [fn for fns in self._by_subsystem.values() for fn in fns]
 
 
 @functools.lru_cache(maxsize=8)

@@ -1,4 +1,4 @@
-"""The KVM kernel module: /dev/kvm, VMs, vCPUs, and VM exits.
+"""The KVM kernel module's VM exits and what each one costs.
 
 Every hypervisor in the study (QEMU, Firecracker, Cloud Hypervisor, the VM
 inside Kata, and gVisor's KVM platform) drives KVM through the same ioctl
@@ -6,19 +6,16 @@ sequence the paper describes in Section 2.1.1: create a VM, create vCPUs,
 map guest memory, then loop on ``ioctl(KVM_RUN)``; the guest runs natively
 until it traps out with a :class:`ExitReason` that the VMM must handle.
 
-The module charges realistic costs for VM/vCPU creation (visible in boot
-times) and for exits (visible in I/O-heavy workloads).
+Exit costs show in I/O-heavy workloads.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
-from repro.errors import ConfigurationError, PlatformError
 from repro.units import us
 
-__all__ = ["ExitReason", "KvmVm", "KvmModule"]
+__all__ = ["ExitReason", "exit_cost"]
 
 
 class ExitReason(enum.Enum):
@@ -49,77 +46,14 @@ _EXIT_HANDLER_COST_S: dict[ExitReason, float] = {
 }
 
 
-@dataclass
-class KvmVm:
-    """One KVM virtual machine instance."""
+def exit_cost(reason: ExitReason, *, to_userspace: bool) -> float:
+    """Cost of one VM exit of the given kind.
 
-    name: str
-    vcpus: int = 0
-    memory_bytes: int = 0
-    exit_counts: dict[ExitReason, int] = field(default_factory=dict)
-
-    def record_exit(self, reason: ExitReason, count: int = 1) -> None:
-        """Accumulate exit statistics (used by HAP and diagnostics)."""
-        self.exit_counts[reason] = self.exit_counts.get(reason, 0) + count
-
-    @property
-    def total_exits(self) -> int:
-        """All exits since VM creation."""
-        return sum(self.exit_counts.values())  # repro: ignore[RB101] int sum is exact in any order
-
-
-class KvmModule:
-    """The host's /dev/kvm interface."""
-
-    #: ioctl(KVM_CREATE_VM): allocating the VM fd and MMU structures.
-    CREATE_VM_COST_S = us(260.0)
-    #: ioctl(KVM_CREATE_VCPU): per-vCPU state allocation.
-    CREATE_VCPU_COST_S = us(140.0)
-    #: ioctl(KVM_SET_USER_MEMORY_REGION) per GiB of guest memory.
-    MEMORY_REGION_COST_PER_GIB_S = us(45.0)
-
-    def __init__(self) -> None:
-        self._vms: dict[str, KvmVm] = {}
-
-    def create_vm(self, name: str) -> tuple[KvmVm, float]:
-        """Create a VM; returns (vm, setup-time)."""
-        if name in self._vms:
-            raise PlatformError(f"VM {name!r} already exists")
-        vm = KvmVm(name)
-        self._vms[name] = vm
-        return vm, self.CREATE_VM_COST_S
-
-    def create_vcpus(self, vm: KvmVm, count: int) -> float:
-        """Add vCPUs; returns setup time."""
-        if count < 1:
-            raise ConfigurationError("vCPU count must be >= 1")
-        vm.vcpus += count
-        return count * self.CREATE_VCPU_COST_S
-
-    def map_memory(self, vm: KvmVm, size_bytes: int) -> float:
-        """Register guest memory; returns setup time."""
-        if size_bytes <= 0:
-            raise ConfigurationError("guest memory must be positive")
-        vm.memory_bytes += size_bytes
-        gib = size_bytes / (1 << 30)
-        return gib * self.MEMORY_REGION_COST_PER_GIB_S
-
-    @staticmethod
-    def exit_cost(reason: ExitReason, *, to_userspace: bool) -> float:
-        """Cost of one VM exit of the given kind.
-
-        ``to_userspace`` distinguishes the in-kernel fast path (ioeventfd,
-        APIC emulation) from the full bounce into the VMM process that the
-        paper's Figure 1 depicts (KVM_EXIT -> main loop -> handler).
-        """
-        cost = EXIT_BASE_COST_S + _EXIT_HANDLER_COST_S[reason]
-        if to_userspace:
-            cost += USERSPACE_BOUNCE_COST_S
-        return cost
-
-    def vm(self, name: str) -> KvmVm:
-        """Look up a VM by name."""
-        try:
-            return self._vms[name]
-        except KeyError:
-            raise PlatformError(f"no such VM: {name!r}") from None
+    ``to_userspace`` distinguishes the in-kernel fast path (ioeventfd,
+    APIC emulation) from the full bounce into the VMM process that the
+    paper's Figure 1 depicts (KVM_EXIT -> main loop -> handler).
+    """
+    cost = EXIT_BASE_COST_S + _EXIT_HANDLER_COST_S[reason]
+    if to_userspace:
+        cost += USERSPACE_BOUNCE_COST_S
+    return cost

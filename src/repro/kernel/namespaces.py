@@ -87,7 +87,3 @@ class NamespaceSet:
         return left_sum(
             cost for kind, cost in _CREATION_COST_S.items() if kind in self.kinds
         )
-
-    def isolation_layers(self) -> int:
-        """Number of independent visibility barriers (defense-in-depth input)."""
-        return len(self.kinds)

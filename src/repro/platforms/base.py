@@ -295,17 +295,3 @@ class Platform(abc.ABC):
     def oltp_capacity_factor(self) -> float:
         """Multiplier on peak OLTP transaction capacity (Finding 22)."""
         return 1.0
-
-    # --- derived ---------------------------------------------------------------
-
-    def shutdown_cost_fraction(self) -> float:
-        """Process-termination share of end-to-end boot time (Finding 16)."""
-        return 0.015
-
-    def boot_time_mean(self) -> float:
-        """Deterministic sum of phase means (useful for quick comparisons)."""
-        return sum(phase.mean_s for phase in self.boot_phases())
-
-    def sample_boot(self, rng: RngStream) -> float:
-        """One end-to-end (process creation to termination) boot sample."""
-        return sum(phase.sample(rng.child(phase.name)) for phase in self.boot_phases())

@@ -28,7 +28,6 @@ from repro.kernel.namespaces import NamespaceSet
 from repro.kernel.netdev import NetstackPath
 from repro.kernel.netstack import GvisorNetstack
 from repro.kernel.sched import CustomScheduler
-from repro.kernel.seccomp import SeccompFilter
 from repro.platforms.interception import KvmPlatform, PtracePlatform
 from repro.platforms.base import (
     BootPhase,
@@ -62,16 +61,11 @@ class GvisorPlatform(Platform):
             self.label = "gVisor (ptrace)"
         self.namespaces = NamespaceSet.standard_container()
         self.cgroups = CgroupSetup(version=CgroupVersion.V1)
-        self.sentry_filter = SeccompFilter.sentry_filter()
         # Sentry <-> Gofer over a unix socket carrying 9p.
         self.gofer_channel = NinePChannel(
             name="gofer-9p",
             transport_rtt_s=11e-6 if kvm_platform else 19e-6,
         )
-
-    def interception(self):
-        """The active syscall-interception pipeline model."""
-        return KvmPlatform() if self.kvm_platform else PtracePlatform()
 
     def _interception_factor(self) -> float:
         """Relative per-request penalty versus the KVM platform.

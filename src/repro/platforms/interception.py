@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.kernel.kvm import ExitReason, KvmModule
+from repro.kernel import kvm
 from repro.units import ns, us
 
 __all__ = ["InterceptionPlatform", "PtracePlatform", "KvmPlatform"]
@@ -71,10 +71,9 @@ def PtracePlatform() -> InterceptionPlatform:
 
 def KvmPlatform() -> InterceptionPlatform:
     """KVM interception: a lightweight VM exit into the Sentry."""
-    exit_cost = KvmModule.exit_cost(ExitReason.IO, to_userspace=False)
     return InterceptionPlatform(
         name="kvm",
-        trap_cost_s=exit_cost,
+        trap_cost_s=kvm.exit_cost(kvm.ExitReason.IO, to_userspace=False),
         switch_count=2,            # world switch out and back
         switch_cost_s=MODE_SWITCH_COST,
         sentry_dispatch_s=us(0.7),

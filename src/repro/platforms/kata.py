@@ -46,7 +46,6 @@ from repro.platforms.qemu import KERNEL_LOAD_BANDWIDTH
 from repro.units import ms, us
 from repro.virtio.fs import VirtioFs
 from repro.virtio.ninep import NinePChannel
-from repro.virtio.vsock import VsockChannel
 
 __all__ = ["KataPlatform"]
 
@@ -75,7 +74,6 @@ class KataPlatform(Platform):
         self.cgroups = CgroupSetup(version=CgroupVersion.V1)
         self.ninep = NinePChannel(name="kata-9p")
         self.virtiofs = VirtioFs(name="kata-virtiofs")
-        self.vsock = VsockChannel(name="kata-vsock")
 
     def cpu_profile(self) -> CpuProfile:
         return CpuProfile(scheduler=CfsScheduler(), vcpus=GUEST_VCPUS)
@@ -147,19 +145,6 @@ class KataPlatform(Platform):
             BootPhase("payload-exit", ms(1.2), rel_std=0.2),
             BootPhase("vm-teardown", ms(78.0), rel_std=0.12),
         ]
-
-    def exec_latency(self) -> float:
-        """Latency of one ``docker exec`` against a running Kata container.
-
-        Section 2.3.1: the runtime simply forwards the command over the
-        ttRPC/vsock channel to the kata-agent, which delegates it to the
-        confined context to spawn the new process — so an exec pays the
-        runtime hop, one agent RPC, and an in-guest clone+exec, but *not*
-        a VM boot.
-        """
-        runtime_forward = ms(1.2)
-        in_guest_spawn = ms(2.8)  # clone + exec inside the confined context
-        return runtime_forward + self.vsock.rpc_latency() + in_guest_spawn
 
     def packet_rate_capacity(self) -> float:
         # The veth -> bridge -> tc-mirror -> vhost chain saturates at a

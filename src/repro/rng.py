@@ -289,14 +289,6 @@ class RngStream:
             return self.generator.random()
         return float(self.generator.uniform(low, high))
 
-    def integers(self, low: int, high: int) -> int:
-        """One integer draw in ``[low, high)``."""
-        return int(self.generator.integers(low, high))
-
-    def exponential(self, mean: float) -> float:
-        """One exponential draw with the given mean."""
-        return float(self.generator.exponential(mean))
-
     def choice(self, options: list, probabilities: list[float] | None = None):
         """Pick one element, optionally with explicit probabilities."""
         index = self.generator.choice(len(options), p=probabilities)

@@ -56,33 +56,3 @@ def measure_hap(
         weighted_score=epss.total_score(functions),
         by_subsystem=report.by_subsystem(),
     )
-
-
-def measure_hap_per_workload(
-    platform: Platform,
-    catalog: KernelFunctionCatalog | None = None,
-    epss: EpssModel | None = None,
-    workloads: tuple[str, ...] = HAP_WORKLOADS,
-) -> dict[str, HapScore]:
-    """Per-workload HAP breakdown (an extension beyond the paper's union).
-
-    Shows *which* workload widens each platform's interface: networking
-    for gVisor, the boot/agent machinery for Kata, file I/O for the
-    containers. The union of these per-workload scores is bounded by the
-    :func:`measure_hap` result (breadth prefixes overlap across
-    workloads).
-    """
-    catalog = catalog if catalog is not None else default_catalog()
-    epss = epss if epss is not None else EpssModel()
-    breakdown: dict[str, HapScore] = {}
-    for workload in workloads:
-        report = trace_platform(platform, catalog, (workload,))
-        functions = report.functions()
-        breakdown[workload] = HapScore(
-            platform=platform.name,
-            unique_functions=report.unique_functions,
-            total_invocations=report.total_invocations,
-            weighted_score=epss.total_score(functions),
-            by_subsystem=report.by_subsystem(),
-        )
-    return breakdown

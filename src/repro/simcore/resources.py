@@ -43,16 +43,6 @@ class Resource:
         self.total_acquisitions = 0
         self.total_wait_time = 0.0
 
-    @property
-    def available(self) -> int:
-        """Units currently free."""
-        return self.capacity - self.in_use
-
-    @property
-    def queue_length(self) -> int:
-        """Processes currently blocked waiting for a unit."""
-        return len(self._waiters)
-
     def acquire(self) -> Generator:
         """Generator: obtain one unit, blocking in FIFO order if needed."""
         started = self.simulator.now

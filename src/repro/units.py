@@ -93,19 +93,9 @@ def gbit_per_s(value: float) -> float:
     return value * 1e9 / 8.0
 
 
-def mbit_per_s(value: float) -> float:
-    """Convert megabits per second to canonical bytes per second."""
-    return value * 1e6 / 8.0
-
-
 def to_gbit_per_s(bytes_per_second: float) -> float:
     """Convert canonical bytes per second to gigabits per second."""
     return bytes_per_second * 8.0 / 1e9
-
-
-def mib_per_s(value: float) -> float:
-    """Convert MiB/s to canonical bytes per second."""
-    return value * MIB
 
 
 def to_mib_per_s(bytes_per_second: float) -> float:
@@ -122,26 +112,3 @@ def to_mb_per_s(bytes_per_second: float) -> float:
 
 GHZ = 1e9
 MHZ = 1e6
-
-
-def pretty_bytes(num_bytes: float) -> str:
-    """Render a byte count with a binary suffix, e.g. ``2.2 GiB``."""
-    value = float(num_bytes)
-    for suffix in ("B", "KiB", "MiB", "GiB", "TiB"):
-        if abs(value) < 1024.0 or suffix == "TiB":
-            if suffix == "B":
-                return f"{int(value)} {suffix}"
-            return f"{value:.1f} {suffix}"
-        value /= 1024.0
-    raise AssertionError("unreachable")
-
-
-def pretty_duration(seconds: float) -> str:
-    """Render a duration with an appropriate sub-second suffix."""
-    if seconds >= 1.0:
-        return f"{seconds:.2f} s"
-    if seconds >= MSEC:
-        return f"{seconds / MSEC:.2f} ms"
-    if seconds >= USEC:
-        return f"{seconds / USEC:.2f} us"
-    return f"{seconds / NSEC:.1f} ns"

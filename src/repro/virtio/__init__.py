@@ -7,19 +7,16 @@ The paravirtualized device family every hypervisor in the study relies on:
 * :mod:`repro.virtio.fs`    — virtio-fs (FUSE over virtio, with DAX)
 * :mod:`repro.virtio.ninep` — the 9P filesystem protocol (Kata default,
   gVisor's Sentry<->Gofer channel)
-* :mod:`repro.virtio.vsock` — host/guest sockets (kata-agent ttRPC carrier)
 """
 
 from repro.virtio.queue import Virtqueue
 from repro.virtio.blk import VirtioBlk
 from repro.virtio.fs import VirtioFs
 from repro.virtio.ninep import NinePChannel
-from repro.virtio.vsock import VsockChannel
 
 __all__ = [
     "Virtqueue",
     "VirtioBlk",
     "VirtioFs",
     "NinePChannel",
-    "VsockChannel",
 ]

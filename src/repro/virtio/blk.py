@@ -37,10 +37,6 @@ class VirtioBlk:
         if self.vmm_request_handling_s < 0:
             raise ConfigurationError(f"{self.name}: negative handling cost")
 
-    def per_request_overhead(self, *, loaded: bool = True) -> float:
-        """Added latency per block request versus host-native I/O."""
-        return self.queue.per_request_cost(loaded=loaded) + self.vmm_request_handling_s
-
     def request_latency_overhead(self) -> float:
         """Un-batched single-request overhead (the fio randread case)."""
         return self.queue.round_trip_latency() + self.vmm_request_handling_s

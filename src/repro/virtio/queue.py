@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.kernel.kvm import ExitReason, KvmModule
+from repro.kernel import kvm
 from repro.units import us
 
 __all__ = ["Virtqueue"]
@@ -44,9 +44,7 @@ class Virtqueue:
 
     def kick_cost(self) -> float:
         """Cost of one guest->host notification (a VM exit)."""
-        return KvmModule.exit_cost(
-            ExitReason.VIRTQUEUE_KICK, to_userspace=not self.ioeventfd
-        )
+        return kvm.exit_cost(kvm.ExitReason.VIRTQUEUE_KICK, to_userspace=not self.ioeventfd)
 
     def per_request_cost(self, *, loaded: bool = True) -> float:
         """Average ring-crossing cost per request.

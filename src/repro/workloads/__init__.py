@@ -11,7 +11,7 @@ Workloads validate platform capabilities and raise
 exclusions (Firecracker/fio, OSv/libaio, gVisor/randread).
 """
 
-from repro.workloads.base import Workload, WorkloadResult
+from repro.workloads.base import Workload
 from repro.workloads.ffmpeg import FfmpegEncodeWorkload, FfmpegResult
 from repro.workloads.sysbench_cpu import SysbenchCpuWorkload, SysbenchCpuResult
 from repro.workloads.tinymembench import (
@@ -31,7 +31,6 @@ from repro.workloads.mysql import MysqlOltpWorkload, MysqlOltpResult
 
 __all__ = [
     "Workload",
-    "WorkloadResult",
     "FfmpegEncodeWorkload",
     "FfmpegResult",
     "SysbenchCpuWorkload",

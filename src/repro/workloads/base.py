@@ -1,29 +1,14 @@
-"""Workload base classes."""
+"""The workload base class."""
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
 from typing import Any
 
 from repro.platforms.base import Platform
 from repro.rng import RngStream
 
-__all__ = ["Workload", "WorkloadResult"]
-
-
-@dataclass(frozen=True)
-class WorkloadResult:
-    """Generic result wrapper: named metrics plus free-form metadata."""
-
-    workload: str
-    platform: str
-    metrics: dict[str, float]
-    metadata: dict[str, Any] = field(default_factory=dict)
-
-    def metric(self, name: str) -> float:
-        """Fetch one metric by name."""
-        return self.metrics[name]
+__all__ = ["Workload"]
 
 
 class Workload(abc.ABC):

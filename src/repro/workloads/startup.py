@@ -21,8 +21,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.platforms.base import BootPhase, Platform
 from repro.rng import RngStream, materialize_streams
@@ -59,18 +57,6 @@ class StartupResult:
     platform: str
     method: MeasurementMethod
     samples_s: tuple[float, ...]
-
-    @property
-    def mean_ms(self) -> float:
-        return seconds_to_ms(float(np.mean(self.samples_s)))
-
-    @property
-    def p50_ms(self) -> float:
-        return seconds_to_ms(float(np.percentile(self.samples_s, 50)))
-
-    @property
-    def p99_ms(self) -> float:
-        return seconds_to_ms(float(np.percentile(self.samples_s, 99)))
 
     def cdf(self) -> tuple[list[float], list[float]]:
         """(sorted sample ms, cumulative probability) for CDF plotting."""

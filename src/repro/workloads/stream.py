@@ -17,18 +17,7 @@ from repro.rng import RngStream
 from repro.units import GIB, to_mib_per_s
 from repro.workloads.base import Workload
 
-__all__ = ["StreamWorkload", "StreamResult", "StreamKernelsResult", "STREAM_KERNELS"]
-
-#: The four STREAM kernels and their bandwidth relative to COPY. SCALE
-#: and ADD/TRIAD move the same bytes with extra arithmetic; on bandwidth-
-#: bound hardware ADD/TRIAD read two streams and write one (3 arrays),
-#: sustaining slightly different effective rates.
-STREAM_KERNELS: dict[str, float] = {
-    "copy": 1.00,    # a[i] = b[i]
-    "scale": 0.985,  # a[i] = q * b[i]
-    "add": 1.09,     # a[i] = b[i] + c[i]   (3-array kernels report more bytes)
-    "triad": 1.08,   # a[i] = b[i] + q * c[i]
-}
+__all__ = ["StreamWorkload", "StreamResult"]
 
 
 @dataclass(frozen=True)
@@ -43,20 +32,6 @@ class StreamResult:
     def copy_mib_per_s(self) -> float:
         """Figure 8's y-axis."""
         return to_mib_per_s(self.copy_bytes_per_s)
-
-
-@dataclass(frozen=True)
-class StreamKernelsResult:
-    """All four STREAM kernels for one run (the paper presents only COPY
-    because the kernels ranked platforms identically — this result lets
-    that claim be verified rather than assumed)."""
-
-    platform: str
-    rates_bytes_per_s: dict[str, float]
-
-    def rate_mib(self, kernel: str) -> float:
-        """One kernel's rate in MiB/s."""
-        return to_mib_per_s(self.rates_bytes_per_s[kernel])
 
 
 class StreamWorkload(Workload):
@@ -85,19 +60,3 @@ class StreamWorkload(Workload):
             copy_bytes_per_s=best,
             allocation_bytes=self.allocation_bytes,
         )
-
-    def run_all_kernels(self, platform: Platform, rng: RngStream) -> StreamKernelsResult:
-        """Run COPY/SCALE/ADD/TRIAD; platform ranking is kernel-invariant."""
-        profile = platform.memory_profile()
-        base = platform.machine.memory.stream_bandwidth() * profile.effective_stream_factor
-        rates: dict[str, float] = {}
-        for kernel, factor in STREAM_KERNELS.items():
-            kernel_rng = rng.child(kernel)
-            best = max(
-                base * factor * kernel_rng.child(f"trial-{index}").gaussian_factor(
-                    profile.bandwidth_std
-                )
-                for index in range(self.inner_trials)
-            )
-            rates[kernel] = best
-        return StreamKernelsResult(platform=platform.name, rates_bytes_per_s=rates)

@@ -21,9 +21,6 @@ class YcsbWorkloadSpec:
     name: str
     read_proportion: float
     update_proportion: float
-    record_count: int = 1_000_000
-    value_bytes: int = 1_000  # 10 fields x 100 bytes
-    distribution: str = "zipfian"
 
     def __post_init__(self) -> None:
         for label, proportion in (
@@ -37,8 +34,6 @@ class YcsbWorkloadSpec:
         total = self.read_proportion + self.update_proportion
         if abs(total - 1.0) > 1e-9:
             raise ConfigurationError("read + update proportions must sum to 1")
-        if self.record_count < 1:
-            raise ConfigurationError("record count must be >= 1")
 
     def is_update(self, draw: float) -> bool:
         """Classify one operation from a uniform draw in [0, 1)."""

@@ -504,7 +504,7 @@ class TestTwoClientRace:
         # Both dispatches reported dedupe counters, and together they
         # executed each unique cell exactly once.
         dedupes = [
-            reports[name].record_for("fig12").dedupe for name in ("a", "b")
+            reports[name].records[0].dedupe for name in ("a", "b")
         ]
         assert all(d is not None for d in dedupes)
         executed = sum(d["executed"] for d in dedupes)
@@ -549,7 +549,7 @@ class TestSchedulerFleet:
                 ["fig11"]
             )
         assert not report.errors
-        record = report.record_for("fig11")
+        record = report.records[0]
         assert record.grid_backend == BACKEND_REMOTE
         assert record.fleet == coordinator.address_string
         assert record.workers == (address,)
@@ -572,7 +572,7 @@ class TestSchedulerFleet:
 
     def test_local_runs_record_no_fleet(self):
         report = ExperimentScheduler(SEED, quick=True).run(["fig11"])
-        record = report.record_for("fig11")
+        record = report.records[0]
         assert record.fleet is None
         assert record.dedupe is None
         assert report.results["fig11"].provenance["fleet"] is None

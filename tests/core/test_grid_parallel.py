@@ -309,7 +309,7 @@ class TestGridLevelDeterminism:
         assert provenance["grid_jobs"] == 2
         # Quick fig11 lowers to 10 platforms x 3 reps, all in one dispatch.
         assert provenance["grid_width"] == 30
-        record = report.record_for("fig11")
+        record = report.records[0]
         assert record.grid_backend == BACKEND_PROCESS
         assert record.grid_jobs == 2
         assert record.grid_width == 30
@@ -323,7 +323,7 @@ class TestGridLevelDeterminism:
         warm = ExperimentScheduler(42, quick=True, policy=policy, store=store).run(
             ["fig11"]
         )
-        record = warm.record_for("fig11")
+        record = warm.records[0]
         assert record.cache_hit
         assert record.grid_backend is None
         assert record.grid_width is None
@@ -413,7 +413,7 @@ class TestChunkedSchedulerProvenance:
         )
         report = ExperimentScheduler(42, quick=True, policy=policy).run(["fig11"])
         assert report.results["fig11"].provenance["chunk_size"] == 4
-        record = report.record_for("fig11")
+        record = report.records[0]
         assert record.chunk_size == 4
         assert record.to_dict()["chunk_size"] == 4
 
@@ -423,12 +423,12 @@ class TestChunkedSchedulerProvenance:
         policy = ExecutionPolicy(grid_jobs=2, grid_backend=BACKEND_PROCESS)
         report = ExperimentScheduler(42, quick=True, policy=policy).run(["fig11"])
         assert report.results["fig11"].provenance["chunk_size"] == 4
-        assert report.record_for("fig11").chunk_size == 4
+        assert report.records[0].chunk_size == 4
 
     def test_serial_run_records_no_chunk_size(self):
         report = ExperimentScheduler(42, quick=True).run(["fig11"])
         assert report.results["fig11"].provenance["chunk_size"] is None
-        assert report.record_for("fig11").chunk_size is None
+        assert report.records[0].chunk_size is None
 
     def test_chunked_backends_bit_identical_to_serial(self, grid_backend):
         serial = ExperimentScheduler(42, quick=True).run(["fig11"])

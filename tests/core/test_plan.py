@@ -21,7 +21,6 @@ from repro.core.figures import (
     FIGURES,
     PLAN_BUILDERS,
     build_plan,
-    figure_ids,
     lower_figure,
     run_figure,
 )

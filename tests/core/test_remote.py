@@ -696,7 +696,7 @@ class TestSchedulerRemote:
         policy = ExecutionPolicy(grid_backend=BACKEND_REMOTE, workers=roster)
         report = ExperimentScheduler(SEED, quick=True, policy=policy).run(["fig11"])
         assert not report.errors
-        record = report.record_for("fig11")
+        record = report.records[0]
         assert record.grid_backend == BACKEND_REMOTE
         assert record.workers == roster
         assert record.grid_width == 30  # 10 network platforms x 3 quick reps
@@ -708,7 +708,7 @@ class TestSchedulerRemote:
 
     def test_local_runs_record_no_roster(self):
         report = ExperimentScheduler(SEED, quick=True).run(["fig11"])
-        record = report.record_for("fig11")
+        record = report.records[0]
         assert record.workers is None
         assert report.results["fig11"].provenance["workers"] is None
 
@@ -723,7 +723,7 @@ class TestSchedulerRemote:
             SEED, quick=True, policy=policy, store=store
         ).run(["fig12"])
         assert not warm.errors
-        record = warm.record_for("fig12")
+        record = warm.records[0]
         assert record.cache_hit
         assert record.workers is None  # nothing executed, no fleet involved
 
@@ -833,3 +833,33 @@ class TestCliRemote:
             worker.send_signal(signal.SIGTERM)
             assert worker.wait(timeout=10) == 0
             assert "drained" in worker.stdout.read()
+
+    def test_group_sigterm_drains_a_pool_worker_without_tracebacks(self):
+        # A supervisor that stops the whole process group (`pkill -f`,
+        # systemd's control-group kill) signals the pool's children too;
+        # they must leave the drain to the parent instead of raising.
+        import os
+        import pathlib
+
+        env = dict(os.environ)
+        src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        worker = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "worker", "--port", "0", "--workers", "2"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=env,
+            start_new_session=True,
+        )
+        try:
+            assert "listening on" in worker.stdout.readline()
+            os.killpg(worker.pid, signal.SIGTERM)
+            assert worker.wait(timeout=20) == 0
+        finally:
+            if worker.poll() is None:
+                os.killpg(worker.pid, signal.SIGKILL)
+                worker.wait()
+        output = worker.stdout.read()
+        assert "drained" in output
+        assert "Traceback" not in output

@@ -71,39 +71,3 @@ class TestReport:
         figure = FigureResult("f", "T", "ms", notes=["important caveat"])
         figure.rows.append(ResultRow("a", "A", summarize([1.0]), "ms"))
         assert "important caveat" in render_figure(figure)
-
-
-class TestMarkdownRenderer:
-    def test_markdown_table_for_rows(self):
-        from repro.core.report import render_markdown
-
-        figure = FigureResult("figX", "Test", "ms")
-        figure.rows.append(ResultRow("a", "Alpha", summarize([1.0, 2.0]), "ms"))
-        text = render_markdown(figure)
-        assert "| Alpha |" in text
-        assert text.startswith("### figX")
-
-    def test_markdown_series_lines(self):
-        from repro.core.report import render_markdown
-
-        figure = FigureResult("figY", "Sweep", "tps", x_label="threads")
-        figure.series.append(SeriesRow("a", "Alpha", (10.0, 20.0), (100.0, 200.0)))
-        text = render_markdown(figure)
-        assert "threads -> tps" in text
-
-    def test_markdown_cdf_summary(self):
-        from repro.core.report import render_markdown
-
-        values = tuple(float(v) for v in range(1, 51))
-        probabilities = tuple(v / 50.0 for v in range(1, 51))
-        figure = FigureResult("figZ", "Boot", "ms")
-        figure.series.append(SeriesRow("a", "Alpha", values, probabilities))
-        text = render_markdown(figure)
-        assert "p50" in text and "p90" in text
-
-    def test_markdown_notes_quoted(self):
-        from repro.core.report import render_markdown
-
-        figure = FigureResult("figN", "T", "ms", notes=["caveat here"])
-        figure.rows.append(ResultRow("a", "A", summarize([1.0]), "ms"))
-        assert "> caveat here" in render_markdown(figure)

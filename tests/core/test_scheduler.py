@@ -24,10 +24,11 @@ class TestJobs:
         report = ExperimentScheduler(42, quick=True).run(["fig11", "fig12"])
         again = ExperimentScheduler(42, quick=True).run(["fig11"])
         other_seed = ExperimentScheduler(43, quick=True).run(["fig11"])
-        job_seed = report.record_for("fig11").job_seed
-        assert job_seed == again.record_for("fig11").job_seed
-        assert job_seed != report.record_for("fig12").job_seed
-        assert job_seed != other_seed.record_for("fig11").job_seed
+        fig11, fig12 = report.records
+        job_seed = fig11.job_seed
+        assert job_seed == again.records[0].job_seed
+        assert job_seed != fig12.job_seed
+        assert job_seed != other_seed.records[0].job_seed
         assert report.results["fig11"].provenance["job_seed"] == job_seed
 
     def test_quick_overrides_table(self):
@@ -57,7 +58,7 @@ class TestDeterminism:
             "chunk_size", "fleet", "dedupe", "cache", "store", "wall_time_s",
             "seed", "quick", "job_seed", "digest", "overrides",
         ]
-        record = report.record_for("fig11").to_dict()
+        record = report.records[0].to_dict()
         for name in ("backend", "grid_backend", "grid_jobs", "grid_width",
                      "chunk_size", "cache", "job_seed", "digest"):
             assert provenance[name] == record[name], name
@@ -70,19 +71,19 @@ class TestStoreIntegration:
         assert cold.executed == len(SUBSET)
         warm = ExperimentScheduler(42, quick=True, store=store).run(SUBSET)
         assert warm.executed == 0
-        assert warm.cache_hits == len(SUBSET)
+        assert [r.cache_hit for r in warm.records] == [True] * len(SUBSET)
+        assert [r.backend for r in warm.records] == ["store"] * len(SUBSET)
         for figure_id in SUBSET:
             assert (
                 warm.results[figure_id].comparable_dict()
                 == cold.results[figure_id].comparable_dict()
             )
-            assert warm.record_for(figure_id).backend == "store"
 
     def test_seed_change_invalidates(self, tmp_path):
         store = ResultStore(tmp_path)
         ExperimentScheduler(42, quick=True, store=store).run(["fig11"])
         other_seed = ExperimentScheduler(43, quick=True, store=store).run(["fig11"])
-        assert other_seed.executed == 1 and other_seed.cache_hits == 0
+        assert other_seed.executed == 1 and not other_seed.records[0].cache_hit
 
     def test_quick_and_explicit_kwargs_share_entries(self, tmp_path):
         # `run --quick --cache D` then `findings --cache D` must reuse the
@@ -93,7 +94,7 @@ class TestStoreIntegration:
         quick.run(["fig13"])  # quick default: startups=60
         explicit = ExperimentScheduler(42, quick=False, store=store)
         warm = explicit.run(["fig13"], overrides={"fig13": {"startups": 60}})
-        assert warm.executed == 0 and warm.cache_hits == 1
+        assert warm.executed == 0 and warm.records[0].cache_hit
 
     def test_mixed_hits_and_misses_keep_selection_order(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -110,10 +111,10 @@ class TestStoreIntegration:
         scheduler = ExperimentScheduler(42, quick=True, store=store)
         scheduler.run(["fig11"])
         overridden = scheduler.run(["fig11"], overrides={"fig11": {"repetitions": 2}})
-        assert overridden.executed == 1 and overridden.cache_hits == 0
+        assert overridden.executed == 1 and not overridden.records[0].cache_hit
         # ... and the override variant is itself cached under its own key.
         again = scheduler.run(["fig11"], overrides={"fig11": {"repetitions": 2}})
-        assert again.executed == 0 and again.cache_hits == 1
+        assert again.executed == 0 and again.records[0].cache_hit
 
 
 class TestCrashIsolation:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.results import FigureResult, ResultRow, SeriesRow
-from repro.core.stats import cdf_points, percentile, summarize
+from repro.core.stats import percentile, summarize
 from repro.errors import ConfigurationError
 
 
@@ -28,14 +28,6 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             summarize([])
-
-    def test_relative_std(self):
-        summary = summarize([10.0, 10.0])
-        assert summary.relative_std == 0.0
-
-    def test_relative_std_zero_mean(self):
-        summary = summarize([0.0, 0.0])
-        assert summary.relative_std == 0.0
 
 
 class TestPercentile:
@@ -72,18 +64,6 @@ class TestPercentile:
         tolerance = 1e-9 * max(values) + 1e-12
         assert percentile(values, 10) <= percentile(values, 50) + tolerance
         assert percentile(values, 50) <= percentile(values, 90) + tolerance
-
-
-class TestCdf:
-    def test_cdf_reaches_one(self):
-        points = cdf_points([3.0, 1.0, 2.0])
-        assert points[-1][1] == pytest.approx(1.0)
-        assert [value for value, _ in points] == [1.0, 2.0, 3.0]
-
-    def test_cdf_probabilities_monotone(self):
-        points = cdf_points([5.0, 1.0, 9.0, 2.0])
-        probabilities = [p for _, p in points]
-        assert probabilities == sorted(probabilities)
 
 
 class TestSeriesRow:

@@ -76,10 +76,6 @@ class TestStoreKey:
 
         assert json.loads(canonical_overrides({"mode": Mode.FAST})) == {"mode": "fast"}
 
-    def test_is_default(self):
-        assert StoreKey.for_run("fig11", 42, False, None).is_default
-        assert not StoreKey.for_run("fig11", 42, False, {"repetitions": 2}).is_default
-
 
 class TestResultRoundTrip:
     def test_from_dict_inverts_to_dict(self):

@@ -101,12 +101,6 @@ class TestInitSystems:
 
 
 class TestClearLinux:
-    def test_userspace_boot_combines_systemd_and_agent(self):
-        rootfs = ClearLinuxRootfs()
-        assert rootfs.userspace_boot_time() == pytest.approx(
-            rootfs.systemd_bringup_s + rootfs.agent_ready_s
-        )
-
     def test_invalid_size_rejected(self):
         with pytest.raises(ConfigurationError):
             ClearLinuxRootfs(size_bytes=0)

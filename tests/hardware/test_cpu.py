@@ -48,16 +48,4 @@ class TestCpuModel:
 
     def test_simd_faster_than_scalar_per_op(self):
         cpu = CpuModel()
-        ops = 1e12
-        assert cpu.simd_time(ops) < cpu.scalar_time(ops)
-
-    def test_scalar_time_inverse_of_rate(self):
-        cpu = CpuModel()
-        ops = 1e10
-        assert cpu.scalar_time(ops, 2) == pytest.approx(
-            ops / cpu.scalar_ops_per_second(2)
-        )
-
-    def test_cycles_to_seconds(self):
-        cpu = CpuModel()
-        assert cpu.cycles_to_seconds(2.9e9) == pytest.approx(1.0)
+        assert cpu.simd_ops_per_second() > cpu.scalar_ops_per_second()

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.hardware.tlb import TlbModel
-from repro.units import GIB, KIB, MIB
+from repro.units import GIB, MIB
 
 
 class TestTlbModel:
@@ -42,12 +42,9 @@ class TestTlbModel:
     def test_hugepage_speedup_significant_on_large_buffers(self):
         """Section 3.2 reports ~30% latency reduction with hugepages."""
         tlb = TlbModel()
-        speedup = tlb.hugepage_speedup(64 * MIB)
-        assert speedup > 0.5  # TLB-portion reduction is large
-
-    def test_hugepage_speedup_zero_for_tiny_buffers(self):
-        tlb = TlbModel()
-        assert tlb.hugepage_speedup(64 * KIB) == 0.0
+        base = tlb.expected_overhead(64 * MIB, huge_pages=False)
+        huge = tlb.expected_overhead(64 * MIB, huge_pages=True)
+        assert 1.0 - huge / base > 0.5  # TLB-portion reduction is large
 
     def test_miss_fraction_bounds(self):
         tlb = TlbModel()

@@ -10,6 +10,7 @@ from repro.rng import RngStream
 from repro.workloads.ffmpeg import FfmpegEncodeWorkload
 from repro.workloads.mysql import MysqlOltpWorkload
 from repro.workloads.netperf import NetperfWorkload
+from repro.workloads.startup import StartupWorkload
 
 MAIN = ["native", "docker", "lxc", "qemu", "firecracker", "cloud-hypervisor",
         "kata", "gvisor", "osv"]
@@ -19,8 +20,8 @@ MAIN = ["native", "docker", "lxc", "qemu", "firecracker", "cloud-hypervisor",
 @settings(max_examples=60, deadline=None)
 def test_boot_samples_always_positive_and_bounded(name, seed):
     platform = get_platform(name)
-    sample = platform.sample_boot(RngStream(seed))
-    mean = platform.boot_time_mean()
+    (sample,) = StartupWorkload(startups=1).run(platform, RngStream(seed)).samples_s
+    mean = sum(phase.mean_s for phase in platform.boot_phases())
     assert 0.0 < sample < 4.0 * mean
 
 
@@ -90,5 +91,5 @@ def test_profiles_are_reconstructible(name):
     first = get_platform(name)
     second = get_platform(name)
     assert first.memory_profile() == second.memory_profile()
-    assert first.boot_time_mean() == second.boot_time_mean()
+    assert first.boot_phases() == second.boot_phases()
     assert first.net_profile().per_packet_cost() == second.net_profile().per_packet_cost()

@@ -13,6 +13,11 @@ def catalog() -> KernelFunctionCatalog:
     return KernelFunctionCatalog()
 
 
+def every_function(catalog):
+    """The whole catalog, one full-breadth subsystem after another."""
+    return [fn for subsystem in Subsystem for fn in catalog.select_breadth(subsystem, 1.0)]
+
+
 class TestCatalog:
     def test_population_is_realistic(self, catalog):
         # A 5.4-era kernel traces thousands of functions.
@@ -20,17 +25,17 @@ class TestCatalog:
 
     def test_all_subsystems_populated(self, catalog):
         for subsystem in Subsystem:
-            assert catalog.subsystem_size(subsystem) > 0
+            assert catalog.select_breadth(subsystem, 1.0)
 
     def test_names_are_unique(self, catalog):
-        names = [fn.name for fn in catalog.all_functions()]
+        names = [fn.name for fn in every_function(catalog)]
         assert len(names) == len(set(names))
 
     def test_deterministic_across_instances(self):
         first = KernelFunctionCatalog()
         second = KernelFunctionCatalog()
-        assert [f.name for f in first.all_functions()] == [
-            f.name for f in second.all_functions()
+        assert [f.name for f in every_function(first)] == [
+            f.name for f in every_function(second)
         ]
 
     def test_curated_stems_present(self, catalog):
@@ -47,7 +52,7 @@ class TestCatalog:
         assert "nope" not in catalog
 
     def test_ranks_are_sequential(self, catalog):
-        functions = catalog.subsystem_functions(Subsystem.SCHED)
+        functions = catalog.select_breadth(Subsystem.SCHED, 1.0)
         assert [fn.rank for fn in functions] == list(range(len(functions)))
 
     def test_scale_parameter(self):
@@ -64,12 +69,11 @@ class TestBreadthSelection:
         assert catalog.select_breadth(Subsystem.MM, 0.0) == []
 
     def test_full_breadth_selects_all(self, catalog):
-        selected = catalog.select_breadth(Subsystem.MM, 1.0)
-        assert len(selected) == catalog.subsystem_size(Subsystem.MM)
+        assert len(every_function(catalog)) == len(catalog)
 
     def test_breadth_clamped_above_one(self, catalog):
-        assert len(catalog.select_breadth(Subsystem.MM, 2.0)) == catalog.subsystem_size(
-            Subsystem.MM
+        assert catalog.select_breadth(Subsystem.MM, 2.0) == catalog.select_breadth(
+            Subsystem.MM, 1.0
         )
 
     def test_tiny_breadth_selects_at_least_one(self, catalog):

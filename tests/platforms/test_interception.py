@@ -23,10 +23,6 @@ class TestPipelines:
 
 
 class TestPlatformWiring:
-    def test_gvisor_exposes_its_pipeline(self):
-        assert get_platform("gvisor").interception().name == "kvm"
-        assert get_platform("gvisor-ptrace").interception().name == "ptrace"
-
     def test_derived_factor_matches_pipeline_ratio(self):
         ptrace = get_platform("gvisor-ptrace")
         expected = (

@@ -8,6 +8,7 @@ from repro.errors import ConfigurationError
 from repro.hardware.topology import paper_testbed
 from repro.platforms import PLATFORM_SETS, PlatformFamily, get_platform, platform_names
 from repro.platforms.base import BootPhase
+from repro.workloads.startup import StartupWorkload
 
 
 class TestRegistry:
@@ -65,13 +66,9 @@ class TestCommonBehaviour:
         assert phases
         assert all(phase.mean_s >= 0 for phase in phases)
 
-    def test_boot_time_mean_is_phase_sum(self, any_platform):
-        expected = sum(p.mean_s for p in any_platform.boot_phases())
-        assert any_platform.boot_time_mean() == pytest.approx(expected)
-
     def test_sample_boot_positive_and_near_mean(self, any_platform, rng):
-        sample = any_platform.sample_boot(rng)
-        mean = any_platform.boot_time_mean()
+        (sample,) = StartupWorkload(startups=1).run(any_platform, rng).samples_s
+        mean = sum(phase.mean_s for phase in any_platform.boot_phases())
         assert 0.5 * mean < sample < 2.0 * mean
 
     def test_cpu_profile_well_formed(self, any_platform):

@@ -36,8 +36,9 @@ def hap_scores(catalog):
 class TestEpss:
     def test_scores_in_unit_interval(self, catalog):
         epss = EpssModel()
-        for function in catalog.all_functions()[:500]:
-            assert 0.0 <= epss.score(function) <= 1.0
+        for subsystem in Subsystem:
+            for function in catalog.select_breadth(subsystem, 1.0):
+                assert 0.0 <= epss.score(function) <= 1.0
 
     def test_scores_deterministic(self, catalog):
         epss = EpssModel()
@@ -47,20 +48,23 @@ class TestEpss:
     def test_distribution_right_skewed(self, catalog):
         """Most functions score near zero; a few are hot (EPSS shape)."""
         epss = EpssModel()
-        scores = sorted(epss.score(fn) for fn in catalog.all_functions())
+        scores = sorted(
+            epss.score(fn) for subsystem in Subsystem
+            for fn in catalog.select_breadth(subsystem, 1.0)
+        )
         median = scores[len(scores) // 2]
         top = scores[-1]
         assert top > 20 * median
 
     def test_network_parsing_riskier_than_scheduling(self, catalog):
         epss = EpssModel()
-        tcp = [epss.score(f) for f in catalog.subsystem_functions(Subsystem.TCP_IP)]
-        sched = [epss.score(f) for f in catalog.subsystem_functions(Subsystem.SCHED)]
+        tcp = [epss.score(f) for f in catalog.select_breadth(Subsystem.TCP_IP, 1.0)]
+        sched = [epss.score(f) for f in catalog.select_breadth(Subsystem.SCHED, 1.0)]
         assert sum(tcp) / len(tcp) > sum(sched) / len(sched)
 
     def test_total_score_additive(self, catalog):
         epss = EpssModel()
-        functions = catalog.subsystem_functions(Subsystem.FUTEX)
+        functions = catalog.select_breadth(Subsystem.FUTEX, 1.0)
         assert epss.total_score(functions) == pytest.approx(
             sum(epss.score(f) for f in functions)
         )

@@ -4,7 +4,6 @@ import pytest
 
 import repro
 from repro.platforms import get_platform
-from repro.workloads.base import WorkloadResult
 
 
 class TestTopLevelPackage:
@@ -26,23 +25,6 @@ class TestTopLevelPackage:
 
     def test_rng_reexported(self):
         assert repro.RngStream(1).uniform() == repro.RngStream(1).uniform()
-
-
-class TestWorkloadResultWrapper:
-    def test_metric_lookup(self):
-        result = WorkloadResult(
-            workload="w", platform="p", metrics={"throughput": 1.5}
-        )
-        assert result.metric("throughput") == 1.5
-
-    def test_missing_metric_raises(self):
-        result = WorkloadResult(workload="w", platform="p", metrics={})
-        with pytest.raises(KeyError):
-            result.metric("nope")
-
-    def test_metadata_defaults_empty(self):
-        result = WorkloadResult(workload="w", platform="p", metrics={})
-        assert result.metadata == {}
 
 
 class TestLabelsMatchPaper:

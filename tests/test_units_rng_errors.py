@@ -11,11 +11,8 @@ from repro.units import (
     KIB,
     MIB,
     gbit_per_s,
-    mib_per_s,
     ms,
     ns,
-    pretty_bytes,
-    pretty_duration,
     seconds_to_ms,
     seconds_to_ns,
     seconds_to_us,
@@ -39,24 +36,13 @@ class TestUnits:
 
     def test_bandwidth_round_trips(self):
         assert to_gbit_per_s(gbit_per_s(37.28)) == pytest.approx(37.28)
-        assert to_mib_per_s(mib_per_s(1000.0)) == pytest.approx(1000.0)
+        assert to_mib_per_s(1000.0 * MIB) == pytest.approx(1000.0)
 
     def test_gbit_is_decimal(self):
         assert gbit_per_s(8.0) == pytest.approx(1e9)
 
     def test_mb_is_decimal(self):
         assert to_mb_per_s(3.2e9) == pytest.approx(3200.0)
-
-    def test_pretty_bytes(self):
-        assert pretty_bytes(512) == "512 B"
-        assert pretty_bytes(2 * KIB) == "2.0 KiB"
-        assert pretty_bytes(int(2.2 * GIB)) == "2.2 GiB"
-
-    def test_pretty_duration(self):
-        assert pretty_duration(2.5) == "2.50 s"
-        assert pretty_duration(ms(1.5)) == "1.50 ms"
-        assert pretty_duration(us(20)) == "20.00 us"
-        assert pretty_duration(ns(80)) == "80.0 ns"
 
 
 class TestRngStream:
@@ -180,13 +166,8 @@ class TestRngStream:
         assert zero_fraction > 0.85
         assert any(d > 1.0 for d in draws)
 
-    def test_integers_and_choice(self):
-        rng = RngStream(17)
-        assert 0 <= rng.integers(0, 10) < 10
-        assert rng.choice(["a", "b", "c"]) in ("a", "b", "c")
-
-    def test_exponential_positive(self):
-        assert RngStream(19).exponential(2.0) > 0
+    def test_choice(self):
+        assert RngStream(17).choice(["a", "b", "c"]) in ("a", "b", "c")
 
 
 class TestErrors:
@@ -194,8 +175,6 @@ class TestErrors:
         assert issubclass(errors.SimulationError, errors.ReproError)
         assert issubclass(errors.UnsupportedOperationError, errors.PlatformError)
         assert issubclass(errors.PlatformError, errors.ReproError)
-        assert issubclass(errors.BootError, errors.PlatformError)
-        assert issubclass(errors.WorkloadError, errors.ReproError)
         assert issubclass(errors.TraceError, errors.ReproError)
 
     def test_single_catch_all(self):

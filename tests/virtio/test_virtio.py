@@ -8,7 +8,6 @@ from repro.virtio.blk import VirtioBlk
 from repro.virtio.fs import VirtioFs
 from repro.virtio.ninep import NinePChannel
 from repro.virtio.queue import Virtqueue
-from repro.virtio.vsock import VsockChannel
 
 
 class TestVirtqueue:
@@ -37,7 +36,8 @@ class TestVirtqueue:
 class TestVirtioBlk:
     def test_latency_overhead_exceeds_loaded_overhead(self):
         device = VirtioBlk()
-        assert device.request_latency_overhead() > device.per_request_overhead(loaded=True)
+        loaded = device.queue.per_request_cost(loaded=True) + device.vmm_request_handling_s
+        assert device.request_latency_overhead() > loaded
 
     def test_immature_backend_costs_more(self):
         mature = VirtioBlk(vmm_request_handling_s=3e-6)
@@ -100,23 +100,3 @@ class TestVirtioFs:
     def test_invalid_dax_ratio_rejected(self):
         with pytest.raises(ConfigurationError):
             VirtioFs(dax_hit_ratio=1.5)
-
-
-class TestVsock:
-    def test_rpc_latency_includes_ttrpc_overhead(self):
-        channel = VsockChannel()
-        assert channel.rpc_latency() == pytest.approx(
-            channel.round_trip_s + channel.rpc_overhead_s
-        )
-
-    def test_handshake_scales_with_rpc_count(self):
-        channel = VsockChannel()
-        assert channel.handshake_cost(10) > channel.handshake_cost(2)
-
-    def test_negative_rpc_count_rejected(self):
-        with pytest.raises(ConfigurationError):
-            VsockChannel().handshake_cost(-1)
-
-    def test_negative_costs_rejected(self):
-        with pytest.raises(ConfigurationError):
-            VsockChannel(connect_cost_s=-1.0)
