@@ -11,6 +11,27 @@ from repro.cli import build_parser, main
 from repro.core.plan import FigurePlan
 from repro.core.storenet import StoreServer
 
+#: ``repro-bench list``, byte for byte: one row per figure, in registry order.
+LIST_STDOUT = """\
+figure     paper artefact   workload
+--------------------------------------------------------------------------------
+fig05      Figure 5         ffmpeg H.264->H.265, preset 'slower', 16 threads/16 vCPUs
+cpu-prime  Finding 1 (text) sysbench CPU prime verification, 1 thread
+fig06      Figure 6         tinymembench random-access latency
+fig07      Figure 7         tinymembench sequential copy, regular + SSE2
+fig08      Figure 8         STREAM COPY
+fig09      Figure 9         fio sequential read/write
+fig10      Figure 10        fio randread latency
+fig11      Figure 11        iperf3, host as client
+fig12      Figure 12        netperf request/response
+fig13      Figure 13        container startup, patched exit
+fig14      Figure 14        hypervisor boot, same kernel+rootfs, patched init
+fig15      Figure 15        OSv boot under supported hypervisors
+fig16      Figure 16        memcached under YCSB workload-a
+fig17      Figure 17        MySQL sysbench oltp_read_write
+fig18      Figure 18        ftrace over sysbench cpu/mem/fileio + iperf3 + boot/shutdown
+"""
+
 
 class TestParser:
     def test_requires_command(self):
@@ -54,9 +75,7 @@ class TestParser:
 class TestCommands:
     def test_list(self, capsys):
         assert main(["list"]) == 0
-        out = capsys.readouterr().out
-        assert "fig05" in out
-        assert "fig18" in out
+        assert capsys.readouterr().out == LIST_STDOUT
 
     def test_platforms(self, capsys):
         assert main(["platforms"]) == 0

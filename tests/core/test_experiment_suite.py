@@ -165,6 +165,16 @@ class TestSuiteExecutionLayer:
         assert manifest["provenance"]["fig11"]["backend"] == "serial"
         assert manifest["provenance"]["fig11"]["cache"] == "miss"
 
+    def test_manifest_maps_every_figure_to_its_paper_artefact(self, tmp_path):
+        suite = BenchmarkSuite(seed=42, quick=True)
+        suite.run_all()
+        suite.save_results(tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["experiments"] == {
+            "fig05": "Figure 5", "cpu-prime": "Finding 1 (text)",
+            **{f"fig{n:02d}": f"Figure {n}" for n in range(6, 19)},
+        }
+
     def test_findings_share_figures_through_suite(self):
         suite = BenchmarkSuite(seed=42, quick=True)
         checks = suite.check_findings()
