@@ -15,7 +15,7 @@ SEED = 42
 
 
 def run_once(benchmark, function, *args, **kwargs):
-    """Run a figure function under pytest-benchmark, one round."""
+    """Run ``function(*args, **kwargs)`` under pytest-benchmark, one round."""
     return benchmark.pedantic(function, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
 

@@ -5,7 +5,7 @@ vs KVM), unprivileged LXC, and the YCSB mix sensitivity of Figure 16.
 """
 
 from benchmarks.conftest import run_once
-from repro.core.figures import fig11_iperf, fig13_container_boot
+from repro.core.figures import run_figure
 from repro.platforms import get_platform
 from repro.rng import RngStream
 from repro.workloads.memcached import MemcachedYcsbWorkload
@@ -16,7 +16,8 @@ def test_gvisor_platform_ablation(benchmark, seed):
     """gVisor ptrace vs KVM: the KVM platform wins on every subsystem."""
     figure = run_once(
         benchmark,
-        fig11_iperf,
+        run_figure,
+        "fig11",
         seed,
         repetitions=5,
         platforms=["gvisor", "gvisor-ptrace"],
@@ -33,7 +34,8 @@ def test_lxc_unprivileged_ablation(benchmark, seed):
     fast as privileged LXC — systemd still dominates."""
     figure = run_once(
         benchmark,
-        fig13_container_boot,
+        run_figure,
+        "fig13",
         seed,
         startups=100,
         platforms=["lxc", "lxc-unprivileged"],

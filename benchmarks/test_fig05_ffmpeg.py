@@ -5,11 +5,11 @@ prime control is flat everywhere (Finding 1).
 """
 
 from benchmarks.conftest import run_once
-from repro.core.figures import cpu_prime_control, fig05_ffmpeg
+from repro.core.figures import run_figure
 
 
 def test_fig05_ffmpeg(benchmark, seed):
-    figure = run_once(benchmark, fig05_ffmpeg, seed, repetitions=10)
+    figure = run_once(benchmark, run_figure, "fig05", seed, repetitions=10)
     print()
     print(figure.render())
     osv = figure.row("osv").summary.mean
@@ -19,7 +19,7 @@ def test_fig05_ffmpeg(benchmark, seed):
 
 
 def test_cpu_prime_control(benchmark, seed):
-    figure = run_once(benchmark, cpu_prime_control, seed, repetitions=10)
+    figure = run_once(benchmark, run_figure, "cpu-prime", seed, repetitions=10)
     print()
     print(figure.render())
     means = [r.summary.mean for r in figure.rows]

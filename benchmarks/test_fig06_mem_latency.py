@@ -7,11 +7,11 @@ others near native. The hugepage ablation (Section 3.2 aside) shows the
 """
 
 from benchmarks.conftest import run_once
-from repro.core.figures import fig06_memory_latency
+from repro.core.figures import run_figure
 
 
 def test_fig06_memory_latency(benchmark, seed):
-    figure = run_once(benchmark, fig06_memory_latency, seed, repetitions=10)
+    figure = run_once(benchmark, run_figure, "fig06", seed, repetitions=10)
     print()
     print(figure.render())
     last = {s.platform: s.y_values[-1] for s in figure.series}
@@ -24,7 +24,7 @@ def test_fig06_memory_latency(benchmark, seed):
 
 def test_fig06_hugepage_ablation(benchmark, seed):
     figure = run_once(
-        benchmark, fig06_memory_latency, seed, repetitions=5, huge_pages=True
+        benchmark, run_figure, "fig06", seed, repetitions=5, huge_pages=True
     )
     print()
     print(figure.render())

@@ -5,11 +5,11 @@ latency); Kata and OSv-under-QEMU stay near native.
 """
 
 from benchmarks.conftest import run_once
-from repro.core.figures import fig07_memory_throughput
+from repro.core.figures import run_figure
 
 
 def test_fig07_memory_throughput(benchmark, seed):
-    figure = run_once(benchmark, fig07_memory_throughput, seed, repetitions=10)
+    figure = run_once(benchmark, run_figure, "fig07", seed, repetitions=10)
     print()
     print(figure.render())
     native = figure.row("native").summary.mean

@@ -5,11 +5,11 @@ the Firecracker family trails the field.
 """
 
 from benchmarks.conftest import run_once
-from repro.core.figures import fig08_stream
+from repro.core.figures import run_figure
 
 
 def test_fig08_stream(benchmark, seed):
-    figure = run_once(benchmark, fig08_stream, seed, repetitions=10)
+    figure = run_once(benchmark, run_figure, "fig08", seed, repetitions=10)
     print()
     print(figure.render())
     slowest_two = figure.ranking(ascending=True)[:2]

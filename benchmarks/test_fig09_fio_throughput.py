@@ -7,13 +7,14 @@ and the Section 3.3 caching-pitfall ablation.
 """
 
 from benchmarks.conftest import run_once
-from repro.core.figures import fig09_fio_throughput
+from repro.core.figures import run_figure
 
 
 def test_fig09_fio_throughput(benchmark, seed):
     figure = run_once(
         benchmark,
-        fig09_fio_throughput,
+        run_figure,
+        "fig09",
         seed,
         repetitions=10,
         platforms=[
@@ -37,7 +38,8 @@ def test_fig09_host_cache_pitfall(benchmark, seed):
     """Without dropping the host cache, QEMU 'beats' bare metal."""
     figure = run_once(
         benchmark,
-        fig09_fio_throughput,
+        run_figure,
+        "fig09",
         seed,
         repetitions=5,
         platforms=["native", "qemu"],

@@ -6,11 +6,11 @@ caching).
 """
 
 from benchmarks.conftest import run_once
-from repro.core.figures import fig10_fio_latency
+from repro.core.figures import run_figure
 
 
 def test_fig10_fio_latency(benchmark, seed):
-    figure = run_once(benchmark, fig10_fio_latency, seed, repetitions=10)
+    figure = run_once(benchmark, run_figure, "fig10", seed, repetitions=10)
     print()
     print(figure.render())
     assert "gvisor" not in figure.platforms()
@@ -25,7 +25,8 @@ def test_fig10_fio_latency(benchmark, seed):
 def test_fig10_kata_virtiofs_ablation(benchmark, seed):
     figure = run_once(
         benchmark,
-        fig10_fio_latency,
+        run_figure,
+        "fig10",
         seed,
         repetitions=5,
         platforms=["qemu", "kata", "kata-virtiofs"],

@@ -7,11 +7,11 @@ outlier.
 """
 
 from benchmarks.conftest import run_once
-from repro.core.figures import fig11_iperf
+from repro.core.figures import run_figure
 
 
 def test_fig11_iperf(benchmark, seed):
-    figure = run_once(benchmark, fig11_iperf, seed, repetitions=5)
+    figure = run_once(benchmark, run_figure, "fig11", seed, repetitions=5)
     print()
     print(figure.render())
     native = figure.row("native").summary.mean

@@ -5,11 +5,11 @@ just under the hypervisors; gVisor's P90 is 3-4x its competitors.
 """
 
 from benchmarks.conftest import run_once
-from repro.core.figures import fig12_netperf
+from repro.core.figures import run_figure
 
 
 def test_fig12_netperf(benchmark, seed):
-    figure = run_once(benchmark, fig12_netperf, seed, repetitions=5)
+    figure = run_once(benchmark, run_figure, "fig12", seed, repetitions=5)
     print()
     print(figure.render())
     bridges = max(figure.row(p).summary.mean for p in ("docker", "lxc", "kata"))

@@ -5,11 +5,11 @@ Paper rows: Docker ~100 ms (OCI), gVisor ~190 ms, Kata ~600 ms, LXC
 """
 
 from benchmarks.conftest import run_once
-from repro.core.figures import fig13_container_boot
+from repro.core.figures import run_figure
 
 
 def test_fig13_container_boot(benchmark, seed):
-    figure = run_once(benchmark, fig13_container_boot, seed, startups=300)
+    figure = run_once(benchmark, run_figure, "fig13", seed, startups=300)
     print()
     print(figure.render())
     means = {r.platform: r.summary.mean for r in figure.rows}

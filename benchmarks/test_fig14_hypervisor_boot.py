@@ -6,11 +6,11 @@ the reverse of Firecracker's reputation (Conclusion 5).
 """
 
 from benchmarks.conftest import run_once
-from repro.core.figures import fig14_hypervisor_boot
+from repro.core.figures import run_figure
 
 
 def test_fig14_hypervisor_boot(benchmark, seed):
-    figure = run_once(benchmark, fig14_hypervisor_boot, seed, startups=300)
+    figure = run_once(benchmark, run_figure, "fig14", seed, startups=300)
     print()
     print(figure.render())
     means = {r.platform: r.summary.mean for r in figure.rows}

@@ -6,11 +6,11 @@ nearly superimpose (Finding 16).
 """
 
 from benchmarks.conftest import run_once
-from repro.core.figures import fig15_osv_boot
+from repro.core.figures import run_figure
 
 
 def test_fig15_osv_boot(benchmark, seed):
-    figure = run_once(benchmark, fig15_osv_boot, seed, startups=300)
+    figure = run_once(benchmark, run_figure, "fig15", seed, startups=300)
     print()
     print(figure.render())
     e2e = {

@@ -6,11 +6,11 @@ hypervisors do worse; Kata surprisingly low (Finding 18); gVisor lowest
 """
 
 from benchmarks.conftest import run_once
-from repro.core.figures import fig16_memcached
+from repro.core.figures import run_figure
 
 
 def test_fig16_memcached(benchmark, seed):
-    figure = run_once(benchmark, fig16_memcached, seed, repetitions=5)
+    figure = run_once(benchmark, run_figure, "fig16", seed, repetitions=5)
     print()
     print(figure.render())
     means = {r.platform: r.summary.mean for r in figure.rows}

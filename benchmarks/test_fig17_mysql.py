@@ -7,11 +7,11 @@ around 50 threads; native peaks around 110 without a significant edge.
 """
 
 from benchmarks.conftest import run_once
-from repro.core.figures import fig17_mysql
+from repro.core.figures import run_figure
 
 
 def test_fig17_mysql(benchmark, seed):
-    figure = run_once(benchmark, fig17_mysql, seed, repetitions=3)
+    figure = run_once(benchmark, run_figure, "fig17", seed, repetitions=3)
     print()
     print(figure.render())
     peaks = {}

@@ -7,11 +7,11 @@ platforms (Finding 24); secure containers sit above regular containers
 """
 
 from benchmarks.conftest import run_once
-from repro.core.figures import fig18_hap
+from repro.core.figures import run_figure
 
 
 def test_fig18_hap(benchmark, seed):
-    figure = run_once(benchmark, fig18_hap, seed)
+    figure = run_once(benchmark, run_figure, "fig18", seed)
     print()
     print(figure.render())
     counts = {r.platform: r.summary.mean for r in figure.rows}

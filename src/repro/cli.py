@@ -2,7 +2,7 @@
 
 Installed as ``repro-bench``::
 
-    repro-bench list                         # figures + experiment index
+    repro-bench list                         # figures, paper artefacts, workloads
     repro-bench platforms                    # the platform roster
     repro-bench [--seed N] run fig11 [--quick] [--json out/] [--cache DIR]
     repro-bench run fig11 [--grid-jobs 4]       # flat (platform x rep) pool
@@ -30,7 +30,7 @@ import argparse
 import pathlib
 import sys
 
-from repro.core.experiment import EXPERIMENTS
+from repro.core.figures import FIGURES
 from repro.core.remote import RemoteError
 from repro.core.suite import BenchmarkSuite
 from repro.errors import ConfigurationError
@@ -246,11 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_list() -> int:
     print(f"{'figure':<10} {'paper artefact':<16} {'workload'}")
     print("-" * 80)
-    for experiment in EXPERIMENTS.values():
-        print(
-            f"{experiment.figure_id:<10} {experiment.paper_artifact:<16} "
-            f"{experiment.workload}"
-        )
+    for figure_id, figure in FIGURES.items():
+        print(f"{figure_id:<10} {figure.paper_artifact:<16} {figure.workload}")
     return 0
 
 

@@ -2,10 +2,9 @@
 
 * :mod:`repro.core.stats`      — summary statistics and percentiles
 * :mod:`repro.core.results`    — figure/table result containers + JSON
-* :mod:`repro.core.experiment` — the experiment registry (per-figure metadata)
-* :mod:`repro.core.runner`     — repetition engine with seed management
+* :mod:`repro.core.runner`     — grid jobs and the grid mappers
 * :mod:`repro.core.plan`       — declarative figure plans + grid lowering
-* :mod:`repro.core.figures`    — one reproduction plan per paper figure
+* :mod:`repro.core.figures`    — the figure registry: one declaration per artefact
 * :mod:`repro.core.report`     — ASCII rendering of tables and figures
 * :mod:`repro.core.findings`   — automated checks of the paper's findings
 * :mod:`repro.core.scheduler`  — experiment scheduler + execution policy
@@ -18,11 +17,9 @@
 
 from repro.core.stats import Summary, summarize, percentile
 from repro.core.results import FigureResult, ResultRow, SeriesRow
-from repro.core.experiment import Experiment, EXPERIMENTS, get_experiment
 from repro.core.runner import (
     PoolMapper,
     RepJob,
-    Runner,
     active_grid_mapper,
     execution_context,
     grid_mapper,
@@ -62,10 +59,6 @@ __all__ = [
     "FigureResult",
     "ResultRow",
     "SeriesRow",
-    "Experiment",
-    "EXPERIMENTS",
-    "get_experiment",
-    "Runner",
     "RepJob",
     "run_rep_job",
     "grid_mapper",

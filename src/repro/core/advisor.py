@@ -13,14 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.figures import (
-    fig08_stream,
-    fig09_fio_throughput,
-    fig11_iperf,
-    fig13_container_boot,
-    fig14_hypervisor_boot,
-    fig18_hap,
-)
+from repro.core.figures import run_figure
 from repro.errors import ConfigurationError
 
 __all__ = ["WorkloadNeeds", "Recommendation", "PlatformAdvisor"]
@@ -98,19 +91,17 @@ class PlatformAdvisor:
         # use MySQL-free signal: ffmpeg would do, but STREAM + prime are
         # flat; reuse memory bandwidth as a proxy is wrong. Use inverse
         # ffmpeg time.
-        from repro.core.figures import fig05_ffmpeg
-
-        ffmpeg = fig05_ffmpeg(seed, repetitions=reps)
+        ffmpeg = run_figure("fig05", seed, repetitions=reps)
         cpu = self._normalize(
             {r.platform: r.summary.mean for r in ffmpeg.rows}, higher_is_better=False
         )
 
-        stream = fig08_stream(seed, repetitions=reps)
+        stream = run_figure("fig08", seed, repetitions=reps)
         memory = self._normalize(
             {r.platform: r.summary.mean for r in stream.rows}, higher_is_better=True
         )
 
-        fio = fig09_fio_throughput(seed, repetitions=reps)
+        fio = run_figure("fig09", seed, repetitions=reps)
         disk = self._normalize(
             {r.platform: r.summary.mean for r in fio.rows}, higher_is_better=True
         )
@@ -118,20 +109,20 @@ class PlatformAdvisor:
         for name in _CANDIDATES:
             disk.setdefault(name, 0.8)
 
-        iperf = fig11_iperf(seed, repetitions=reps)
+        iperf = run_figure("fig11", seed, repetitions=reps)
         network = self._normalize(
             {r.platform: r.summary.mean for r in iperf.rows}, higher_is_better=True
         )
 
-        container_boot = fig13_container_boot(seed, startups=40)
-        hypervisor_boot = fig14_hypervisor_boot(seed, startups=40)
+        container_boot = run_figure("fig13", seed, startups=40)
+        hypervisor_boot = run_figure("fig14", seed, startups=40)
         boot_means = {r.platform: r.summary.mean for r in container_boot.rows}
         boot_means.update({r.platform: r.summary.mean for r in hypervisor_boot.rows})
         boot_means["docker"] = boot_means.get("docker-oci", boot_means.get("docker", 100.0))
         boot_means["osv"] = 177.0  # OSv-QEMU end-to-end (Figure 15)
         startup = self._normalize(boot_means, higher_is_better=False)
 
-        hap = fig18_hap(seed)
+        hap = run_figure("fig18", seed)
         # Isolation blends interface width (narrower is better) with
         # defense-in-depth (deeper is better), per Finding 28.
         from repro.platforms import get_platform

@@ -1,24 +1,27 @@
-"""Figure reproductions — one declarative plan per paper artefact.
+"""Figure reproductions — one declaration per paper artefact.
 
-Every figure *declares* what to measure as a
+Every artefact of the paper's evaluation (Figures 5–18 and Finding 1's
+prime control) is one :class:`Figure` in :data:`FIGURES`: the artefact,
+a description of its workload, the builder of its declarative
 :class:`~repro.core.plan.FigurePlan` (workload, platform roster,
-repetitions, stream tag, fold rules); the plan layer lowers that into a
-flat ``(platform, rep)`` job grid and dispatches it through one shared
-order-preserving pool (see :mod:`repro.core.plan`). The public functions
-keep their historical signatures — ``(seed, **kwargs) ->
-:class:`~repro.core.results.FigureResult`` — and their exact seed-tree
-derivations, so results are bit-identical to the old imperative
-per-platform loops. Platform exclusions follow Section 3 and are
-recorded in the result's notes rather than silently dropped.
+repetitions, stream tag, fold rules; the builder's defaults are the
+paper's scale) and its quick-mode kwargs. :func:`run_figure` and
+:func:`lower_figure` are the entry points: the plan layer lowers a plan
+into a flat ``(platform, rep)`` job grid and dispatches it through one
+shared order-preserving pool (see :mod:`repro.core.plan`). Platform
+exclusions follow Section 3 and are recorded in the result's notes
+rather than silently dropped.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.core.plan import FigurePlan, GridOutcome, LoweredGrid
 from repro.core.results import FigureResult, ResultRow, SeriesRow
 from repro.core.stats import summarize
+from repro.errors import ConfigurationError
 from repro.kernel.functions import default_catalog
 from repro.platforms import PLATFORM_SETS
 from repro.platforms.base import Platform
@@ -40,14 +43,7 @@ from repro.workloads.tinymembench import (
     TinymembenchThroughputWorkload,
 )
 
-__all__ = [
-    "FIGURES",
-    "PLAN_BUILDERS",
-    "figure_ids",
-    "build_plan",
-    "lower_figure",
-    "run_figure",
-]
+__all__ = ["Figure", "FIGURES", "figure", "lower_figure", "run_figure"]
 
 
 def _platforms(default_set: str, override: list[str] | None) -> list[str]:
@@ -427,175 +423,97 @@ def plan_fig18(platforms: list[str] | None = None) -> FigurePlan:
     return plan
 
 
-# --- public figure functions (historical signatures) --------------------------------------------
-
-
-def fig05_ffmpeg(
-    seed: int, repetitions: int = 10, platforms: list[str] | None = None
-) -> FigureResult:
-    """ffmpeg H.264->H.265 re-encode time per platform (ms)."""
-    return plan_fig05(repetitions, platforms).run(seed)
-
-
-def cpu_prime_control(
-    seed: int, repetitions: int = 10, platforms: list[str] | None = None
-) -> FigureResult:
-    """Sysbench prime verification control (events/s, single thread)."""
-    return plan_cpu_prime(repetitions, platforms).run(seed)
-
-
-def fig06_memory_latency(
-    seed: int,
-    repetitions: int = 10,
-    platforms: list[str] | None = None,
-    *,
-    huge_pages: bool = False,
-) -> FigureResult:
-    """Tinymembench random-access latency vs. buffer size (ns over L1)."""
-    return plan_fig06(repetitions, platforms, huge_pages=huge_pages).run(seed)
-
-
-def fig07_memory_throughput(
-    seed: int, repetitions: int = 10, platforms: list[str] | None = None
-) -> FigureResult:
-    """Tinymembench sequential copy throughput, regular + SSE2 (MiB/s)."""
-    return plan_fig07(repetitions, platforms).run(seed)
-
-
-def fig08_stream(
-    seed: int, repetitions: int = 10, platforms: list[str] | None = None
-) -> FigureResult:
-    """STREAM COPY bandwidth (MiB/s), average of per-run maxima."""
-    return plan_fig08(repetitions, platforms).run(seed)
-
-
-def fig09_fio_throughput(
-    seed: int,
-    repetitions: int = 10,
-    platforms: list[str] | None = None,
-    *,
-    drop_host_cache: bool = True,
-) -> FigureResult:
-    """fio sequential 128 KiB read/write throughput (MB/s)."""
-    return plan_fig09(repetitions, platforms, drop_host_cache=drop_host_cache).run(seed)
-
-
-def fig10_fio_latency(
-    seed: int, repetitions: int = 10, platforms: list[str] | None = None
-) -> FigureResult:
-    """fio 4 KiB randread latency (us)."""
-    return plan_fig10(repetitions, platforms).run(seed)
-
-
-def fig11_iperf(
-    seed: int, repetitions: int = 5, platforms: list[str] | None = None
-) -> FigureResult:
-    """iperf3 throughput (Gbit/s), maximum over repetitions."""
-    return plan_fig11(repetitions, platforms).run(seed)
-
-
-def fig12_netperf(
-    seed: int, repetitions: int = 5, platforms: list[str] | None = None
-) -> FigureResult:
-    """Netperf request/response P90 latency (us)."""
-    return plan_fig12(repetitions, platforms).run(seed)
-
-
-def fig13_container_boot(
-    seed: int, startups: int = 300, platforms: list[str] | None = None
-) -> FigureResult:
-    """Container runtime startup CDF, Docker-daemon vs. direct OCI."""
-    return plan_fig13(startups, platforms).run(seed)
-
-
-def fig14_hypervisor_boot(
-    seed: int, startups: int = 300, platforms: list[str] | None = None
-) -> FigureResult:
-    """Hypervisor boot CDF with the same kernel/rootfs and patched init."""
-    return plan_fig14(startups, platforms).run(seed)
-
-
-def fig15_osv_boot(
-    seed: int, startups: int = 300, platforms: list[str] | None = None
-) -> FigureResult:
-    """OSv boot CDF under its hypervisors, both measurement methods."""
-    return plan_fig15(startups, platforms).run(seed)
-
-
-def fig16_memcached(
-    seed: int, repetitions: int = 5, platforms: list[str] | None = None
-) -> FigureResult:
-    """Memcached under YCSB workload-a (ops/s)."""
-    return plan_fig16(repetitions, platforms).run(seed)
-
-
-def fig17_mysql(
-    seed: int, repetitions: int = 3, platforms: list[str] | None = None
-) -> FigureResult:
-    """MySQL sysbench oltp_read_write TPS over 10..160 threads."""
-    return plan_fig17(repetitions, platforms).run(seed)
-
-
-def fig18_hap(seed: int, platforms: list[str] | None = None) -> FigureResult:
-    """Extended HAP: distinct host-kernel functions, EPSS-weighted score."""
-    return plan_fig18(platforms).run(seed)
-
-
 # --- registry -----------------------------------------------------------------------------------
 
-FIGURES: dict[str, Callable[..., FigureResult]] = {
-    "fig05": fig05_ffmpeg,
-    "cpu-prime": cpu_prime_control,
-    "fig06": fig06_memory_latency,
-    "fig07": fig07_memory_throughput,
-    "fig08": fig08_stream,
-    "fig09": fig09_fio_throughput,
-    "fig10": fig10_fio_latency,
-    "fig11": fig11_iperf,
-    "fig12": fig12_netperf,
-    "fig13": fig13_container_boot,
-    "fig14": fig14_hypervisor_boot,
-    "fig15": fig15_osv_boot,
-    "fig16": fig16_memcached,
-    "fig17": fig17_mysql,
-    "fig18": fig18_hap,
+
+@dataclass(frozen=True)
+class Figure:
+    """One paper artefact and how this library reproduces it.
+
+    ``build`` returns the figure's :class:`~repro.core.plan.FigurePlan`;
+    its keyword defaults are the paper's scale. ``quick`` holds the
+    kwargs of quick mode (``run --quick``), under any caller overrides.
+    """
+
+    paper_artifact: str
+    workload: str
+    build: Callable[..., FigurePlan]
+    quick: dict[str, Any]
+
+
+#: Every reproduced artefact, in the paper's order.
+FIGURES: dict[str, Figure] = {
+    "fig05": Figure(
+        "Figure 5", "ffmpeg H.264->H.265, preset 'slower', 16 threads/16 vCPUs",
+        plan_fig05, {"repetitions": 3},
+    ),
+    "cpu-prime": Figure(
+        "Finding 1 (text)", "sysbench CPU prime verification, 1 thread",
+        plan_cpu_prime, {"repetitions": 3},
+    ),
+    "fig06": Figure(
+        "Figure 6", "tinymembench random-access latency",
+        plan_fig06, {"repetitions": 3},
+    ),
+    "fig07": Figure(
+        "Figure 7", "tinymembench sequential copy, regular + SSE2",
+        plan_fig07, {"repetitions": 3},
+    ),
+    "fig08": Figure(
+        "Figure 8", "STREAM COPY",
+        plan_fig08, {"repetitions": 3},
+    ),
+    "fig09": Figure(
+        "Figure 9", "fio sequential read/write",
+        plan_fig09, {"repetitions": 3},
+    ),
+    "fig10": Figure(
+        "Figure 10", "fio randread latency",
+        plan_fig10, {"repetitions": 3},
+    ),
+    "fig11": Figure(
+        "Figure 11", "iperf3, host as client",
+        plan_fig11, {"repetitions": 3},
+    ),
+    "fig12": Figure(
+        "Figure 12", "netperf request/response",
+        plan_fig12, {"repetitions": 3},
+    ),
+    "fig13": Figure(
+        "Figure 13", "container startup, patched exit",
+        plan_fig13, {"startups": 60},
+    ),
+    "fig14": Figure(
+        "Figure 14", "hypervisor boot, same kernel+rootfs, patched init",
+        plan_fig14, {"startups": 60},
+    ),
+    "fig15": Figure(
+        "Figure 15", "OSv boot under supported hypervisors",
+        plan_fig15, {"startups": 60},
+    ),
+    "fig16": Figure(
+        "Figure 16", "memcached under YCSB workload-a",
+        plan_fig16, {"repetitions": 3},
+    ),
+    "fig17": Figure(
+        "Figure 17", "MySQL sysbench oltp_read_write",
+        plan_fig17, {"repetitions": 3},
+    ),
+    "fig18": Figure(
+        "Figure 18", "ftrace over sysbench cpu/mem/fileio + iperf3 + boot/shutdown",
+        plan_fig18, {},
+    ),
 }
 
-#: The declarative side of the registry: id -> plan builder (same kwargs
-#: as the figure function, minus ``seed`` — seeds enter at lowering).
-PLAN_BUILDERS: dict[str, Callable[..., FigurePlan]] = {
-    "fig05": plan_fig05,
-    "cpu-prime": plan_cpu_prime,
-    "fig06": plan_fig06,
-    "fig07": plan_fig07,
-    "fig08": plan_fig08,
-    "fig09": plan_fig09,
-    "fig10": plan_fig10,
-    "fig11": plan_fig11,
-    "fig12": plan_fig12,
-    "fig13": plan_fig13,
-    "fig14": plan_fig14,
-    "fig15": plan_fig15,
-    "fig16": plan_fig16,
-    "fig17": plan_fig17,
-    "fig18": plan_fig18,
-}
 
-
-def figure_ids() -> list[str]:
-    """All reproducible figure identifiers."""
-    return list(FIGURES)
-
-
-def build_plan(figure_id: str, **kwargs) -> FigurePlan:
-    """Build one figure's declarative plan (nothing lowered or executed)."""
+def figure(figure_id: str) -> Figure:
+    """The declaration of ``figure_id`` (an unknown id is a user error)."""
     try:
-        builder = PLAN_BUILDERS[figure_id]
+        return FIGURES[figure_id]
     except KeyError:
-        raise KeyError(
-            f"unknown figure {figure_id!r}; known: {', '.join(PLAN_BUILDERS)}"
+        raise ConfigurationError(
+            f"unknown figure {figure_id!r}; known: {', '.join(FIGURES)}"
         ) from None
-    return builder(**kwargs)
 
 
 def lower_figure(figure_id: str, seed: int, **kwargs) -> LoweredGrid:
@@ -607,15 +525,9 @@ def lower_figure(figure_id: str, seed: int, **kwargs) -> LoweredGrid:
     grid backend, and ``.cells[i].job.run()`` reproduces exactly what a
     worker executes — the profiling seam (``docs/PERFORMANCE.md``).
     """
-    return build_plan(figure_id, **kwargs).lower(seed)
+    return figure(figure_id).build(**kwargs).lower(seed)
 
 
 def run_figure(figure_id: str, seed: int, **kwargs) -> FigureResult:
     """Run one figure reproduction by id (plan -> lower -> grid -> fold)."""
-    try:
-        function = FIGURES[figure_id]
-    except KeyError:
-        raise KeyError(
-            f"unknown figure {figure_id!r}; known: {', '.join(FIGURES)}"
-        ) from None
-    return function(seed, **kwargs)
+    return figure(figure_id).build(**kwargs).run(seed)

@@ -5,9 +5,8 @@ repetition counts, stream tags — as a :class:`FigurePlan` made of
 :class:`MeasurementSpec`s. A lowering pass expands the plan into a flat
 grid of picklable :class:`~repro.core.runner.RepJob`s, one per
 ``(platform, repetition)`` cell, with every cell's RNG stream pre-derived
-from the seed tree (``figure/platform[/tag]/rep-i`` — exactly the
-derivation :meth:`Runner.rep_streams` uses, so lowered results are
-bit-identical to the historical per-platform loops). The whole grid is
+from the seed tree (``scope/platform[/tag]/rep-i``, so no cell's draws
+depend on another's or on the order cells run in). The whole grid is
 dispatched through a *single* order-preserving mapper call, then folded
 back into :class:`~repro.core.results.FigureResult` rows and series
 deterministically.
@@ -32,20 +31,13 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.core.results import FigureResult, ResultRow, SeriesRow
-from repro.core.runner import (
-    Mapper,
-    RepJob,
-    Runner,
-    _serial_map,
-    active_grid_mapper,
-    run_rep_job,
-)
+from repro.core.runner import Mapper, RepJob, _serial_map, active_grid_mapper, run_rep_job
 from repro.core.stats import Summary, summarize
 from repro.core.store import canonical_overrides
 from repro.errors import ConfigurationError, UnsupportedOperationError
 from repro.platforms import get_platform
 from repro.platforms.base import Platform
-from repro.rng import materialize_streams
+from repro.rng import RngStream, materialize_streams
 from repro.workloads.base import Workload
 
 __all__ = [
@@ -297,12 +289,13 @@ class GridOutcome:
 class FigurePlan:
     """A figure's declaration: what to measure and how to fold it.
 
-    Figure functions build a plan (``measure`` + ``fold_rows`` /
-    ``fold_series`` / ``fold_with`` + ``note``) and call :meth:`run`;
-    everything about *where* the grid executes lives in the mapper the
-    scheduler installs ambiently. ``scope`` names the RNG subtree and
-    defaults to ``figure_id`` (Figure 6's huge-page variant keeps its
-    historical distinct scope).
+    A figure's builder (:mod:`repro.core.figures`) makes a plan with
+    ``measure`` + ``fold_rows`` / ``fold_series`` / ``fold_with`` +
+    ``note``; :meth:`run` lowers, executes and folds it, and everything
+    about *where* the grid executes lives in the mapper the scheduler
+    installs ambiently. ``scope`` names the RNG subtree and defaults to
+    ``figure_id`` (Figure 6's huge-page variant keeps its historical
+    distinct scope).
     """
 
     figure_id: str
@@ -418,16 +411,17 @@ class FigurePlan:
     def lower(self, seed: int) -> LoweredGrid:
         """Expand the plan into its flat ``(platform, rep)`` job grid.
 
-        Stream derivation matches the historical per-platform loops
-        exactly: split specs use :meth:`Runner.rep_streams`, whole-stream
-        specs use :meth:`Runner.stream_for` — so plan execution is
-        bit-identical to the pre-plan figures. After the grid is built,
-        every cell stream is seeded in one vectorized
+        Every cell's stream descends from one ``RngStream(seed, scope)``
+        root: split specs hand rep ``i`` the ``platform[/tag]/rep-i``
+        child, whole-stream specs the bare ``platform[/tag]`` child. The
+        path is keyed by the platform's own name, not the roster name
+        (fig13's ``docker-oci`` is a platform named ``docker``). After
+        the grid is built, every cell stream is seeded in one vectorized
         :func:`~repro.rng.materialize_streams` pass (a pure speed-up:
         seeding depends only on each stream's derived seed, never on
         batch order).
         """
-        runner = Runner(seed, self.scope)
+        root = RngStream(seed, self.scope)
         cells: list[GridCell] = []
         exclusions: list[Exclusion] = []
         for spec in self.specs:
@@ -439,16 +433,19 @@ class FigurePlan:
                     except UnsupportedOperationError as exc:
                         exclusions.append(Exclusion(spec.key, name, str(exc)))
                         continue
-                if spec.split_reps:
-                    streams = runner.rep_streams(platform, spec.repetitions, spec.tag)
-                else:
-                    streams = [runner.stream_for(platform, spec.tag)]
-                for index, stream in enumerate(streams):
+                stream = root.child(
+                    f"{platform.name}/{spec.tag}" if spec.tag else platform.name
+                )
+                streams = (
+                    stream.children(f"rep-{index}" for index in range(spec.repetitions))
+                    if spec.split_reps else [stream]
+                )
+                for index, cell_stream in enumerate(streams):
                     cells.append(
                         GridCell(spec.key, name, index,
-                                 RepJob(spec.workload, platform, stream,
+                                 RepJob(spec.workload, platform, cell_stream,
                                         token=cell_token(spec.workload, name,
-                                                         stream)))
+                                                         cell_stream)))
                     )
         materialize_streams([cell.job.stream for cell in cells])
         return LoweredGrid(self.figure_id, seed, self.specs, cells, exclusions)

@@ -1,13 +1,10 @@
-"""Repetition engine: per-repetition streams, grid jobs, and grid mappers.
+"""Repetition engine: grid jobs and grid mappers.
 
-:class:`Runner` derives each repetition's RNG stream (from
-``figure/platform/rep-i``) for the plan layer's lowering, so every
-figure's seed management is uniform and results are reproducible.
-
-Execution is separated from definition: every repetition's stream is
-derived *up-front* from the seed tree, so the repetitions are mutually
-independent and may be dispatched through any order-preserving ``mapper``
-(the built-in serial map by default; the process pool mapper — and the
+The plan layer (:mod:`repro.core.plan`) lowers a figure into
+:class:`RepJob` cells whose streams are all derived *up-front* from the
+seed tree, so the repetitions are mutually independent and may be
+dispatched through any order-preserving ``mapper`` (the built-in serial
+map by default; the process pool mapper — and the
 :mod:`repro.core.remote` fleet mapper — via :func:`grid_mapper`).
 Results are bit-identical regardless of the mapper because no
 repetition's draws depend on another's.
@@ -35,11 +32,13 @@ from typing import Any, Callable, Iterable, Iterator
 from repro.core.chunking import chunk_items, resolve_chunk_size
 from repro.errors import ConfigurationError
 from repro.platforms.base import Platform
-from repro.rng import RngStream, derive_seed, materialize_streams
+from repro.rng import RngStream
+# Unused here: perfbench's tracer patches ``runner.materialize_streams``
+# (perfbench/tracing.py ``patch_targets``) and reads it from this module.
+from repro.rng import materialize_streams  # noqa: F401
 from repro.workloads.base import Workload
 
 __all__ = [
-    "Runner",
     "RepJob",
     "run_rep_job",
     "run_chunk",
@@ -63,7 +62,7 @@ class RepJob:
 
     Carries the workload, the platform, and the repetition's pre-derived
     :class:`~repro.rng.RngStream` — everything :meth:`run` needs, with no
-    reference back to the :class:`Runner` that built it.
+    reference back to the plan that lowered it.
 
     ``token`` is the cell's content address for fleet-wide dedupe (see
     :func:`~repro.core.plan.cell_token`): equal tokens mean equal
@@ -257,37 +256,3 @@ def execution_context(mapper: Mapper | None) -> Iterator[None]:
         yield
     finally:
         _ACTIVE_GRID_MAPPER.reset(token)
-
-
-class Runner:
-    """Derives the per-platform, per-repetition streams of one seed scope."""
-
-    def __init__(self, seed: int, scope: str) -> None:
-        self.root = RngStream(seed, scope)
-
-    @staticmethod
-    def job_seed(seed: int, scope: str) -> int:
-        """The derived identity of a job at ``scope`` in the seed tree."""
-        return derive_seed(seed, f"job/{scope}")
-
-    def stream_for(self, platform: Platform, tag: str = "") -> RngStream:
-        """The platform's stream within this runner's scope."""
-        path = platform.name if not tag else f"{platform.name}/{tag}"
-        return self.root.child(path)
-
-    def rep_streams(
-        self, platform: Platform, repetitions: int, tag: str = ""
-    ) -> list[RngStream]:
-        """One independent pre-derived stream per repetition.
-
-        The streams are batch-derived (one keyed-hash pass) and batch-seeded
-        (:func:`~repro.rng.materialize_streams`), so wide grids pay one
-        vectorized seeding pass instead of one SeedSequence per repetition.
-        The draws are bit-identical to per-rep derivation either way.
-        """
-        if repetitions < 1:
-            raise ConfigurationError("repetitions must be >= 1")
-        stream = self.stream_for(platform, tag)
-        streams = stream.children(f"rep-{index}" for index in range(repetitions))
-        materialize_streams(streams)
-        return streams

@@ -10,12 +10,13 @@ lowered ``(platform, rep)`` grid (see :mod:`repro.core.plan`) fans over
 one process pool or one worker fleet — then records a :class:`JobRecord`
 and writes the result back.
 
-Determinism is preserved by construction: every figure function builds its
-own :class:`~repro.core.runner.Runner` seed subtree from ``(seed,
-figure_id)``, and each job additionally records its
-:func:`~repro.rng.derive_seed`-derived identity. Every cell's stream is
-derived before dispatch and every grid mapper preserves input order, so
-results are bit-identical to serial on every grid backend.
+Determinism is preserved by construction: every figure's lowering
+derives its cell streams from its own ``(seed, scope)`` subtree, and each
+job additionally records its :func:`~repro.rng.derive_seed`-derived
+identity. Every cell's stream is derived before dispatch and every grid
+mapper preserves input order, so results are bit-identical to serial on
+every grid backend. Quick mode runs each figure at the scale its
+:class:`~repro.core.figures.Figure` declaration names.
 
 Jobs are crash-isolated: an exception in one figure is captured in its
 :class:`JobRecord` and the remaining jobs still run to completion.
@@ -28,41 +29,26 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
-from repro.core.figures import FIGURES, lower_figure, run_figure
+from repro.core.figures import FIGURES, figure, lower_figure, run_figure
 from repro.core.plan import LoweredGrid
 from repro.core.results import FigureResult
-from repro.core.runner import (
-    GRID_BACKENDS,
-    Mapper,
-    Runner,
-    execution_context,
-    grid_mapper,
-)
+from repro.core.runner import GRID_BACKENDS, Mapper, execution_context, grid_mapper
 from repro.core.remote import parse_worker_address
 from repro.core.store import ResultStore, StoreKey
 from repro.core.storenet import RemoteStore, TieredStore
 from repro.errors import ConfigurationError, ReproError
+from repro.rng import derive_seed
 
 __all__ = [
     "ExecutionPolicy",
     "JobRecord",
     "SchedulerReport",
     "ExperimentScheduler",
-    "quick_overrides",
 ]
 
 BACKEND_SERIAL = "serial"
 BACKEND_PROCESS = "process"
 BACKEND_REMOTE = "remote"
-
-
-def quick_overrides(figure_id: str) -> dict[str, Any]:
-    """Reduced-repetition kwargs used by quick mode (single source of truth)."""
-    if figure_id in ("fig13", "fig14", "fig15"):
-        return {"startups": 60}
-    if figure_id in ("fig18",):
-        return {}
-    return {"repetitions": 3}
 
 
 @dataclass(frozen=True)
@@ -346,8 +332,8 @@ class ExperimentScheduler:
         )
 
     def effective_kwargs(self, figure_id: str, overrides: dict[str, Any] | None) -> dict:
-        """Quick-mode defaults merged with caller overrides."""
-        kwargs = quick_overrides(figure_id) if self.quick else {}
+        """The figure's quick-mode kwargs (in quick mode) under caller overrides."""
+        kwargs = dict(figure(figure_id).quick) if self.quick else {}
         kwargs.update(overrides or {})
         return kwargs
 
@@ -359,10 +345,6 @@ class ExperimentScheduler:
         The dry-run seam: the returned grid describes the (platform, rep)
         cells, exclusions, and total width the scheduler would dispatch.
         """
-        if figure_id not in FIGURES:
-            raise ConfigurationError(
-                f"unknown figure {figure_id!r}; known: {', '.join(FIGURES)}"
-            )
         return lower_figure(
             figure_id, self.seed, **self.effective_kwargs(figure_id, overrides)
         )
@@ -403,7 +385,7 @@ class ExperimentScheduler:
                     digest=key.digest,
                     backend="store",
                     wall_time_s=time.perf_counter() - started,
-                    job_seed=Runner.job_seed(self.seed, figure_id),
+                    job_seed=derive_seed(self.seed, f"job/{figure_id}"),
                     cache=f"hit-{tier}",
                     store=self.store_address,
                 )
@@ -434,7 +416,7 @@ class ExperimentScheduler:
             digest=key.digest,
             backend=BACKEND_SERIAL,
             wall_time_s=0.0,
-            job_seed=Runner.job_seed(self.seed, figure_id),
+            job_seed=derive_seed(self.seed, f"job/{figure_id}"),
             store=self.store_address,
             grid_backend=policy.resolved_grid_backend,
             grid_jobs=policy.grid_jobs,

@@ -32,8 +32,7 @@ import json
 import pathlib
 from typing import Any
 
-from repro.core.experiment import EXPERIMENTS, get_experiment
-from repro.core.figures import FIGURES, figure_ids
+from repro.core.figures import FIGURES, figure
 from repro.core.findings import FindingCheck, FindingsEvaluator
 from repro.core.results import FigureResult
 from repro.core.scheduler import (
@@ -43,7 +42,6 @@ from repro.core.scheduler import (
 )
 from repro.core.store import ResultStore, StoreKey
 from repro.core.storenet import RemoteStore, TieredStore
-from repro.errors import ConfigurationError
 from repro.hardware.topology import paper_testbed
 
 __all__ = ["BenchmarkSuite"]
@@ -104,7 +102,7 @@ class BenchmarkSuite:
 
     def figure_ids(self) -> list[str]:
         """All reproducible figures/tables."""
-        return figure_ids()
+        return list(FIGURES)
 
     def _key(self, figure_id: str, overrides: dict[str, Any]) -> StoreKey:
         # Delegate so in-memory keys match the scheduler/store addressing
@@ -127,10 +125,7 @@ class BenchmarkSuite:
         with overrides are cached too, under their own key, and a warm
         persistent store satisfies the call with zero workload executions.
         """
-        if figure_id not in FIGURES:
-            raise ConfigurationError(
-                f"unknown figure {figure_id!r}; known: {', '.join(FIGURES)}"
-            )
+        figure(figure_id)  # an unknown id raises before any key is built
         key = self._key(figure_id, overrides)
         # "Default" is a property of the effective key, not the call
         # spelling: an explicit override equal to the quick defaults is the
@@ -236,7 +231,7 @@ class BenchmarkSuite:
             f"{fleet}"
             f"{chunk}"
             f"store={self.store.describe() if self.store else 'none'}\n"
-            f"Figures: {', '.join(figure_ids())}"
+            f"Figures: {', '.join(FIGURES)}"
         )
 
     def save_results(self, directory: str | pathlib.Path) -> list[pathlib.Path]:
@@ -277,9 +272,8 @@ class BenchmarkSuite:
                     "figures": [p.name for p in written],
                     "provenance": provenance,
                     "experiments": {
-                        key.figure_id: get_experiment(key.figure_id).paper_artifact
+                        key.figure_id: FIGURES[key.figure_id].paper_artifact
                         for key in self._keys.values()
-                        if key.figure_id in EXPERIMENTS
                     },
                 },
                 indent=2,

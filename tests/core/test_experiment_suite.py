@@ -1,11 +1,12 @@
-"""Tests for the experiment registry, findings checker, and suite facade."""
+"""Tests for the figure registry, findings checker, and suite facade."""
 
 import json
 
 import pytest
 
-from repro.core.experiment import EXPERIMENTS, get_experiment
+from repro.core.figures import FIGURES, figure
 from repro.core.findings import FindingsEvaluator
+from repro.core.plan import FigurePlan
 from repro.core.suite import BenchmarkSuite
 from repro.errors import ConfigurationError
 
@@ -13,22 +14,18 @@ from repro.errors import ConfigurationError
 class TestExperimentRegistry:
     def test_all_figures_covered(self):
         expected = {f"fig{n:02d}" for n in range(5, 19)} | {"cpu-prime"}
-        assert set(EXPERIMENTS) == expected
-
-    def test_every_experiment_names_bench_target(self):
-        for experiment in EXPERIMENTS.values():
-            assert experiment.bench_target.startswith("benchmarks/")
-            assert experiment.modules
-            assert experiment.paper_observation
+        assert set(FIGURES) == expected
 
     def test_lookup(self):
-        assert get_experiment("fig11").workload.startswith("iperf3")
+        assert figure("fig11").workload.startswith("iperf3")
         with pytest.raises(ConfigurationError):
-            get_experiment("fig99")
+            figure("fig99")
 
     def test_startup_experiments_use_300_reps(self):
+        # The builders' defaults are the paper's scale: 300 startups each.
         for figure_id in ("fig13", "fig14", "fig15"):
-            assert get_experiment(figure_id).repetitions == 300
+            plan = FIGURES[figure_id].build()
+            assert {spec.workload.startups for spec in plan.specs} == {300}
 
 
 class TestFindings:
@@ -184,23 +181,10 @@ class TestSuiteExecutionLayer:
 
 
 class TestRegistryConsistency:
-    """The experiment registry, figure registry, and bench files must agree."""
+    """Each registry entry declares the figure it is filed under."""
 
     def test_every_experiment_has_a_figure_function(self):
-        from repro.core.figures import FIGURES
-
-        assert set(EXPERIMENTS) == set(FIGURES)
-
-    def test_every_bench_target_exists_on_disk(self):
-        import pathlib
-
-        repo_root = pathlib.Path(__file__).resolve().parents[2]
-        for experiment in EXPERIMENTS.values():
-            assert (repo_root / experiment.bench_target).exists(), experiment.bench_target
-
-    def test_every_module_reference_imports(self):
-        import importlib
-
-        for experiment in EXPERIMENTS.values():
-            for module_name in experiment.modules:
-                importlib.import_module(module_name)
+        for figure_id, declared in FIGURES.items():
+            plan = declared.build(**declared.quick)
+            assert isinstance(plan, FigurePlan)
+            assert plan.figure_id == figure_id

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.figures import figure_ids, run_figure
+from repro.core.figures import FIGURES, run_figure
+from repro.errors import ConfigurationError
 
 SEED = 42
 FAST = {"repetitions": 3}
@@ -24,12 +25,12 @@ def figures():
 
 class TestRegistry:
     def test_all_paper_figures_present(self):
-        ids = figure_ids()
+        ids = list(FIGURES)
         for expected in [f"fig{n:02d}" for n in range(5, 19) if n != 5] + ["fig05", "cpu-prime"]:
             assert expected in ids
 
     def test_unknown_figure_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigurationError, match="unknown figure 'fig99'"):
             run_figure("fig99", SEED)
 
 

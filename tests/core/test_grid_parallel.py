@@ -20,7 +20,6 @@ from repro.core.runner import (
     GRID_BACKENDS,
     PoolMapper,
     RepJob,
-    Runner,
     active_grid_mapper,
     execution_context,
     grid_mapper,
@@ -36,6 +35,7 @@ from repro.core.store import ResultStore
 from repro.core.suite import BenchmarkSuite
 from repro.errors import ConfigurationError
 from repro.platforms import get_platform
+from repro.rng import RngStream
 from repro.workloads.iperf import IperfWorkload
 
 #: Representative figure subset: bar figures, a series figure, and the
@@ -77,9 +77,8 @@ class TestRepJobPickling:
     """Regression: a closure-based dispatch would break pool mappers."""
 
     def test_rep_job_round_trips_through_pickle(self):
-        runner = Runner(42, "fig11")
         platform = get_platform("docker")
-        stream = runner.rep_streams(platform, 3)[1]
+        stream = RngStream(42, "fig11").child("docker").child("rep-1")
         job = RepJob(IperfWorkload(), platform, stream)
         clone = pickle.loads(pickle.dumps(job))
         assert clone.stream.path == job.stream.path
@@ -188,15 +187,17 @@ class TestExecutionContext:
         assert explicit and not ambient
 
     def test_rep_streams_order_is_by_index(self):
-        runner = Runner(42, "fig11")
-        streams = runner.rep_streams(get_platform("docker"), 4)
+        def docker_streams():
+            grid = lower_figure("fig11", 42, repetitions=4)
+            return [c.job.stream for c in grid.cells if c.platform == "docker"]
+
+        streams = docker_streams()
         assert [s.path.rsplit("/", 1)[-1] for s in streams] == [
             "rep-0", "rep-1", "rep-2", "rep-3"
         ]
         # Reordered dispatch cannot change what each rep draws: streams are
         # pre-derived from the index, not from execution order.
-        again = runner.rep_streams(get_platform("docker"), 4)
-        assert [s.seed for s in streams] == [s.seed for s in again]
+        assert [s.seed for s in streams] == [s.seed for s in docker_streams()]
 
 
 class TestPolicyGridDimension:

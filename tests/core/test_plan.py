@@ -17,16 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.figures import (
-    FIGURES,
-    PLAN_BUILDERS,
-    build_plan,
-    lower_figure,
-    run_figure,
-)
+from repro.core.figures import FIGURES, lower_figure, run_figure
 from repro.core.plan import FigurePlan, MeasurementSpec
-from repro.core.runner import Runner, execution_context
-from repro.core.scheduler import ExperimentScheduler, quick_overrides
+from repro.core.runner import execution_context
+from repro.core.scheduler import ExperimentScheduler
 from repro.core.suite import BenchmarkSuite
 from repro.errors import ConfigurationError, UnsupportedOperationError
 from repro.platforms import PLATFORM_SETS, platform_names
@@ -59,18 +53,18 @@ FIGURE_ROSTERS = {
 
 class TestRegistry:
     def test_every_figure_has_a_plan_builder(self):
-        assert set(PLAN_BUILDERS) == set(FIGURES)
+        assert all(callable(declared.build) for declared in FIGURES.values())
         assert set(FIGURE_ROSTERS) == set(FIGURES)
 
-    def test_build_plan_returns_unexecuted_declaration(self):
-        plan = build_plan("fig11", repetitions=2)
+    def test_builder_returns_unexecuted_declaration(self):
+        plan = FIGURES["fig11"].build(repetitions=2)
         assert isinstance(plan, FigurePlan)
         assert plan.figure_id == "fig11"
         assert all(isinstance(spec, MeasurementSpec) for spec in plan.specs)
 
     def test_unknown_figure_rejected(self):
-        with pytest.raises(KeyError):
-            build_plan("fig99")
+        with pytest.raises(ConfigurationError, match="unknown figure 'fig99'"):
+            lower_figure("fig99", SEED)
 
 
 class TestLoweringCoverage:
@@ -78,8 +72,7 @@ class TestLoweringCoverage:
 
     @pytest.mark.parametrize("figure_id", sorted(FIGURES))
     def test_grid_covers_roster_times_reps(self, figure_id):
-        kwargs = quick_overrides(figure_id)
-        grid = lower_figure(figure_id, SEED, **kwargs)
+        grid = lower_figure(figure_id, SEED, **FIGURES[figure_id].quick)
         declared = list(PLATFORM_SETS[FIGURE_ROSTERS[figure_id]])
         for spec in grid.specs:
             assert list(spec.platforms) == declared
@@ -114,15 +107,19 @@ class TestLoweringCoverage:
 
 
 class TestLoweringStreams:
-    """Cell streams replicate the historical Runner derivations exactly."""
+    """Cell streams descend from one ``RngStream(seed, scope)`` root."""
 
     def test_whole_stream_spec_matches_runner_stream_for(self):
         grid = lower_figure("fig13", SEED, startups=10)
-        runner = Runner(SEED, "fig13")
+        root = RngStream(SEED, "fig13")
         for cell in grid.cells:
-            expected = runner.stream_for(cell.job.platform, "end-to-end")
+            expected = root.child(f"{cell.job.platform.name}/end-to-end")
             assert cell.job.stream.path == expected.path
             assert cell.job.stream.seed == expected.seed
+        # Keyed by the platform's own name, not the roster name: the
+        # "docker-oci" roster entry is a platform named "docker".
+        paths = {cell.platform: cell.job.stream.path for cell in grid.cells}
+        assert paths["docker-oci"] == paths["docker"] == "fig13/docker/end-to-end"
 
     def test_split_reps_false_requires_single_repetition(self):
         with pytest.raises(ConfigurationError, match="split_reps"):
@@ -243,12 +240,10 @@ class TestLoweringProperties:
                  c.job.stream.path) for c in once.cells] == \
                [(c.spec_key, c.platform, c.rep_index, c.job.stream.seed,
                  c.job.stream.path) for c in again.cells]
-        # ...and each matches the historical Runner derivation exactly.
-        runner = Runner(seed, plan.scope)
+        # ...and each equals the scalar seed-tree derivation of its cell.
+        root = RngStream(seed, plan.scope)
         for cell in once.cells:
-            expected = runner.rep_streams(
-                cell.job.platform, repetitions
-            )[cell.rep_index]
+            expected = root.child(cell.job.platform.name).child(f"rep-{cell.rep_index}")
             assert cell.job.stream.path == expected.path
             assert cell.job.stream.seed == expected.seed
 
@@ -285,15 +280,15 @@ class TestFlatDispatch:
             calls.append(len(items))
             return [fn(item) for item in items]
 
-        kwargs = quick_overrides(figure_id)
+        kwargs = FIGURES[figure_id].quick
         expected = lower_figure(figure_id, SEED, **kwargs).width
         with execution_context(recording_map):
             run_figure(figure_id, SEED, **kwargs)
         assert calls == [expected]
 
     def test_no_per_platform_loops_remain_in_figures(self):
-        # The acceptance criterion, enforced structurally: figure code no
-        # longer calls Runner dispatch helpers per platform.
+        # The acceptance criterion, enforced structurally: figure code
+        # calls no per-platform dispatch helpers.
         import inspect
 
         from repro.core import figures
@@ -313,10 +308,10 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("figure_id", ["fig05", "fig06", "fig13", "fig18"])
     def test_runner_layer_plan_run(self, grid_backend, figure_id):
-        kwargs = quick_overrides(figure_id)
-        serial = build_plan(figure_id, **kwargs).run(SEED)
+        declared = FIGURES[figure_id]
+        serial = declared.build(**declared.quick).run(SEED)
         with grid_backend.open_mapper(2) as mapper:
-            pooled = build_plan(figure_id, **kwargs).run(SEED, mapper)
+            pooled = declared.build(**declared.quick).run(SEED, mapper)
         assert pooled.comparable_dict() == serial.comparable_dict()
 
     def test_scheduler_layer(self, grid_backend):

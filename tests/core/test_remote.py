@@ -35,7 +35,7 @@ from repro.core.remote import (
     recv_frame,
     send_frame,
 )
-from repro.core.runner import RepJob, Runner, grid_mapper
+from repro.core.runner import RepJob, grid_mapper
 from repro.core.scheduler import (
     BACKEND_REMOTE,
     BACKEND_SERIAL,
@@ -46,6 +46,7 @@ from repro.core.store import ResultStore
 from repro.core.suite import BenchmarkSuite
 from repro.errors import ConfigurationError
 from repro.platforms import get_platform
+from repro.rng import RngStream
 from repro.workloads.iperf import IperfWorkload
 
 SEED = 42
@@ -112,9 +113,9 @@ class TestFraming:
     def test_rep_job_round_trips_as_a_frame(self):
         # The real cargo: a lowered grid cell crosses the wire intact and
         # reproduces the exact same draw on the other side.
-        runner = Runner(SEED, "fig11")
         platform = get_platform("docker")
-        job = RepJob(IperfWorkload(), platform, runner.rep_streams(platform, 3)[1])
+        stream = RngStream(SEED, "fig11").child("docker").child("rep-1")
+        job = RepJob(IperfWorkload(), platform, stream)
         left, right = self._pair()
         try:
             send_frame(left, ("job", 0, job))

@@ -1,24 +1,29 @@
-"""Tests for the runner and report rendering."""
+"""Tests for per-repetition stream derivation and report rendering."""
 
 import pytest
 
 from repro.core.report import render_figure, render_rows, render_series
 from repro.core.results import FigureResult, ResultRow, SeriesRow
-from repro.core.runner import Runner
+from repro.core.plan import FigurePlan
 from repro.core.stats import summarize
 from repro.errors import ConfigurationError
-from repro.platforms import get_platform
 from repro.workloads.iperf import IperfWorkload
 
 
+def _plan(scope: str) -> FigurePlan:
+    return FigurePlan(figure_id="probe", title="probe", unit="Gbit/s", scope=scope)
+
+
 def _throughputs(scope: str, repetitions: int, seed: int = 7) -> list[float]:
-    """One platform's repetitions run from the streams the runner derives."""
-    platform = get_platform("docker")
-    streams = Runner(seed, scope).rep_streams(platform, repetitions)
-    return [IperfWorkload().run(platform, s).throughput_gbit_per_s for s in streams]
+    """One platform's repetitions run from the streams lowering derives."""
+    plan = _plan(scope)
+    plan.measure(IperfWorkload(), ["docker"], repetitions)
+    return [cell.job.run().throughput_gbit_per_s for cell in plan.lower(seed).cells]
 
 
 class TestRunner:
+    """Each repetition draws from its own stream under ``(seed, scope)``."""
+
     def test_deterministic_given_seed_and_scope(self):
         assert _throughputs("scope", 3) == _throughputs("scope", 3)
 
@@ -29,9 +34,8 @@ class TestRunner:
         assert len(set(_throughputs("scope", 5))) > 1
 
     def test_invalid_repetitions_rejected(self):
-        runner = Runner(1, "scope")
         with pytest.raises(ConfigurationError):
-            runner.rep_streams(get_platform("native"), 0)
+            _plan("scope").measure(IperfWorkload(), ["native"], 0)
 
 
 class TestReport:

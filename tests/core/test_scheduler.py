@@ -7,13 +7,10 @@ hits and misses, and crash isolation when one job raises.
 
 import pytest
 
-from repro.core.scheduler import (
-    BACKEND_SERIAL,
-    ExperimentScheduler,
-    quick_overrides,
-)
+from repro.core.scheduler import BACKEND_SERIAL, ExperimentScheduler
 from repro.core.store import ResultStore
 from repro.errors import ConfigurationError
+from repro.rng import derive_seed
 
 #: Fast figures used throughout (quick mode keeps each under ~100 ms).
 SUBSET = ["cpu-prime", "fig11", "fig12", "fig18"]
@@ -26,15 +23,20 @@ class TestJobs:
         other_seed = ExperimentScheduler(43, quick=True).run(["fig11"])
         fig11, fig12 = report.records
         job_seed = fig11.job_seed
+        assert job_seed == derive_seed(42, "job/fig11")
         assert job_seed == again.records[0].job_seed
         assert job_seed != fig12.job_seed
         assert job_seed != other_seed.records[0].job_seed
         assert report.results["fig11"].provenance["job_seed"] == job_seed
 
-    def test_quick_overrides_table(self):
-        assert quick_overrides("fig13") == {"startups": 60}
-        assert quick_overrides("fig18") == {}
-        assert quick_overrides("fig11") == {"repetitions": 3}
+    def test_quick_kwargs_table(self):
+        quick = ExperimentScheduler(42, quick=True)
+        assert quick.effective_kwargs("fig13", None) == {"startups": 60}
+        assert quick.effective_kwargs("fig18", None) == {}
+        assert quick.effective_kwargs("fig11", None) == {"repetitions": 3}
+        # Caller overrides win, and full mode adds nothing.
+        assert quick.effective_kwargs("fig11", {"repetitions": 5}) == {"repetitions": 5}
+        assert ExperimentScheduler(42).effective_kwargs("fig11", None) == {}
 
 
 class TestDeterminism:

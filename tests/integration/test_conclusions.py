@@ -6,16 +6,7 @@ the higher-level conclusions the paper draws from them.
 
 import pytest
 
-from repro.core.figures import (
-    cpu_prime_control,
-    fig08_stream,
-    fig09_fio_throughput,
-    fig11_iperf,
-    fig13_container_boot,
-    fig14_hypervisor_boot,
-    fig15_osv_boot,
-    fig18_hap,
-)
+from repro.core.figures import run_figure
 from repro.platforms import get_platform
 from repro.security.analysis import audit_platform
 
@@ -25,18 +16,18 @@ SEED = 42
 @pytest.fixture(scope="module")
 def figures():
     return {
-        "prime": cpu_prime_control(SEED, repetitions=3),
-        "stream": fig08_stream(SEED, repetitions=3),
-        "fio": fig09_fio_throughput(
-            SEED, repetitions=3,
+        "prime": run_figure("cpu-prime", SEED, repetitions=3),
+        "stream": run_figure("fig08", SEED, repetitions=3),
+        "fio": run_figure(
+            "fig09", SEED, repetitions=3,
             platforms=["native", "docker", "lxc", "qemu", "cloud-hypervisor",
                        "kata", "kata-virtiofs", "gvisor"],
         ),
-        "iperf": fig11_iperf(SEED),
-        "container_boot": fig13_container_boot(SEED, startups=40),
-        "hypervisor_boot": fig14_hypervisor_boot(SEED, startups=40),
-        "osv_boot": fig15_osv_boot(SEED, startups=40),
-        "hap": fig18_hap(SEED),
+        "iperf": run_figure("fig11", SEED),
+        "container_boot": run_figure("fig13", SEED, startups=40),
+        "hypervisor_boot": run_figure("fig14", SEED, startups=40),
+        "osv_boot": run_figure("fig15", SEED, startups=40),
+        "hap": run_figure("fig18", SEED),
     }
 
 

@@ -1,20 +1,15 @@
 """Golden-value regression tests for seed 42.
 
-These lock the calibration recorded in EXPERIMENTS.md: any model change
-that silently moves a headline number by more than a few percent fails
-here, forcing a deliberate recalibration (and an EXPERIMENTS.md update)
-instead of an accidental one. Tolerances are deliberately tight — these
+These lock the models' calibration: any model change that silently
+moves a headline number by more than a few percent fails here, forcing
+a deliberate recalibration (recorded in CHANGES.md) instead of an
+accidental one. Tolerances are deliberately tight — these
 are regression guards, not physics claims.
 """
 
 import pytest
 
-from repro.core.figures import (
-    fig11_iperf,
-    fig13_container_boot,
-    fig14_hypervisor_boot,
-    fig18_hap,
-)
+from repro.core.figures import run_figure
 
 SEED = 42
 
@@ -65,22 +60,22 @@ GOLDEN_HAP = [
 
 @pytest.fixture(scope="module")
 def iperf():
-    return fig11_iperf(SEED, repetitions=5)
+    return run_figure("fig11", SEED, repetitions=5)
 
 
 @pytest.fixture(scope="module")
 def container_boot():
-    return fig13_container_boot(SEED, startups=300)
+    return run_figure("fig13", SEED, startups=300)
 
 
 @pytest.fixture(scope="module")
 def hypervisor_boot():
-    return fig14_hypervisor_boot(SEED, startups=300)
+    return run_figure("fig14", SEED, startups=300)
 
 
 @pytest.fixture(scope="module")
 def hap():
-    return fig18_hap(SEED)
+    return run_figure("fig18", SEED)
 
 
 @pytest.mark.parametrize(("platform", "expected", "tolerance"), GOLDEN_IPERF)
