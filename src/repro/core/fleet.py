@@ -39,6 +39,7 @@ Wire protocol (v1) — framed pickles, synchronous request/reply:
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from typing import Any
@@ -114,7 +115,7 @@ class FleetCoordinator(Service):
         *,
         heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
     ) -> None:
-        if heartbeat_timeout <= 0:
+        if not (math.isfinite(heartbeat_timeout) and heartbeat_timeout > 0):
             raise FleetError(
                 f"heartbeat timeout must be positive, got {heartbeat_timeout}"
             )

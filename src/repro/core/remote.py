@@ -62,6 +62,7 @@ cell re-runs the same pure function of the same stream).
 
 from __future__ import annotations
 
+import math
 import pickle
 import signal
 import socket
@@ -283,12 +284,13 @@ class WorkerServer(Service):
     ) -> None:
         if workers < 1:
             raise RemoteDispatchError(f"workers must be >= 1, got {workers}")
-        if heartbeat_interval <= 0:
+        if not (math.isfinite(heartbeat_interval) and heartbeat_interval > 0):
             raise RemoteDispatchError(
                 f"heartbeat interval must be positive, got {heartbeat_interval}"
             )
-        if advertise is not None:
-            parse_worker_address(advertise)  # reject undialable spellings early
+        for address in (fleet_url, advertise):
+            if address is not None:
+                parse_worker_address(address)  # reject undialable spellings early
         super().__init__(host, port)
         self.workers = workers
         self.fleet_url = fleet_url
@@ -600,7 +602,7 @@ class RemoteMapper:
             )
         if chunk_size is not None and chunk_size < 1:
             raise ConfigurationError(f"chunk size must be >= 1, got {chunk_size}")
-        if poll_interval <= 0:
+        if not (math.isfinite(poll_interval) and poll_interval > 0):
             raise ConfigurationError(
                 f"poll interval must be positive, got {poll_interval}"
             )

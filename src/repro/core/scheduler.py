@@ -150,16 +150,15 @@ class ExecutionPolicy:
                 "grid_jobs does not apply to the remote grid backend; "
                 "set --workers N on each repro-bench worker instead"
             )
-        if self.fleet_url is not None:
+        addresses = [("worker", worker) for worker in self.workers]
+        addresses += [("fleet", self.fleet_url), ("store", self.store_url)]
+        for kind, address in addresses:
+            if address is None:
+                continue
             try:
-                parse_worker_address(self.fleet_url)
+                parse_worker_address(address)
             except ReproError as exc:
-                raise ConfigurationError(f"invalid fleet address: {exc}") from None
-        if self.store_url is not None:
-            try:
-                parse_worker_address(self.store_url)
-            except ReproError as exc:
-                raise ConfigurationError(f"invalid store address: {exc}") from None
+                raise ConfigurationError(f"invalid {kind} address: {exc}") from None
 
     @property
     def resolved_grid_backend(self) -> str:

@@ -216,9 +216,8 @@ def parse_worker_address(address: str | tuple[str, int]) -> tuple[str, int]:
     ``--store`` and ``--fleet`` addresses.
     """
     if isinstance(address, tuple):
-        host, port = address
-        return str(host), int(port)
-    if address.startswith("["):
+        host, port_text = str(address[0]), address[1]
+    elif address.startswith("["):
         host, bracket, rest = address[1:].partition("]")
         if not host or not bracket or not rest.startswith(":"):
             raise RemoteDispatchError(
@@ -242,6 +241,10 @@ def parse_worker_address(address: str | tuple[str, int]) -> tuple[str, int]:
         raise RemoteDispatchError(
             f"worker address {address!r} has a non-numeric port"
         ) from None
+    if not 1 <= port <= 65535:
+        raise RemoteDispatchError(
+            f"worker address {address!r} has port {port}, outside 1-65535"
+        )
     return host, port
 
 
@@ -305,7 +308,8 @@ class Service:
     protocol: int
     #: How diagnoses name the service ("result store").
     noun: str
-    #: Raised for lifecycle misuse (starting twice, reading an unbound address).
+    #: Raised for a bad listen port and for lifecycle misuse (starting
+    #: twice, reading an unbound address).
     error: type[RemoteError] = RemoteError
     #: ``{verb: (arity, handler method name)}``: the default session's
     #: dispatch table, advertised in the hello reply.
@@ -318,6 +322,8 @@ class Service:
                 raise TypeError(f"{cls.__name__}: verb {verb!r} names no method {handler!r}")
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
+        if not 0 <= port <= 65535:
+            raise self.error(f"{self.noun} port must be in 0-65535, got {port}")
         self.host = host
         self.port = port
         self._listener: socket.socket | None = None

@@ -62,11 +62,6 @@ class Ftrace:
         self._active = False
         self._hits: Counter[str] = Counter()
 
-    @property
-    def active(self) -> bool:
-        """Whether a tracing session is open."""
-        return self._active
-
     def start(self) -> None:
         """Begin a session; clears any previous hits."""
         if self._active:

@@ -23,7 +23,6 @@ from collections.abc import Iterable
 KIB = 1024
 MIB = 1024 * KIB
 GIB = 1024 * MIB
-TIB = 1024 * GIB
 
 KB = 1000
 MB = 1000 * KB
@@ -37,7 +36,6 @@ HUGE_PAGE_SIZE = 2 * MIB
 USEC = 1e-6
 MSEC = 1e-3
 NSEC = 1e-9
-MINUTE = 60.0
 
 
 def seconds_to_ms(seconds: float) -> float:
@@ -111,4 +109,3 @@ def to_mb_per_s(bytes_per_second: float) -> float:
 # --- frequency ------------------------------------------------------------
 
 GHZ = 1e9
-MHZ = 1e6

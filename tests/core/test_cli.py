@@ -9,6 +9,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.core.plan import FigurePlan
+from repro.core.service import Service
 from repro.core.storenet import StoreServer
 
 #: ``repro-bench list``, byte for byte: one row per figure, in registry order.
@@ -320,6 +321,51 @@ class TestUnusableDirectories:
         assert "listening on" not in captured.out
         assert captured.err.startswith("repro-bench: error:")
         assert captured.err.count("\n") == 1 and str(path) in captured.err
+
+
+class TestOutOfRangePorts:
+    """A listen port outside 0-65535, or a dial address whose port is
+    outside 1-65535, is one error line and exit 2, before anything binds,
+    dials or runs."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["worker", "--port", "70000"],
+            ["worker", "--port", "-1"],
+            ["store", "--port", "65536"],
+            ["fleet", "--port", "65536"],
+            ["worker", "--fleet", "127.0.0.1:70000"],
+            ["worker", "--fleet", "127.0.0.1:1", "--advertise", "127.0.0.1:0"],
+            ["run", "fig05", "--quick", "--workers", "127.0.0.1:70000"],
+            ["run", "fig05", "--quick", "--store", "127.0.0.1:0"],
+            ["run", "fig05", "--quick", "--fleet", "127.0.0.1:-1"],
+        ],
+        ids=[
+            "worker-port-70000", "worker-port-minus-1", "store-port-65536",
+            "fleet-port-65536", "worker-fleet-70000", "worker-advertise-0",
+            "run-workers-70000", "run-store-0", "run-fleet-minus-1",
+        ],
+    )
+    def test_one_error_line(self, tmp_path, monkeypatch, capsys, argv):
+        # Recorded as well as raised: a run captures a job's exception.
+        attempts = []
+
+        def refuse(*args, **kwargs):
+            attempts.append(args)
+            raise AssertionError(f"{argv} went past its bad port")
+
+        monkeypatch.setattr(Service, "start", refuse)
+        monkeypatch.setattr(socket, "create_connection", refuse)
+        monkeypatch.setattr(FigurePlan, "lower", refuse)
+        if argv[0] == "store":
+            argv = [*argv, "--dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert attempts == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro-bench: error:")
+        assert captured.err.count("\n") == 1
 
 
 class TestServiceLauncher:

@@ -75,8 +75,10 @@ class TestFleetCoordinator:
         coord.stop()  # no-op, no raise
 
     def test_invalid_heartbeat_timeout_rejected(self):
-        with pytest.raises(FleetError, match="positive"):
-            FleetCoordinator(heartbeat_timeout=0)
+        # NaN and inf pass a bare "<= 0" check; both would never prune.
+        for timeout in (0, float("nan"), float("inf")):
+            with pytest.raises(FleetError, match="positive"):
+                FleetCoordinator(heartbeat_timeout=timeout)
 
     def test_register_roster_deregister_round_trip(self, coordinator):
         with FleetClient(coordinator.address_string) as client:
@@ -258,8 +260,11 @@ class TestWorkerMembership:
             ]
 
     def test_invalid_heartbeat_interval_rejected(self):
-        with pytest.raises(RemoteDispatchError, match="positive"):
-            WorkerServer(port=0, fleet_url=DEAD_ADDRESS, heartbeat_interval=0)
+        # NaN makes Event.wait return at once (a heartbeat spin); inf makes
+        # it raise OverflowError inside the heartbeat thread.
+        for interval in (0, float("nan"), float("inf")):
+            with pytest.raises(RemoteDispatchError, match="positive"):
+                WorkerServer(port=0, fleet_url=DEAD_ADDRESS, heartbeat_interval=interval)
 
 
 class TestElasticDispatch:

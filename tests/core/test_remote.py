@@ -227,6 +227,10 @@ class TestFraming:
             parse_worker_address("no-port-here")
         with pytest.raises(RemoteDispatchError, match="non-numeric"):
             parse_worker_address("host:seven")
+        for bad in ("host:-1", "host:0", "host:65536", "[::1]:65536", ("host", 0)):
+            with pytest.raises(RemoteDispatchError, match="outside 1-65535"):
+                parse_worker_address(bad)
+        assert parse_worker_address("host:65535") == ("host", 65535)
 
     def test_parse_bracketed_ipv6(self):
         # Regression: the brackets used to stay in the host part.
@@ -455,6 +459,11 @@ class TestChunkedDispatch:
     def test_invalid_chunk_size_rejected(self):
         with pytest.raises(ConfigurationError, match=">= 1"):
             RemoteMapper([DEAD_ADDRESS], chunk_size=0)
+
+    def test_invalid_poll_interval_rejected(self):
+        for interval in (0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="positive"):
+                RemoteMapper([DEAD_ADDRESS], poll_interval=interval)
 
     def test_mid_chunk_worker_death_requeues_the_whole_chunk(self, loopback_worker):
         # The flaky member hangs up with a whole 4-cell chunk in flight;

@@ -3,7 +3,8 @@
 One handshake matrix covers every service and client pair: a client
 dialing a service it does not talk to, a version mismatch on each
 service, and a pre-v4 worker hello. The hello timeout is checked on each
-service, and a verb table naming no method fails at class creation.
+service, a verb table naming no method fails at class creation, and a
+listen port outside 0-65535 fails at construction.
 """
 
 from __future__ import annotations
@@ -141,3 +142,18 @@ class TestVerbTable:
     def test_a_verb_naming_no_method_fails_at_class_creation(self):
         with pytest.raises(TypeError, match="_missing"):
             type("Broken", (Service,), {"verbs": {"get": (1, "_missing")}})
+
+
+class TestListenPort:
+    """A listen port outside 0-65535 fails when the service is built,
+    before anything binds (``bind()`` would raise OverflowError)."""
+
+    @pytest.mark.parametrize("port", [-1, 65536])
+    def test_out_of_range_port_rejected(self, tmp_path, port):
+        for make in (
+            lambda: WorkerServer(port=port),
+            lambda: StoreServer(port=port, root=tmp_path),
+            lambda: FleetCoordinator(port=port),
+        ):
+            with pytest.raises(RemoteError, match="port must be in 0-65535"):
+                make()

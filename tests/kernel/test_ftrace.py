@@ -16,9 +16,10 @@ class TestFtraceLifecycle:
     def test_start_stop_cycle(self, catalog):
         tracer = Ftrace(catalog)
         tracer.start()
-        assert tracer.active
+        tracer.record_breadth(Subsystem.SCHED, 0.0)  # inside the session
         report = tracer.stop()
-        assert not tracer.active
+        with pytest.raises(TraceError):  # the session is closed
+            tracer.record_breadth(Subsystem.SCHED, 0.5)
         assert report.unique_functions == 0
 
     def test_double_start_rejected(self, catalog):
