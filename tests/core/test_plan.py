@@ -56,7 +56,7 @@ class TestRegistry:
         assert all(callable(declared.build) for declared in FIGURES.values())
         assert set(FIGURE_ROSTERS) == set(FIGURES)
 
-    def test_builder_returns_unexecuted_declaration(self):
+    def test_build_plan_returns_unexecuted_declaration(self):
         plan = FIGURES["fig11"].build(repetitions=2)
         assert isinstance(plan, FigurePlan)
         assert plan.figure_id == "fig11"

@@ -29,7 +29,7 @@ class TestJobs:
         assert job_seed != other_seed.records[0].job_seed
         assert report.results["fig11"].provenance["job_seed"] == job_seed
 
-    def test_quick_kwargs_table(self):
+    def test_quick_overrides_table(self):
         quick = ExperimentScheduler(42, quick=True)
         assert quick.effective_kwargs("fig13", None) == {"startups": 60}
         assert quick.effective_kwargs("fig18", None) == {}
