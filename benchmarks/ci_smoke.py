@@ -2,11 +2,13 @@
 
 Runs a small figure subset through ``BenchmarkSuite(quick=True)`` —
 once on the serial backend, once with the flat (platform x rep) grid
-pool (``grid_jobs``), once with an explicit non-dividing
-``--chunk-size`` on that grid pool, and (when ``--remote-workers`` names
-a fleet) once through the remote grid backend plus a chunked remote leg
-— and asserts all summaries are bit-identical, then archives the grid
-pool run's JSON + manifest as the CI artifact. The emitted
+pool (``grid_jobs``), and (when ``--remote-workers`` names a fleet) once
+through the remote grid backend — and asserts all summaries are
+bit-identical, then archives the grid pool run's JSON + manifest as the
+CI artifact. Every non-serial leg's records are checked too: each figure
+ran, each grid dispatch recorded its slab size, and the 27-cell grids of
+fig05 and fig16 ended on a short slab (at two slots every mapper ships
+4-cell slabs, so the last one holds 3 cells). The emitted
 ``BENCH_smoke.json`` records per-backend wall times, for reading in the
 artifact only; the repo's benchmark is ``perfbench/`` (see
 ``BENCHMARK.json``).
@@ -55,11 +57,13 @@ from repro.core.suite import BenchmarkSuite  # noqa: E402
 #: deterministic HAP table. fig05 is the acceptance gate for grid-level
 #: parallelism (widest roster: 9 platforms). fig15 stands for fig13–15,
 #: the figures still on the engine: both measurement methods at width 6.
-#: fig16's 27 quick cells do not divide by the chunked legs' default
-#: ``--chunk-size 7``, so those legs end on a short slab.
 SMOKE_FIGURES = [
     "fig05", "cpu-prime", "fig11", "fig12", "fig15", "fig16", "fig17", "fig18",
 ]
+
+#: Figures whose 27 quick cells do not divide into the slabs a non-serial
+#: leg ships, so their grids end on a short slab.
+SHORT_SLAB_FIGURES = ("fig05", "fig16")
 
 
 def run_backend(
@@ -67,16 +71,35 @@ def run_backend(
     figures: list[str],
     grid_jobs: int = 1,
     workers: tuple[str, ...] = (),
-    chunk_size: int | None = None,
     fleet_url: str | None = None,
 ) -> tuple[BenchmarkSuite, float]:
     suite = BenchmarkSuite(
         seed=seed, quick=True, grid_jobs=grid_jobs, workers=workers,
-        chunk_size=chunk_size, fleet_url=fleet_url,
+        fleet_url=fleet_url,
     )
     started = time.perf_counter()
     suite.run_all(figures)
     return suite, time.perf_counter() - started
+
+
+def leg_problems(suite: BenchmarkSuite) -> list[str]:
+    """What a non-serial leg's records show wrong, one line per figure.
+
+    (``run_all`` already raised if a figure failed.) A grid dispatch
+    with no recorded slab size is a problem, and so is a
+    :data:`SHORT_SLAB_FIGURES` grid that divided evenly: then the leg
+    never shipped a short last slab.
+    """
+    problems = []
+    for record in suite.last_report.records:
+        width, slab = record.grid_width, record.chunk_size
+        if not width or slab is None:
+            problems.append(f"{record.figure_id}: width={width} chunk={slab}")
+        elif record.figure_id in SHORT_SLAB_FIGURES and width % slab == 0:
+            problems.append(
+                f"{record.figure_id}: {width} cells in {slab}-cell slabs, no short slab"
+            )
+    return problems
 
 
 def compare(
@@ -148,11 +171,6 @@ def main(argv: list[str] | None = None) -> int:
         "--figures", nargs="*", default=SMOKE_FIGURES, help="figure subset to exercise"
     )
     parser.add_argument(
-        "--chunk-size", type=int, default=7, metavar="N",
-        help="explicit slab size for the chunked bit-identity legs; the "
-             "default 7 deliberately does not divide any smoke grid width",
-    )
-    parser.add_argument(
         "--remote-workers", default=None, metavar="HOST:PORT[,...]",
         help="also gate serial vs the remote grid backend against this "
              "worker fleet (each member: repro-bench worker --port P)",
@@ -176,31 +194,17 @@ def main(argv: list[str] | None = None) -> int:
 
     serial_suite, serial_wall = run_backend(args.seed, args.figures)
     grid_suite, grid_wall = run_backend(args.seed, args.figures, grid_jobs=args.grid_jobs)
-    # The chunked leg: same grid pool, but explicit (non-dividing) slabs —
-    # the bit-identity gate for chunk geometry on the process backend.
-    chunked_suite, chunked_wall = run_backend(
-        args.seed, args.figures, grid_jobs=args.grid_jobs,
-        chunk_size=args.chunk_size,
-    )
 
     grid_mismatches = compare(serial_suite, grid_suite, args.figures)
-    chunked_mismatches = compare(serial_suite, chunked_suite, args.figures)
+    problems = {"grid": leg_problems(grid_suite)}
     remote_mismatches: list[str] = []
-    chunked_remote_mismatches: list[str] = []
     remote_wall = None
-    chunked_remote_wall = None
     if remote_fleet:
         remote_suite, remote_wall = run_backend(
             args.seed, args.figures, workers=remote_fleet
         )
         remote_mismatches = compare(serial_suite, remote_suite, args.figures)
-        chunked_remote_suite, chunked_remote_wall = run_backend(
-            args.seed, args.figures, workers=remote_fleet,
-            chunk_size=args.chunk_size,
-        )
-        chunked_remote_mismatches = compare(
-            serial_suite, chunked_remote_suite, args.figures
-        )
+        problems["remote"] = leg_problems(remote_suite)
     fleet_mismatches: list[str] = []
     fleet_wall = None
     fleet_roster: list[str] = []
@@ -209,6 +213,7 @@ def main(argv: list[str] | None = None) -> int:
             args.seed, args.figures, fleet_url=args.fleet_url
         )
         fleet_mismatches = compare(serial_suite, fleet_suite, args.figures)
+        problems["fleet"] = leg_problems(fleet_suite)
         # The roster that materialized — CI asserts the mid-run joiner
         # appears here, proving the elastic leg actually churned.
         fleet_roster = sorted(
@@ -226,21 +231,26 @@ def main(argv: list[str] | None = None) -> int:
         )
 
     mismatches = sorted(
-        set(grid_mismatches) | set(chunked_mismatches)
-        | set(remote_mismatches) | set(chunked_remote_mismatches)
-        | set(fleet_mismatches)
+        set(grid_mismatches) | set(remote_mismatches) | set(fleet_mismatches)
         | set(store_gate["mismatches"] if store_gate else ())
     )
+    leg_failures = [
+        f"{leg} {problem}" for leg, found in problems.items() for problem in found
+    ]
     store_failed = store_gate is not None and not store_gate["ok"]
-    status = "ok" if not mismatches and not store_failed else (
-        f"MISMATCH: {', '.join(mismatches)}" if mismatches
-        else f"STORE GATE FAILED: executed={store_gate['executed']} "
-             f"not-remote={','.join(store_gate['not_remote'])}"
-    )
+    if mismatches:
+        status = f"MISMATCH: {', '.join(mismatches)}"
+    elif leg_failures:
+        status = f"LEG RECORDS FAILED: {'; '.join(leg_failures)}"
+    elif store_failed:
+        status = (
+            f"STORE GATE FAILED: executed={store_gate['executed']} "
+            f"not-remote={','.join(store_gate['not_remote'])}"
+        )
+    else:
+        status = "ok"
     remote_note = (
-        f" remote[{','.join(remote_fleet)}]={remote_wall:.2f}s"
-        f" remote-chunk{args.chunk_size}={chunked_remote_wall:.2f}s"
-        if remote_fleet else ""
+        f" remote[{','.join(remote_fleet)}]={remote_wall:.2f}s" if remote_fleet else ""
     )
     store_note = (
         f" store[{args.store_url}] warm={store_gate['warm_wall_s']:.2f}s "
@@ -255,8 +265,7 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"smoke[{','.join(args.figures)}] seed={args.seed} "
         f"serial={serial_wall:.2f}s "
-        f"grid-jobs={args.grid_jobs}={grid_wall:.2f}s "
-        f"chunk{args.chunk_size}={chunked_wall:.2f}s{remote_note}{fleet_note}"
+        f"grid-jobs={args.grid_jobs}={grid_wall:.2f}s{remote_note}{fleet_note}"
         f"{store_note} -> {status}"
     )
     grid_suite.save_results(out)
@@ -267,14 +276,8 @@ def main(argv: list[str] | None = None) -> int:
                 "figures": args.figures,
                 "serial_wall_s": round(serial_wall, 4),
                 "grid_parallel_wall_s": round(grid_wall, 4),
-                "chunked_wall_s": round(chunked_wall, 4),
                 "remote_wall_s": round(remote_wall, 4) if remote_wall is not None else None,
-                "chunked_remote_wall_s": (
-                    round(chunked_remote_wall, 4)
-                    if chunked_remote_wall is not None else None
-                ),
                 "grid_jobs": args.grid_jobs,
-                "chunk_size": args.chunk_size,
                 "remote_workers": list(remote_fleet),
                 "fleet_url": args.fleet_url,
                 "fleet_wall_s": round(fleet_wall, 4) if fleet_wall is not None else None,
@@ -282,17 +285,16 @@ def main(argv: list[str] | None = None) -> int:
                 "identical": not mismatches,
                 "mismatches": mismatches,
                 "grid_mismatches": grid_mismatches,
-                "chunked_mismatches": chunked_mismatches,
                 "remote_mismatches": remote_mismatches,
-                "chunked_remote_mismatches": chunked_remote_mismatches,
                 "fleet_mismatches": fleet_mismatches,
+                "leg_problems": problems,
                 "store_gate": store_gate,
             },
             indent=2,
         )
     )
     print(f"archived artifacts to {out}/")
-    return 1 if mismatches or store_failed else 0
+    return 1 if mismatches or leg_failures or store_failed else 0
 
 
 if __name__ == "__main__":

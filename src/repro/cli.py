@@ -6,12 +6,11 @@ Installed as ``repro-bench``::
     repro-bench platforms                    # the platform roster
     repro-bench [--seed N] run fig11 [--quick] [--json out/] [--cache DIR]
     repro-bench run fig11 [--grid-jobs 4]       # flat (platform x rep) pool
-    repro-bench run fig11 --grid-jobs 4 --chunk-size 8   # slab dispatch
     repro-bench [--seed N] run all [--quick] [--grid-jobs 2] [--provenance]
     repro-bench run all   [--dry-run]           # print lowered grids only
     repro-bench plan fig09 [--quick]            # inspect one figure's grid
     repro-bench worker --port 7077              # join the worker fleet
-    repro-bench run fig05 --grid-backend remote --workers 127.0.0.1:7077
+    repro-bench run fig05 --workers 127.0.0.1:7077   # grid on the fleet
     repro-bench store --port 7078 --dir DIR     # serve a shared result store
     repro-bench run fig05 --store 127.0.0.1:7078   # read/write the fleet cache
     repro-bench fleet --port 7079               # membership coordinator
@@ -21,7 +20,10 @@ Installed as ``repro-bench``::
     repro-bench hap [platform ...]
     repro-bench lint [src tests ...] [--format=json]   # determinism analyzer
 
-``--seed`` is a global option and precedes the subcommand.
+``--seed`` is a global option and precedes the subcommand. The grid
+backend follows from the flags: ``--workers`` or ``--fleet`` runs on the
+fleet, ``--grid-jobs N`` (N > 1) on a local process pool, anything else
+serially; every non-serial backend sizes its dispatch slabs itself.
 """
 
 from __future__ import annotations
@@ -66,12 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
              "construction)",
     )
     run.add_argument(
-        "--grid-backend", metavar="BACKEND", default=None,
-        help="grid backend: serial, process, or remote "
-             "(default: auto — process when --grid-jobs > 1, remote when "
-             "--workers is given)",
-    )
-    run.add_argument(
         "--workers", metavar="HOST:PORT[,...]", default=None,
         help="comma-separated worker fleet for the remote grid backend "
              "(each started with: repro-bench worker --port P); results "
@@ -83,12 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(started with: repro-bench fleet --port P); replaces "
              "--workers — workers join and leave mid-run, results stay "
              "bit-identical to a serial run",
-    )
-    run.add_argument(
-        "--chunk-size", dest="chunk_size", type=int, default=None, metavar="N",
-        help="dispatch N-cell slabs per pool future / remote frame on "
-             "non-serial grid backends (default: auto heuristic, see "
-             "docs/PERFORMANCE.md; bit-identical for every value)",
     )
     run.add_argument(
         "--cache", metavar="DIR",
@@ -123,10 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument(
         "--grid-jobs", dest="grid_jobs", type=int, default=1, metavar="N",
         help="grid pool width the plan would run with",
-    )
-    plan.add_argument(
-        "--chunk-size", dest="chunk_size", type=int, default=None, metavar="N",
-        help="dispatch slab size the plan would run with (default: auto)",
     )
 
     worker = subparsers.add_parser(
@@ -266,11 +252,10 @@ def _print_grids(suite: BenchmarkSuite, targets: list[str]) -> None:
         grid = suite.plan_figure(figure_id)
         print(
             grid.describe(
-                backend=policy.resolved_grid_backend,
+                backend=policy.grid_backend,
                 workers=policy.grid_jobs,
                 roster=policy.workers,
                 fleet=policy.fleet_url,
-                chunk_size=policy.chunk_size,
             )
         )
         print()
@@ -284,8 +269,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     ) if args.workers else ()
     suite = BenchmarkSuite(
         seed=args.seed, quick=args.quick, grid_jobs=args.grid_jobs,
-        grid_backend=args.grid_backend, workers=workers, fleet_url=args.fleet,
-        store_url=args.store, chunk_size=args.chunk_size,
+        workers=workers, fleet_url=args.fleet, store_url=args.store,
         cache_dir=args.cache,
         cache_max_bytes=(
             args.cache_max_mb * 1024 * 1024 if args.cache_max_mb is not None else None
@@ -338,10 +322,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    suite = BenchmarkSuite(
-        seed=args.seed, quick=args.quick, grid_jobs=args.grid_jobs,
-        chunk_size=args.chunk_size,
-    )
+    suite = BenchmarkSuite(seed=args.seed, quick=args.quick, grid_jobs=args.grid_jobs)
     _print_grids(suite, [args.figure])
     return 0
 

@@ -22,7 +22,6 @@ from repro.core.runner import (
     RepJob,
     active_grid_mapper,
     execution_context,
-    grid_mapper,
     run_rep_job,
 )
 from repro.core.plan import (
@@ -61,7 +60,6 @@ __all__ = [
     "SeriesRow",
     "RepJob",
     "run_rep_job",
-    "grid_mapper",
     "PoolMapper",
     "execution_context",
     "active_grid_mapper",

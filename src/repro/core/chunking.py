@@ -5,28 +5,28 @@ work it ships — a future submission for the local pools, a full framed
 pickle round-trip for the remote fleet. Dispatching one *cell* per unit
 makes that overhead dominate the moment cells are cheap. Chunking
 amortizes the overhead: the lowered grid is split into contiguous
-``[start, stop)`` slabs of ``chunk_size`` cells and each slab travels as
-one unit (perfbench's ``fleet-cold`` workload reports the mean slab as
-``remote.chunk_cells``).
+``[start, stop)`` slabs and each slab travels as one unit (perfbench's
+``fleet-cold`` workload reports the mean slab as ``remote.chunk_cells``).
 
 This module is the *policy arithmetic only* — pure functions of
 ``(width, chunk_size, jobs)`` with no I/O, no RNG, and no knowledge of
 what a cell is. The mappers (:class:`~repro.core.runner.PoolMapper`,
-:class:`~repro.core.remote.RemoteMapper`) own the dispatch mechanics;
-:class:`~repro.core.scheduler.ExecutionPolicy` owns the user-facing
-``chunk_size`` knob (CLI: ``run --chunk-size N``). Keeping the geometry
-pure keeps the bit-identity argument trivial: slabs are contiguous and
-ordered, every mapper preserves slab order and intra-slab order, so the
-flattened results are the serial results regardless of chunk size.
+:class:`~repro.core.remote.RemoteMapper`) own the dispatch mechanics
+and size every slab with :func:`auto_chunk_size`; the slab size is
+derived from the deployment (grid width and dispatch parallelism), not
+configured. Keeping the geometry pure keeps the bit-identity argument
+trivial: slabs are contiguous and ordered, every mapper preserves slab
+order and intra-slab order, so the flattened results are the serial
+results regardless of slab size.
 
-The auto heuristic (``chunk_size=None``)::
+The rule::
 
     max(1, min(ceil(width / (4 * jobs)), 64))
 
 aims each worker at roughly four slabs per dispatch — enough slack for
 work stealing to even out uneven slab durations — and caps slabs at 64
 cells so one slow slab cannot serialize a wide grid. ``docs/
-PERFORMANCE.md`` ("Dispatch granularity") discusses when to override it.
+PERFORMANCE.md`` ("Dispatch granularity") discusses the trade-offs.
 """
 
 from __future__ import annotations
@@ -38,18 +38,16 @@ from repro.errors import ConfigurationError
 __all__ = [
     "MAX_AUTO_CHUNK",
     "auto_chunk_size",
-    "resolve_chunk_size",
     "chunk_spans",
     "chunk_items",
 ]
 
-#: Upper bound on the *auto* heuristic only — an explicit ``chunk_size``
-#: may be any positive integer (including wider than the grid).
+#: Upper bound on a dispatch slab, in cells.
 MAX_AUTO_CHUNK = 64
 
 
 def auto_chunk_size(width: int, jobs: int) -> int:
-    """The documented auto heuristic: ``max(1, min(ceil(width/(4*jobs)), 64))``.
+    """The slab size every mapper uses: ``max(1, min(ceil(width/(4*jobs)), 64))``.
 
     ``jobs`` is the dispatch parallelism the slabs fan over: the pool
     width for local backends, the fleet's total advertised slots for the
@@ -60,15 +58,6 @@ def auto_chunk_size(width: int, jobs: int) -> int:
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     return max(1, min(math.ceil(width / (4 * jobs)), MAX_AUTO_CHUNK))
-
-
-def resolve_chunk_size(chunk_size: int | None, width: int, jobs: int) -> int:
-    """An explicit ``chunk_size`` verbatim, else the auto heuristic."""
-    if chunk_size is None:
-        return auto_chunk_size(width, jobs)
-    if chunk_size < 1:
-        raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
-    return chunk_size
 
 
 def chunk_spans(width: int, chunk_size: int) -> list[tuple[int, int]]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.core.figures import FIGURES, run_figure
+from repro.core.figures import run_figure
 from repro.core.results import FigureResult
 from repro.platforms import get_platform
 from repro.security.analysis import audit_platform
@@ -84,11 +84,10 @@ class FindingsEvaluator:
         return {"repetitions": self.reps}
 
     def figure(self, figure_id: str) -> FigureResult:
-        """Compute (and cache) one figure."""
+        """Compute (and cache) one figure; an unknown id raises the
+        registry's :class:`~repro.errors.ConfigurationError`."""
         if figure_id in self._cache:
             return self._cache[figure_id]
-        if figure_id not in FIGURES:
-            raise KeyError(figure_id)
         overrides = self.overrides_for(figure_id)
         if self._suite is not None:
             result = self._suite.run_figure(figure_id, **overrides)

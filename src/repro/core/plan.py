@@ -204,17 +204,13 @@ class LoweredGrid:
         workers: int = 1,
         roster: Sequence[str] = (),
         fleet: str | None = None,
-        chunk_size: int | None = None,
     ) -> str:
         """Human-readable grid summary for ``plan`` / ``--dry-run``.
 
         ``workers`` is the local pool width; for the remote backend the
         fleet ``roster``, or the ``fleet`` coordinator that resolves it at
         dispatch time, defines the parallelism instead, so it replaces
-        the meaningless grid-jobs count in the header. ``chunk_size`` is
-        the policy's dispatch-slab knob; non-serial backends show it
-        (``auto`` when unset — the resolved size depends on the fleet,
-        known only at dispatch time).
+        the meaningless grid-jobs count in the header.
         """
         if roster:
             policy_note = f"backend={backend}, workers={', '.join(roster)}"
@@ -222,11 +218,6 @@ class LoweredGrid:
             policy_note = f"backend={backend}, fleet={fleet}"
         else:
             policy_note = f"backend={backend}, grid-jobs={workers}"
-        if backend != "serial":
-            policy_note += (
-                f", chunk-size={chunk_size}" if chunk_size is not None
-                else ", chunk-size=auto"
-            )
         lines = [f"{self.figure_id}: {self.width} grid job(s) [{policy_note}]"]
         for spec in self.specs:
             included = self.included_platforms(spec)

@@ -7,25 +7,27 @@ module is that transport. It follows the client-stub / device-server
 split of CERN's RDA middleware — a :class:`WorkerServer` is the device
 server (a :class:`~repro.core.service.Service` that executes jobs,
 ``workers`` local worker processes each), a :class:`RemoteMapper` is the
-client stub (it registers as the ``remote`` entry in
-:data:`~repro.core.runner.GRID_BACKENDS` and fans one grid over every
-connected worker). Where the cells execute is deployment-time policy
-(``--grid-backend remote --workers host:port,...``), never a code change
-— the RAFDA position.
+client stub (the mapper
+:meth:`~repro.core.scheduler.ExecutionPolicy.mapper` derives whenever a
+policy names a roster or a fleet; it fans one grid over every connected
+worker). Where the cells execute is deployment-time policy
+(``--workers host:port,...`` or ``--fleet host:port``), never a code
+change — the RAFDA position.
 
 Wire protocol (v4) — the framed pickles of :mod:`repro.core.service`:
 
 * the client opens with ``("hello", {"service": "worker", "protocol":
-  4, "compress_min": N-or-None, "store": "host:port"-or-None})`` and the
-  server answers ``("hello", {"service": "worker", "protocol": 4,
-  "verbs": ("chunk",), "slots": S, "compress_min": N-or-None})`` — ``S``
-  is the worker's local process count, which the client uses as its
-  pipelining window (counted in *chunks*), the echoed ``compress_min`` is
-  the negotiated compression threshold both sides apply to subsequent
-  frames, and ``store`` names the shared store this connection's cells
-  dedupe through (see below). v4 added the ``service`` marker the store
-  and fleet hellos already carried; v3 added the store address and the
-  cell stats, v2 chunked frames and compression;
+  4, "store": "host:port"-or-None})`` and the server answers
+  ``("hello", {"service": "worker", "protocol": 4, "verbs": ("chunk",),
+  "slots": S})`` — ``S`` is the worker's local process count, which the
+  client uses as its pipelining window (counted in *chunks*), and
+  ``store`` names the shared store this connection's cells dedupe
+  through (see below). v4 added the ``service`` marker the store and
+  fleet hellos already carried; v3 added the store address and the cell
+  stats, v2 chunked frames. Earlier v4 peers also offered a zlib
+  threshold in the hello; a worker ignores that field and answers
+  without one, which such a client reads as "no compression", so every
+  frame in both directions stays plain;
 * work flows as ``("chunk", seq, fn, [item, ...])`` — one frame carries
   one contiguous slab of the lowered grid (``fn`` picklable by
   reference — :func:`~repro.core.runner.run_rep_job` for grid cells),
@@ -72,7 +74,7 @@ from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.core.chunking import chunk_items, resolve_chunk_size
+from repro.core.chunking import auto_chunk_size, chunk_items
 from repro.core.fleet import FleetClient, FleetError
 from repro.core.service import (
     RemoteDispatchError,
@@ -90,7 +92,6 @@ from repro.errors import ConfigurationError
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "COMPRESS_MIN_BYTES",
     "RemoteError",
     "RemoteProtocolError",
     "RemoteDispatchError",
@@ -105,16 +106,17 @@ __all__ = [
 
 #: v4: the hello carries the ``service`` marker. v3 added an optional
 #: shared-store address in the hello and a cell-stats element on chunk
-#: results (worker-side cell dedupe); v2 chunked job frames,
-#: chunk-granular slot accounting, and negotiated zlib compression.
-#: Older peers are refused at the handshake.
+#: results (worker-side cell dedupe); v2 chunked job frames and
+#: chunk-granular slot accounting. Older peers are refused at the
+#: handshake.
 PROTOCOL_VERSION = 4
 
-#: Default compression threshold offered in the hello: payloads at or
-#: above this many pickled bytes cross the wire zlib-compressed. Small
-#: frames skip the deflate round-trip — it would cost more latency than
-#: the bytes it saves.
-COMPRESS_MIN_BYTES = 16384
+
+def _is_wait_timeout(seconds: float) -> bool:
+    """Whether ``seconds`` is a usable ``threading`` wait: finite, positive,
+    and at most ``threading.TIMEOUT_MAX`` (a longer wait raises
+    :class:`OverflowError` inside the waiting thread)."""
+    return math.isfinite(seconds) and 0 < seconds <= threading.TIMEOUT_MAX
 
 
 class RemoteJobError(RemoteError):
@@ -284,9 +286,10 @@ class WorkerServer(Service):
     ) -> None:
         if workers < 1:
             raise RemoteDispatchError(f"workers must be >= 1, got {workers}")
-        if not (math.isfinite(heartbeat_interval) and heartbeat_interval > 0):
+        if not _is_wait_timeout(heartbeat_interval):
             raise RemoteDispatchError(
-                f"heartbeat interval must be positive, got {heartbeat_interval}"
+                f"heartbeat interval must be positive and at most "
+                f"{threading.TIMEOUT_MAX:.0f} s, got {heartbeat_interval}"
             )
         for address in (fleet_url, advertise):
             if address is not None:
@@ -384,24 +387,17 @@ class WorkerServer(Service):
     # --- connection handling ---------------------------------------------------
 
     def _check_hello(self, offer: dict[str, Any]) -> dict[str, Any]:
-        compress_min = offer.get("compress_min")
-        if compress_min is not None and (
-            not isinstance(compress_min, int) or compress_min < 1
-        ):
-            raise RemoteProtocolError(f"bad compress_min {compress_min!r}")
         store_url = offer.get("store")
         if store_url is not None and not isinstance(store_url, str):
             raise RemoteProtocolError(f"bad store address {store_url!r}")
-        # Negotiated: echo the client's threshold; the session applies it
-        # to every frame this connection sends from here on.
-        return {"slots": self.workers, "compress_min": compress_min}
+        return {"slots": self.workers}
 
     def _session(self, conn: socket.socket, offer: dict[str, Any]) -> None:
         """The pipelined chunk loop: accept chunks while earlier ones run,
         reply as each completes, and drain before the connection closes."""
         send_lock = threading.Lock()
         in_flight: set[Future] = set()
-        compress_min, store_url = offer.get("compress_min"), offer.get("store")
+        store_url = offer.get("store")
         try:
             while True:
                 try:
@@ -417,9 +413,7 @@ class WorkerServer(Service):
                     send_frame(conn, ("error", None, f"unexpected frame {message!r}"))
                     break
                 _kind, seq, fn, chunk = message
-                self._dispatch(
-                    conn, send_lock, in_flight, compress_min, seq, fn, chunk, store_url
-                )
+                self._dispatch(conn, send_lock, in_flight, seq, fn, chunk, store_url)
         finally:
             # Graceful drain: finish (and deliver, best-effort) every chunk
             # this connection already accepted before closing it.
@@ -434,7 +428,6 @@ class WorkerServer(Service):
         conn: socket.socket,
         send_lock: threading.Lock,
         in_flight: set[Future],
-        compress_min: int | None,
         seq: int,
         fn: Callable[[Any], Any],
         chunk: list[Any],
@@ -443,7 +436,7 @@ class WorkerServer(Service):
         def deliver(reply: tuple) -> None:
             try:
                 with send_lock:
-                    send_frame(conn, reply, compress_min=compress_min)
+                    send_frame(conn, reply)
             except OSError:
                 pass  # client gone; it will re-queue the chunk elsewhere
 
@@ -504,44 +497,35 @@ class _WorkerConnection(ServiceClient):
     error = RemoteProtocolError
 
     def __init__(
-        self,
-        address: tuple[str, int],
-        timeout: float,
-        *,
-        compress_min: int | None = None,
-        store_url: str | None = None,
+        self, address: tuple[str, int], timeout: float, *, store_url: str | None = None
     ) -> None:
-        super().__init__(
-            address, connect_timeout=timeout, compress_min=compress_min, store=store_url
-        )
+        super().__init__(address, connect_timeout=timeout, store=store_url)
         # Dialed now, not lazily: the mapper connects its roster up front.
         self.sock = self._connection()
         self.slots = max(1, int(self.peer.get("slots", 1)))
-        self.compress_min = self.peer.get("compress_min")
 
 
 class RemoteMapper:
     """Order-preserving grid mapper that fans items over a worker fleet.
 
-    Registers as the ``"remote"`` entry in
-    :data:`~repro.core.runner.GRID_BACKENDS` (via
-    :func:`~repro.core.runner.grid_mapper`). One mapper serves one
+    The mapper :meth:`~repro.core.scheduler.ExecutionPolicy.mapper`
+    derives for a policy with a roster or a fleet. One mapper serves one
     client: connections are opened lazily on the first dispatch — so a
     policy can prescribe the remote backend and a warm
     :class:`~repro.core.store.ResultStore` still short-circuits the run
     without a single socket — and reused across dispatches until
     :meth:`close`.
 
-    Dispatch is *chunked*: the grid is split into contiguous slabs (see
-    :mod:`repro.core.chunking` — explicit ``chunk_size``, or the auto
-    heuristic over the fleet's total advertised slots) and one frame
-    carries one slab, amortizing the framed-pickle round-trip per cell.
+    Dispatch is *chunked*: the grid is split into contiguous slabs sized
+    by :func:`~repro.core.chunking.auto_chunk_size` over the fleet's
+    total advertised slots, and one frame carries one slab, amortizing
+    the framed-pickle round-trip per cell.
     One client thread drives each connected worker, keeping up to the
     worker's advertised ``slots`` *chunks* in flight. Replies carry the
     chunk's submission sequence number and land at that index; slabs are
     contiguous, so the flattened map is order-preserving regardless of
     which worker finishes what first. :attr:`last_chunk_size` records
-    the resolved slab size of the most recent dispatch (provenance);
+    the slab size of the most recent dispatch (provenance);
     :attr:`wire_stats` accumulates on-wire byte counts across
     dispatches (perfbench's ``remote.bytes_per_cell`` source).
 
@@ -584,8 +568,6 @@ class RemoteMapper:
         *,
         retries: int = 3,
         connect_timeout: float = 10.0,
-        chunk_size: int | None = None,
-        compress_min: int | None = COMPRESS_MIN_BYTES,
         fleet_url: str | None = None,
         store_url: str | None = None,
         poll_interval: float = 0.25,
@@ -600,17 +582,14 @@ class RemoteMapper:
                 "remote mapper needs at least one worker address (or a fleet "
                 "coordinator via fleet_url)"
             )
-        if chunk_size is not None and chunk_size < 1:
-            raise ConfigurationError(f"chunk size must be >= 1, got {chunk_size}")
-        if not (math.isfinite(poll_interval) and poll_interval > 0):
+        if not _is_wait_timeout(poll_interval):
             raise ConfigurationError(
-                f"poll interval must be positive, got {poll_interval}"
+                f"poll interval must be positive and at most "
+                f"{threading.TIMEOUT_MAX:.0f} s, got {poll_interval}"
             )
         self.addresses = [parse_worker_address(worker) for worker in workers or ()]
         self.retries = retries
         self.connect_timeout = connect_timeout
-        self.chunk_size = chunk_size
-        self.compress_min = compress_min
         self.fleet_url = fleet_url
         self.store_url = store_url
         self.poll_interval = poll_interval
@@ -657,12 +636,7 @@ class RemoteMapper:
         return self
 
     def _dial(self, address: tuple[str, int]) -> _WorkerConnection:
-        return _WorkerConnection(
-            address,
-            self.connect_timeout,
-            compress_min=self.compress_min,
-            store_url=self.store_url,
-        )
+        return _WorkerConnection(address, self.connect_timeout, store_url=self.store_url)
 
     def _fleet_roster(self) -> list[tuple[str, int]]:
         """The coordinator's live roster as parsed addresses, sorted."""
@@ -750,11 +724,11 @@ class RemoteMapper:
         items = list(items)
         if not items:
             return []
-        # Connect before chunking: the auto heuristic spreads slabs over
-        # the fleet's total advertised slots, known only after the hello.
+        # Connect before chunking: slabs spread over the fleet's total
+        # advertised slots, known only after the hello.
         connections = self._connect()
         slots = sum(connection.slots for connection in connections)
-        size = resolve_chunk_size(self.chunk_size, len(items), max(1, slots))
+        size = auto_chunk_size(len(items), max(1, slots))
         self.last_chunk_size = size
         state = _DispatchState(fn, chunk_items(items, size), self.retries)
         active = {connection.address: connection for connection in connections}
@@ -840,7 +814,6 @@ class RemoteMapper:
 
     def _drive_worker(self, connection: _WorkerConnection, state: "_DispatchState") -> None:
         in_flight: set[int] = set()
-        compress_min = connection.compress_min
         stats = self.wire_stats
         try:
             while True:
@@ -857,7 +830,6 @@ class RemoteMapper:
                     send_frame(
                         connection.sock,
                         ("chunk", seq, state.fn, state.items[seq]),
-                        compress_min=compress_min,
                         stats=stats,
                     )
                 if in_flight:

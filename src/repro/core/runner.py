@@ -4,8 +4,9 @@ The plan layer (:mod:`repro.core.plan`) lowers a figure into
 :class:`RepJob` cells whose streams are all derived *up-front* from the
 seed tree, so the repetitions are mutually independent and may be
 dispatched through any order-preserving ``mapper`` (the built-in serial
-map by default; the process pool mapper — and the
-:mod:`repro.core.remote` fleet mapper — via :func:`grid_mapper`).
+map by default; the process pool mapper here, or the
+:mod:`repro.core.remote` fleet mapper — whichever
+:meth:`~repro.core.scheduler.ExecutionPolicy.mapper` derives).
 Results are bit-identical regardless of the mapper because no
 repetition's draws depend on another's.
 
@@ -29,8 +30,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
-from repro.core.chunking import chunk_items, resolve_chunk_size
-from repro.errors import ConfigurationError
+from repro.core.chunking import auto_chunk_size, chunk_items
 from repro.platforms.base import Platform
 from repro.rng import RngStream
 # Unused here: perfbench's tracer patches ``runner.materialize_streams``
@@ -42,18 +42,13 @@ __all__ = [
     "RepJob",
     "run_rep_job",
     "run_chunk",
-    "grid_mapper",
     "PoolMapper",
     "execution_context",
     "active_grid_mapper",
-    "GRID_BACKENDS",
 ]
 
 #: An order-preserving map strategy: ``mapper(fn, items) -> results``.
 Mapper = Callable[[Callable[[Any], Any], Iterable[Any]], Iterable[Any]]
-
-#: Valid grid-level backends (``ExecutionPolicy.grid_backend``).
-GRID_BACKENDS = ("serial", "process", "remote")
 
 
 @dataclass(frozen=True)
@@ -114,19 +109,17 @@ class PoolMapper:
     executor for good: the call re-raises :class:`BrokenProcessPool`
     and drops the executor, so the next call forks a fresh pool.
 
-    Dispatch is *chunked*: the grid is split into contiguous slabs (see
-    :mod:`repro.core.chunking` — explicit ``chunk_size``, or the auto
-    heuristic over this pool's width) and one future carries one slab,
-    amortizing the submit/pickle overhead per cell. ``Executor.map``
-    preserves slab order and :func:`run_chunk` preserves intra-slab
-    order, so results stay bit-identical to serial for every chunk
-    size. :attr:`last_chunk_size` records the resolved slab size of the
-    most recent dispatch (provenance).
+    Dispatch is *chunked*: the grid is split into contiguous slabs sized
+    by :func:`~repro.core.chunking.auto_chunk_size` over this pool's
+    width, and one future carries one slab, amortizing the submit/pickle
+    overhead per cell. ``Executor.map`` preserves slab order and
+    :func:`run_chunk` preserves intra-slab order, so results stay
+    bit-identical to serial for every slab size. :attr:`last_chunk_size`
+    records the slab size of the most recent dispatch (provenance).
     """
 
-    def __init__(self, jobs: int, *, chunk_size: int | None = None) -> None:
+    def __init__(self, jobs: int) -> None:
         self.jobs = jobs
-        self.chunk_size = chunk_size
         self.last_chunk_size: int | None = None
         self._executor: ProcessPoolExecutor | None = None
 
@@ -136,13 +129,11 @@ class PoolMapper:
             return _serial_map(fn, items)
         if self._executor is None:
             self._executor = ProcessPoolExecutor(max_workers=self.jobs)
-        size = resolve_chunk_size(self.chunk_size, len(items), self.jobs)
+        size = auto_chunk_size(len(items), self.jobs)
         self.last_chunk_size = size
+        payloads = [(fn, chunk) for chunk in chunk_items(items, size)]
+        results: list[Any] = []
         try:
-            if size == 1:
-                return list(self._executor.map(fn, items))
-            payloads = [(fn, chunk) for chunk in chunk_items(items, size)]
-            results: list[Any] = []
             for chunk_result in self._executor.map(run_chunk, payloads):
                 results.extend(chunk_result)
             return results
@@ -161,71 +152,6 @@ class PoolMapper:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-def grid_mapper(
-    backend: str,
-    jobs: int,
-    workers: Iterable[str] | None = None,
-    chunk_size: int | None = None,
-    fleet_url: str | None = None,
-    store_url: str | None = None,
-) -> Mapper:
-    """An order-preserving mapper for the given grid backend and width.
-
-    ``serial`` maps in-process; ``process`` returns a :class:`PoolMapper`
-    that fans contiguous item slabs over a process pool (``Executor.map``
-    preserves input order); ``remote`` returns a
-    :class:`~repro.core.remote.RemoteMapper` that fans slabs over the
-    ``workers`` fleet (``host:port`` addresses) with sequence-numbered
-    reassembly. A width of one collapses the process backend to the
-    serial map; the remote backend's parallelism is the fleet's, so
-    ``jobs`` does not apply to it.
-
-    ``chunk_size`` fixes the dispatch slab size for the non-serial
-    backends (``None`` = the :mod:`repro.core.chunking` auto heuristic,
-    resolved per dispatch); the serial map has no dispatch boundary, so
-    chunking does not apply to it.
-
-    The remote backend accepts ``fleet_url`` *instead of* a static
-    ``workers`` roster — the mapper then resolves the live membership
-    from that :class:`~repro.core.fleet.FleetCoordinator` at each
-    dispatch and admits workers joining mid-run — and ``store_url``,
-    which is handed to every worker so tokenized cells dedupe
-    fleet-wide through the store's lease tier.
-
-    Every backend produces bit-identical results for the same grid —
-    cell streams are derived before dispatch and every mapper preserves
-    input order (see ``docs/ARCHITECTURE.md``) — for every chunk size.
-    """
-    if backend not in GRID_BACKENDS:
-        raise ConfigurationError(
-            f"unknown grid backend {backend!r}; known: {', '.join(GRID_BACKENDS)}"
-        )
-    if jobs < 1:
-        raise ConfigurationError(f"grid jobs must be >= 1, got {jobs}")
-    if chunk_size is not None and chunk_size < 1:
-        raise ConfigurationError(f"chunk size must be >= 1, got {chunk_size}")
-    if backend == "remote":
-        # Imported here: remote is a leaf backend built on this module's
-        # mapper seam, not a dependency of every runner user.
-        from repro.core.remote import RemoteMapper
-
-        if not workers and fleet_url is None:
-            raise ConfigurationError(
-                "grid backend 'remote' needs a worker roster (host:port) or "
-                "a fleet coordinator (fleet_url) — start one with: "
-                "repro-bench worker --port P [--fleet HOST:PORT]"
-            )
-        return RemoteMapper(
-            list(workers) if workers else None,
-            chunk_size=chunk_size,
-            fleet_url=fleet_url,
-            store_url=store_url,
-        )
-    if backend == "serial" or jobs == 1:
-        return _serial_map
-    return PoolMapper(jobs, chunk_size=chunk_size)
 
 
 #: The ambient grid mapper, installed by the scheduler layer around each

@@ -32,8 +32,8 @@ from typing import Any, Iterable, Mapping
 from repro.core.figures import FIGURES, figure, lower_figure, run_figure
 from repro.core.plan import LoweredGrid
 from repro.core.results import FigureResult
-from repro.core.runner import GRID_BACKENDS, Mapper, execution_context, grid_mapper
-from repro.core.remote import parse_worker_address
+from repro.core.runner import Mapper, PoolMapper, _serial_map, execution_context
+from repro.core.remote import RemoteMapper, parse_worker_address
 from repro.core.store import ResultStore, StoreKey
 from repro.core.storenet import RemoteStore, TieredStore
 from repro.errors import ConfigurationError, ReproError
@@ -53,50 +53,37 @@ BACKEND_REMOTE = "remote"
 
 @dataclass(frozen=True)
 class ExecutionPolicy:
-    """Where each figure's grid executes.
+    """Where each figure's grid executes: four deployment settings.
 
     Figures run one after another; the parallelism is inside each one.
-    ``grid_jobs``/``grid_backend`` are a single worker budget for the
-    figure's whole lowered ``(platform, rep)`` grid, which fans over one
-    shared process pool in one dispatch.
+    ``grid_jobs`` is a single worker budget for the figure's whole
+    lowered ``(platform, rep)`` grid, which fans over one shared process
+    pool in one dispatch (workloads are pure-Python simulation, so only
+    processes buy true parallelism).
 
-    The grid is also where a run leaves the machine: the
-    ``remote`` grid backend fans the lowered grid over a worker fleet
-    (``workers=("host:port", ...)``, each started with ``repro-bench
-    worker``). Distribution is pure deployment policy — naming a fleet
-    is the only difference between a local and a remote run, and the
-    results are bit-identical either way.
-
-    ``grid_backend=None`` auto-selects: serial for one slot, a process
-    pool otherwise (workloads are pure-Python simulation, so only
-    processes buy true parallelism), and ``remote`` whenever a worker
-    roster is given. Serial stays the default; callers opt in via
-    ``--grid-jobs N`` / ``--workers ...``.
-
-    ``fleet_url`` replaces the hand-named roster with an elastic one
-    (CLI: ``run --fleet host:port``): the ``host:port`` of a
-    ``repro-bench fleet`` coordinator (:mod:`repro.core.fleet`) whose
-    *live* membership is resolved at dispatch time — workers register,
-    heartbeat, join mid-run, and drain without the client changing a
-    thing. Mutually exclusive with ``workers``; selects the remote grid
-    backend just like a static roster does.
+    The grid is also where a run leaves the machine: ``workers=("host:port",
+    ...)`` fans the lowered grid over a worker fleet, each member started
+    with ``repro-bench worker``. ``fleet_url`` replaces that hand-named
+    roster with an elastic one (CLI: ``run --fleet host:port``): the
+    ``host:port`` of a ``repro-bench fleet`` coordinator
+    (:mod:`repro.core.fleet`) whose *live* membership is resolved at
+    dispatch time — workers register, heartbeat, join mid-run, and drain
+    without the client changing a thing. The two are mutually exclusive,
+    and neither takes ``grid_jobs``: remote parallelism is each worker's
+    advertised slot count.
 
     ``store_url`` names the shared (network) result store the run reads
     through and writes back to (``host:port`` of a ``repro-bench store``
-    server, see :mod:`repro.core.storenet`) — like the worker roster,
-    *where* cached results live is deployment policy, not code. On the
-    remote grid backend the store address also rides in every worker
-    hello, so tokenized cells dedupe fleet-wide at execution time.
+    server, see :mod:`repro.core.storenet`). With a roster or fleet the
+    store address also rides in every worker hello, so tokenized cells
+    dedupe fleet-wide at execution time.
 
-    ``chunk_size`` is the dispatch-granularity knob (CLI: ``run
-    --chunk-size N``): non-serial grid backends ship contiguous slabs of
-    that many cells per dispatch unit (one pool future, one remote
-    frame) instead of one cell each — see :mod:`repro.core.chunking`.
-    ``None`` (the default) resolves per dispatch via the documented auto
-    heuristic; the knob is inert on the serial backend. This is the
-    RAFDA position applied to granularity: how coarsely a grid crosses
-    the dispatch boundary is deployment policy the middleware owns, and
-    results are bit-identical for every setting.
+    Everything else follows from these four — the RAFDA position: *where*
+    the work runs is deployment policy, kept apart from the figures. The
+    backend is derived (:attr:`grid_backend`), and every non-serial
+    mapper sizes its dispatch slabs with
+    :func:`~repro.core.chunking.auto_chunk_size` over the parallelism it
+    fans over. Results are bit-identical to serial under every policy.
 
     ``docs/ARCHITECTURE.md`` diagrams where the policy sits in the run
     path; ``docs/OPERATIONS.md`` is the runbook for the fleet pieces it
@@ -104,43 +91,19 @@ class ExecutionPolicy:
     """
 
     grid_jobs: int = 1
-    grid_backend: str | None = None
     workers: tuple[str, ...] = ()
     fleet_url: str | None = None
     store_url: str | None = None
-    chunk_size: int | None = None
 
     def __post_init__(self) -> None:
         if self.grid_jobs < 1:
             raise ConfigurationError(f"grid_jobs must be >= 1, got {self.grid_jobs}")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ConfigurationError(
-                f"chunk_size must be >= 1, got {self.chunk_size}"
-            )
-        if self.grid_backend is not None and self.grid_backend not in GRID_BACKENDS:
-            raise ConfigurationError(
-                f"unknown grid backend {self.grid_backend!r}; "
-                f"known: {', '.join(GRID_BACKENDS)}"
-            )
         object.__setattr__(self, "workers", tuple(self.workers))
         if self.workers and self.fleet_url is not None:
             raise ConfigurationError(
                 "give either a static worker roster (--workers) or a fleet "
                 "coordinator (--fleet), not both — the coordinator owns the "
                 "roster in fleet mode"
-            )
-        if self.grid_backend == BACKEND_REMOTE and not self.workers and self.fleet_url is None:
-            raise ConfigurationError(
-                "grid_backend='remote' needs a worker roster "
-                "(workers=('host:port', ...)) or a fleet coordinator "
-                "(fleet_url='host:port')"
-            )
-        if (self.workers or self.fleet_url is not None) and self.grid_backend not in (
-            None, BACKEND_REMOTE
-        ):
-            raise ConfigurationError(
-                f"a worker roster (or fleet coordinator) only applies to the "
-                f"'remote' grid backend, not {self.grid_backend!r}"
             )
         if (self.workers or self.fleet_url is not None) and self.grid_jobs != 1:
             # Rejected rather than silently ignored: remote parallelism
@@ -161,28 +124,32 @@ class ExecutionPolicy:
                 raise ConfigurationError(f"invalid {kind} address: {exc}") from None
 
     @property
-    def resolved_grid_backend(self) -> str:
-        """The concrete grid-level backend this policy selects."""
-        if self.grid_backend is not None:
-            return self.grid_backend
+    def grid_backend(self) -> str:
+        """``remote`` with a roster or fleet, ``process`` when
+        ``grid_jobs > 1``, otherwise ``serial``."""
         if self.workers or self.fleet_url is not None:
             return BACKEND_REMOTE
         return BACKEND_PROCESS if self.grid_jobs > 1 else BACKEND_SERIAL
 
     def mapper(self) -> Mapper:
-        """The order-preserving grid mapper this policy prescribes."""
-        return grid_mapper(
-            self.resolved_grid_backend,
-            self.grid_jobs,
-            workers=self.workers or None,
-            chunk_size=self.chunk_size,
-            fleet_url=self.fleet_url,
-            store_url=self.store_url,
-        )
+        """The order-preserving grid mapper this policy prescribes.
+
+        The remote mapper connects lazily, so a warm store still serves a
+        run without opening a socket; it hands ``store_url`` to every
+        worker so tokenized cells dedupe through the store's lease tier.
+        """
+        backend = self.grid_backend
+        if backend == BACKEND_REMOTE:
+            return RemoteMapper(
+                self.workers or None, fleet_url=self.fleet_url, store_url=self.store_url
+            )
+        if backend == BACKEND_PROCESS:
+            return PoolMapper(self.grid_jobs)
+        return _serial_map
 
     @classmethod
     def serial(cls) -> "ExecutionPolicy":
-        return cls(grid_backend=BACKEND_SERIAL)
+        return cls()
 
 
 class _CountingMapper:
@@ -231,8 +198,8 @@ class JobRecord:
     #: Worker roster the grid fanned over (None unless the job ran on
     #: the remote grid backend).
     workers: tuple[str, ...] | None = None
-    #: Resolved dispatch slab size of the last grid dispatch (None for
-    #: cache hits, failures, and the serial backend).
+    #: Slab size of the last grid dispatch (None for cache hits,
+    #: failures, and the serial backend).
     chunk_size: int | None = None
     #: Fleet coordinator the roster was resolved from (None for static
     #: rosters and non-remote runs). When set, :attr:`workers` records
@@ -363,11 +330,8 @@ class ExperimentScheduler:
         Records appear in selection order.
         """
         selected = list(figure_ids) if figure_ids is not None else list(FIGURES)
-        unknown = [fid for fid in selected if fid not in FIGURES]
-        if unknown:
-            raise ConfigurationError(
-                f"unknown figure(s) {', '.join(unknown)}; known: {', '.join(FIGURES)}"
-            )
+        for figure_id in selected:
+            figure(figure_id)  # an unknown id raises before anything runs
         overrides = overrides or {}
         report = SchedulerReport()
         for figure_id in selected:
@@ -417,7 +381,7 @@ class ExperimentScheduler:
             wall_time_s=0.0,
             job_seed=derive_seed(self.seed, f"job/{figure_id}"),
             store=self.store_address,
-            grid_backend=policy.resolved_grid_backend,
+            grid_backend=policy.grid_backend,
             grid_jobs=policy.grid_jobs,
             workers=policy.workers or None,
             fleet=policy.fleet_url,
@@ -441,8 +405,8 @@ class ExperimentScheduler:
             record.error = f"{type(exc).__name__}: {exc}"
         else:
             record.grid_width = counting.dispatched
-            # The *resolved* slab size (auto heuristics resolve per
-            # dispatch); the serial map has no dispatch boundary.
+            # The slab size the mapper derived for its last dispatch; the
+            # serial map has no dispatch boundary.
             record.chunk_size = getattr(mapper, "last_chunk_size", None)
             # In fleet mode the roster is resolved (and grown) at dispatch
             # time — record what materialized, not what was configured.

@@ -14,9 +14,9 @@ an older service instead of failing.
 
 Wire — length-prefixed pickle frames over TCP:
 
-* every frame is a 4-byte big-endian header word — the low 31 bits are
-  the payload length, the top bit marks a zlib-compressed payload —
-  followed by the (possibly compressed) pickle payload;
+* every frame is a 4-byte big-endian payload length followed by the
+  pickle payload; a length above ``_MAX_FRAME_BYTES`` (1 GiB) is refused
+  before any payload byte is read;
 * a connection opens with ``("hello", {"service": S, "protocol": V,
   ...})``; the service answers ``("hello", {"service": S, "protocol": V,
   "verbs": (...), ...})`` or refuses with ``("error", None, "<S> protocol
@@ -35,7 +35,6 @@ import pickle
 import socket
 import struct
 import threading
-import zlib
 from typing import Any
 
 from repro.errors import ConfigurationError, ReproError
@@ -58,12 +57,8 @@ __all__ = [
 #: not pin a handler thread until ``stop()``.
 HELLO_TIMEOUT_S = 10.0
 
-#: Frames above this size indicate a corrupt length prefix, not a figure;
-#: a compressed frame may not inflate past it either.
+#: Frames above this size indicate a corrupt length prefix, not a figure.
 _MAX_FRAME_BYTES = 1 << 30
-
-#: Top bit of the header word: the payload is zlib-compressed.
-_COMPRESSED_FLAG = 1 << 31
 
 _LENGTH = struct.Struct(">I")
 
@@ -95,8 +90,7 @@ class WireStats:
     Feeds perfbench's ``remote.bytes_per_cell`` metric: pass an
     instance to :func:`send_frame`/:func:`recv_frame` (the remote mapper
     owns one per client) and read the totals after a dispatch. Counts
-    bytes *on the wire* — header word plus the possibly-compressed
-    payload — so compression savings are visible.
+    bytes *on the wire*: length prefix plus payload.
     """
 
     def __init__(self) -> None:
@@ -123,27 +117,14 @@ class WireStats:
 
 
 def send_frame(
-    sock: socket.socket,
-    message: Any,
-    *,
-    compress_min: int | None = None,
-    stats: WireStats | None = None,
+    sock: socket.socket, message: Any, *, stats: WireStats | None = None
 ) -> None:
     """Pickle ``message`` and send it as one length-prefixed frame.
 
-    With ``compress_min`` set, payloads at least that many pickled bytes
-    are zlib-compressed when that actually shrinks them, and the header
-    word's top bit is set so the receiver knows to inflate. ``stats``
-    (if given) counts the frame's on-wire bytes.
+    ``stats`` (if given) counts the frame's on-wire bytes.
     """
     payload = pickle.dumps(message)
-    header = len(payload)
-    if compress_min is not None and len(payload) >= compress_min:
-        squeezed = zlib.compress(payload)
-        if len(squeezed) < len(payload):
-            payload = squeezed
-            header = len(payload) | _COMPRESSED_FLAG
-    frame = _LENGTH.pack(header) + payload
+    frame = _LENGTH.pack(len(payload)) + payload
     sock.sendall(frame)
     if stats is not None:
         stats.add_sent(len(frame))
@@ -164,13 +145,13 @@ def _recv_exact(sock: socket.socket, size: int) -> bytes:
 
 
 def recv_frame(sock: socket.socket, *, stats: WireStats | None = None) -> Any:
-    """Receive one frame, inflate it if flagged, and unpickle it.
+    """Receive one frame and unpickle it.
 
     Raises :class:`EOFError` on a clean close at a frame boundary and
-    :class:`RemoteProtocolError` on a mid-frame close, a corrupt length
-    prefix, a corrupt compressed payload, or one that inflates past
-    ``_MAX_FRAME_BYTES``. ``stats`` (if given) counts the frame's on-wire
-    bytes.
+    :class:`RemoteProtocolError` on a mid-frame close or a length prefix
+    above ``_MAX_FRAME_BYTES`` — refused before any payload byte is read,
+    so no peer can make this side allocate more. ``stats`` (if given)
+    counts the frame's on-wire bytes.
     """
     header = b""
     while len(header) < _LENGTH.size:
@@ -180,28 +161,12 @@ def recv_frame(sock: socket.socket, *, stats: WireStats | None = None) -> Any:
                 raise RemoteProtocolError("connection closed mid-length-prefix")
             raise EOFError("connection closed")
         header += chunk
-    (word,) = _LENGTH.unpack(header)
-    compressed = bool(word & _COMPRESSED_FLAG)
-    size = word & (_COMPRESSED_FLAG - 1)
+    (size,) = _LENGTH.unpack(header)
     if size > _MAX_FRAME_BYTES:
         raise RemoteProtocolError(f"frame length {size} exceeds {_MAX_FRAME_BYTES}")
     payload = _recv_exact(sock, size)
     if stats is not None:
         stats.add_received(_LENGTH.size + size)
-    if compressed:
-        # Bounded: a small frame from any peer must not inflate to any
-        # size before pickle sees it.
-        inflater = zlib.decompressobj()
-        try:
-            payload = inflater.decompress(payload, _MAX_FRAME_BYTES)
-        except zlib.error as exc:
-            raise RemoteProtocolError(f"corrupt compressed frame: {exc}") from None
-        if inflater.unconsumed_tail:
-            raise RemoteProtocolError(
-                f"compressed frame inflates past {_MAX_FRAME_BYTES} bytes"
-            )
-        if not inflater.eof:
-            raise RemoteProtocolError("corrupt compressed frame: truncated stream")
     return pickle.loads(payload)
 
 

@@ -49,6 +49,7 @@ Wire protocol — framed pickles, synchronous request/reply per client:
 
 from __future__ import annotations
 
+import math
 import pathlib
 import threading
 import time
@@ -153,13 +154,20 @@ class StoreServer(Service):
         cell_lease_timeout: float = DEFAULT_CELL_LEASE_S,
         cell_capacity: int = DEFAULT_CELL_CAPACITY,
     ) -> None:
-        if cell_lease_timeout <= 0:
+        # A NaN lease never reads as live, so every claim of a token would
+        # get "run"; an infinite one never expires, so a crashed holder
+        # would park its waiters for good.
+        if not (math.isfinite(cell_lease_timeout) and cell_lease_timeout > 0):
             raise RemoteStoreError(
-                f"cell lease timeout must be positive, got {cell_lease_timeout}"
+                f"cell lease timeout must be finite and positive, got {cell_lease_timeout}"
             )
-        if cell_capacity < 1:
+        if (
+            isinstance(cell_capacity, bool)
+            or not isinstance(cell_capacity, int)
+            or cell_capacity < 1
+        ):
             raise RemoteStoreError(
-                f"cell capacity must be >= 1, got {cell_capacity}"
+                f"cell capacity must be an int >= 1, got {cell_capacity!r}"
             )
         super().__init__(host, port)
         self.store = ResultStore(root, max_bytes=max_bytes)

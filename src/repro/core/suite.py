@@ -56,36 +56,29 @@ class BenchmarkSuite:
         *,
         quick: bool = False,
         grid_jobs: int = 1,
-        grid_backend: str | None = None,
         workers: tuple[str, ...] | list[str] = (),
         fleet_url: str | None = None,
         store_url: str | None = None,
-        chunk_size: int | None = None,
-        policy: ExecutionPolicy | None = None,
         cache_dir: str | pathlib.Path | None = None,
         cache_max_bytes: int | None = None,
-        store: ResultStore | TieredStore | None = None,
     ) -> None:
         self.seed = seed
         self.quick = quick
         self.machine = paper_testbed()
-        self.policy = policy or ExecutionPolicy(
+        self.policy = ExecutionPolicy(
             grid_jobs=grid_jobs,
-            grid_backend=grid_backend,
             workers=tuple(workers),
             fleet_url=fleet_url,
             store_url=store_url,
-            chunk_size=chunk_size,
         )
-        if store is None:
-            store = (
-                ResultStore(cache_dir, max_bytes=cache_max_bytes)
-                if cache_dir is not None else None
-            )
-            if self.policy.store_url is not None:
-                # The shared tier sits behind the (optional) local LRU:
-                # reads go local -> remote -> execute, writes back to both.
-                store = TieredStore(store, RemoteStore(self.policy.store_url))
+        store: ResultStore | TieredStore | None = (
+            ResultStore(cache_dir, max_bytes=cache_max_bytes)
+            if cache_dir is not None else None
+        )
+        if store_url is not None:
+            # The shared tier sits behind the (optional) local LRU:
+            # reads go local -> remote -> execute, writes back to both.
+            store = TieredStore(store, RemoteStore(store_url))
         self.store = store
         self.scheduler = ExperimentScheduler(
             seed, quick=quick, policy=self.policy, store=self.store
@@ -218,18 +211,13 @@ class BenchmarkSuite:
             f"fleet={self.policy.fleet_url} "
             if self.policy.fleet_url is not None else ""
         )
-        chunk = (
-            f"chunk_size={self.policy.chunk_size} "
-            if self.policy.chunk_size is not None else ""
-        )
         return (
             f"Isolation-platform benchmark suite (seed={self.seed})\n"
             f"Simulated testbed: {self.machine.describe()}\n"
-            f"Execution: grid_backend={self.policy.resolved_grid_backend} "
+            f"Execution: grid_backend={self.policy.grid_backend} "
             f"grid_jobs={self.policy.grid_jobs} "
             f"{workers}"
             f"{fleet}"
-            f"{chunk}"
             f"store={self.store.describe() if self.store else 'none'}\n"
             f"Figures: {', '.join(FIGURES)}"
         )
@@ -262,11 +250,10 @@ class BenchmarkSuite:
                 {
                     "seed": self.seed,
                     "quick": self.quick,
-                    "grid_backend": self.policy.resolved_grid_backend,
+                    "grid_backend": self.policy.grid_backend,
                     "grid_jobs": self.policy.grid_jobs,
                     "workers": list(self.policy.workers),
                     "fleet": self.policy.fleet_url,
-                    "chunk_size": self.policy.chunk_size,
                     "store": self.scheduler.store_address,
                     "machine": self.machine.describe(),
                     "figures": [p.name for p in written],

@@ -1,9 +1,9 @@
 """Shared fixtures for the core-layer tests.
 
 The headline fixture is ``grid_backend``: one parametrized coordinate per
-entry in :data:`repro.core.runner.GRID_BACKENDS`, so every bit-identity
-test written against it automatically covers serial, process, *and*
-remote execution — the remote leg runs against an in-process
+backend an :class:`~repro.core.scheduler.ExecutionPolicy` can derive, so
+every bit-identity test written against it automatically covers serial,
+process, *and* remote execution — the remote leg runs against an in-process
 loopback :class:`~repro.core.remote.WorkerServer` on ``127.0.0.1`` (an
 ephemeral port, two local worker processes), so the whole fleet path is
 exercised in CI without a real fleet.
@@ -16,8 +16,12 @@ import contextlib
 import pytest
 
 from repro.core.remote import WorkerServer
-from repro.core.runner import GRID_BACKENDS, grid_mapper
-from repro.core.scheduler import ExecutionPolicy
+from repro.core.scheduler import (
+    BACKEND_PROCESS,
+    BACKEND_REMOTE,
+    BACKEND_SERIAL,
+    ExecutionPolicy,
+)
 
 
 @pytest.fixture(scope="session")
@@ -34,24 +38,24 @@ class GridBackendCase:
         self.name = name
         self.workers = workers
 
-    def policy(self, grid_jobs: int = 2, **kwargs) -> ExecutionPolicy:
-        """An ExecutionPolicy selecting this backend.
+    def policy(self, grid_jobs: int = 2) -> ExecutionPolicy:
+        """The ExecutionPolicy that derives this backend.
 
-        ``grid_jobs`` only applies to the local pool backends — remote
-        parallelism is the fleet's advertised slot count, and the policy
-        rejects the combination.
+        ``grid_jobs`` is the process pool's width; the serial case runs on
+        one slot, and remote parallelism is the fleet's advertised slot
+        count (the policy rejects ``grid_jobs`` with a roster).
         """
-        return ExecutionPolicy(
-            grid_jobs=1 if self.workers else grid_jobs,
-            grid_backend=self.name,
-            workers=self.workers,
-            **kwargs,
-        )
+        if self.name == BACKEND_REMOTE:
+            policy = ExecutionPolicy(workers=self.workers)
+        else:
+            policy = ExecutionPolicy(grid_jobs=grid_jobs if self.name == BACKEND_PROCESS else 1)
+        assert policy.grid_backend == self.name
+        return policy
 
     @contextlib.contextmanager
     def open_mapper(self, jobs: int = 2):
         """This backend's mapper, released on exit (serial has no pool)."""
-        mapper = grid_mapper(self.name, jobs, workers=self.workers or None)
+        mapper = self.policy(jobs).mapper()
         try:
             yield mapper
         finally:
@@ -63,10 +67,10 @@ class GridBackendCase:
         return f"GridBackendCase({self.name!r})"
 
 
-@pytest.fixture(params=GRID_BACKENDS)
+@pytest.fixture(params=(BACKEND_SERIAL, BACKEND_PROCESS, BACKEND_REMOTE))
 def grid_backend(request) -> GridBackendCase:
     """Every grid backend; ``remote`` points at the loopback fleet."""
-    if request.param == "remote":
+    if request.param == BACKEND_REMOTE:
         server = request.getfixturevalue("loopback_worker")
-        return GridBackendCase("remote", (server.address_string,))
+        return GridBackendCase(BACKEND_REMOTE, (server.address_string,))
     return GridBackendCase(request.param)

@@ -22,7 +22,6 @@ from repro.core.chunking import (
     auto_chunk_size,
     chunk_items,
     chunk_spans,
-    resolve_chunk_size,
 )
 from repro.core.remote import RemoteDispatchError, _DispatchState
 from repro.errors import ConfigurationError
@@ -77,12 +76,6 @@ class TestAutoHeuristic:
         with pytest.raises(ConfigurationError, match=">= 1"):
             auto_chunk_size(10, 0)
 
-    def test_resolve_prefers_explicit(self):
-        assert resolve_chunk_size(7, 36, 2) == 7
-        assert resolve_chunk_size(None, 36, 2) == auto_chunk_size(36, 2)
-        with pytest.raises(ConfigurationError, match=">= 1"):
-            resolve_chunk_size(0, 36, 2)
-
 
 class TestGeometryProperties:
     """Hypothesis: the laws the bit-identity argument rests on."""
@@ -106,7 +99,9 @@ class TestGeometryProperties:
     def test_auto_heuristic_stays_in_bounds(self, width, jobs):
         size = auto_chunk_size(width, jobs)
         assert 1 <= size <= MAX_AUTO_CHUNK
-        assert size == resolve_chunk_size(None, width, jobs)
+        # About four slabs per slot, unless a slab would pass the cap.
+        if size < MAX_AUTO_CHUNK:
+            assert len(chunk_spans(width, size)) <= 4 * jobs
 
 
 class TestDispatchStateProperties:

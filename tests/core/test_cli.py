@@ -8,6 +8,7 @@ import time
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.figures import FIGURES
 from repro.core.plan import FigurePlan
 from repro.core.service import Service
 from repro.core.storenet import StoreServer
@@ -66,10 +67,8 @@ class TestParser:
 
     def test_run_remote_flags(self):
         args = build_parser().parse_args([
-            "run", "fig05", "--grid-backend", "remote",
-            "--workers", "10.0.0.1:7077,10.0.0.2:7077",
+            "run", "fig05", "--workers", "10.0.0.1:7077,10.0.0.2:7077",
         ])
-        assert args.grid_backend == "remote"
         assert args.workers == "10.0.0.1:7077,10.0.0.2:7077"
 
 
@@ -133,11 +132,17 @@ class TestCommands:
         assert "repro-bench: error:" in err and "weight cpu" in err
 
     def test_unknown_figure_is_a_clean_error(self, capsys):
-        assert main(["run", "fig99-typo", "--quick"]) == 2
-        captured = capsys.readouterr()
-        assert "repro-bench: error:" in captured.err
-        assert "unknown figure" in captured.err
-        assert "Traceback" not in captured.err
+        # One diagnosis at either scale: both look the id up in the
+        # figure registry.
+        expected = (
+            "repro-bench: error: unknown figure 'fig99-typo'; known: "
+            + ", ".join(FIGURES) + "\n"
+        )
+        for scale in (["--quick"], []):
+            assert main(["run", "fig99-typo", *scale]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == expected, scale
 
     def test_run_grid_jobs_flag(self, capsys):
         assert main(["run", "fig11", "--quick", "--grid-jobs", "2", "--provenance"]) == 0
@@ -145,33 +150,6 @@ class TestCommands:
         assert "iperf3" in out
         assert "grid=process:2" in out
         assert "width=30" in out  # 10 network platforms x 3 quick reps
-
-    def test_unknown_grid_backend_is_a_clean_error_listing_remote(self, capsys):
-        # Regression: an unknown backend must surface as ConfigurationError
-        # (one line, exit 2) — never a bare ValueError traceback — and the
-        # advertised backend list must include the remote backend.
-        assert main(["run", "fig11", "--quick", "--grid-backend", "gpu"]) == 2
-        err = capsys.readouterr().err
-        assert "repro-bench: error:" in err
-        assert "unknown grid backend 'gpu'" in err
-        assert "remote" in err
-        assert "Traceback" not in err
-        assert "ValueError" not in err
-
-    def test_remote_backend_without_workers_is_a_clean_error(self, capsys):
-        assert main(["run", "fig11", "--quick", "--grid-backend", "remote"]) == 2
-        err = capsys.readouterr().err
-        assert "repro-bench: error:" in err
-        assert "worker" in err
-
-    def test_workers_with_local_backend_is_a_clean_error(self, capsys):
-        assert main([
-            "run", "fig11", "--quick", "--grid-backend", "serial",
-            "--workers", "127.0.0.1:7077",
-        ]) == 2
-        err = capsys.readouterr().err
-        assert "repro-bench: error:" in err
-        assert "remote" in err
 
     def test_grid_jobs_with_workers_is_a_clean_error(self, capsys):
         # Remote parallelism is the fleet's slot count; --grid-jobs with a
@@ -195,7 +173,7 @@ class TestCommands:
         assert main(["plan", "fig09", "--quick", "--grid-jobs", "2"]) == 0
         out = capsys.readouterr().out
         assert "fig09: 21 grid job(s)" in out  # 7 platforms x 3 quick reps
-        assert "backend=process, grid-jobs=2" in out
+        assert "backend=process, grid-jobs=2]" in out  # no slab-size note
         assert "fio-throughput" in out
         assert "MB/s" not in out  # no results were rendered
 
@@ -225,53 +203,33 @@ class TestCommands:
 
 
 class TestChunkSizeCli:
-    def test_run_and_plan_accept_chunk_size(self):
-        args = build_parser().parse_args(["run", "fig11", "--chunk-size", "8"])
-        assert args.chunk_size == 8
-        assert build_parser().parse_args(["run", "fig11"]).chunk_size is None
-        assert build_parser().parse_args(
-            ["plan", "fig11", "--chunk-size", "8"]
-        ).chunk_size == 8
+    """Slab sizes follow from the grid width and the pool; no flag sets them."""
+
+    def test_run_and_plan_take_no_backend_or_chunk_flags(self, capsys):
+        for command in ("run", "plan"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--help"])
+            out = capsys.readouterr().out
+            assert "--grid-jobs" in out
+            assert "--grid-backend" not in out
+            assert "--chunk-size" not in out
 
     def test_chunked_run_bit_identical_to_serial(self, capsys):
-        assert main(["run", "fig12", "--quick"]) == 0
+        # fig05's 27 quick cells over 2 slots: 4-cell slabs ending on a
+        # 3-cell one.
+        assert main(["run", "fig05", "--quick"]) == 0
         serial_out = capsys.readouterr().out
-        assert main(
-            ["run", "fig12", "--quick", "--grid-jobs", "2", "--chunk-size", "7"]
-        ) == 0
-        assert capsys.readouterr().out == serial_out
+        assert main(["run", "fig05", "--quick", "--grid-jobs", "2", "--provenance"]) == 0
+        out = capsys.readouterr().out
+        assert "grid=process:2 width=27 chunk=4" in out
+        assert "".join(
+            line + "\n" for line in out.splitlines() if not line.startswith("[provenance]")
+        ) == serial_out
 
     def test_chunk_size_in_provenance_line(self, capsys):
-        assert main([
-            "run", "fig11", "--quick", "--grid-jobs", "2",
-            "--chunk-size", "4", "--provenance",
-        ]) == 0
+        assert main(["run", "fig11", "--quick", "--grid-jobs", "2", "--provenance"]) == 0
         out = capsys.readouterr().out
-        assert "chunk=4" in out
-
-    def test_invalid_chunk_size_is_a_clean_error(self, capsys):
-        assert main([
-            "run", "fig11", "--quick", "--grid-jobs", "2", "--chunk-size", "0"
-        ]) == 2
-        err = capsys.readouterr().err
-        assert "repro-bench: error:" in err
-        assert "chunk_size" in err
-        assert "Traceback" not in err
-
-    def test_plan_shows_explicit_and_auto_chunk_size(self, capsys):
-        assert main([
-            "plan", "fig09", "--quick", "--grid-jobs", "2", "--chunk-size", "5"
-        ]) == 0
-        assert "chunk-size=5" in capsys.readouterr().out
-        assert main(["plan", "fig09", "--quick", "--grid-jobs", "2"]) == 0
-        assert "chunk-size=auto" in capsys.readouterr().out
-
-    def test_dry_run_shows_chunk_size(self, capsys):
-        assert main([
-            "run", "fig05", "--quick", "--dry-run", "--grid-jobs", "2",
-            "--chunk-size", "9",
-        ]) == 0
-        assert "chunk-size=9" in capsys.readouterr().out
+        assert "chunk=4" in out  # ceil(30 / (4 * 2))
 
 
 def _unusable_directory(tmp_path, under_file):
@@ -366,6 +324,29 @@ class TestOutOfRangePorts:
         assert captured.out == ""
         assert captured.err.startswith("repro-bench: error:")
         assert captured.err.count("\n") == 1
+
+
+class TestHeartbeatInterval:
+    def test_unusable_interval_is_one_error_line(self, monkeypatch, capsys):
+        # Past threading.TIMEOUT_MAX the heartbeat thread's first wait
+        # raises OverflowError after the worker registered, and the
+        # coordinator prunes the worker in silence; refuse it up front.
+        attempts = []
+
+        def refuse(*args, **kwargs):
+            attempts.append(args)
+            raise AssertionError("the worker went past its heartbeat interval")
+
+        monkeypatch.setattr(Service, "start", refuse)
+        monkeypatch.setattr(socket, "create_connection", refuse)
+        for interval in ("1e10", "inf", "nan", "0"):
+            argv = ["worker", "--fleet", "127.0.0.1:7079", "--heartbeat-interval", interval]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("repro-bench: error: heartbeat interval")
+            assert captured.err.count("\n") == 1
+        assert attempts == []
 
 
 class TestServiceLauncher:

@@ -45,6 +45,15 @@ class TestFindings:
             assert check.detail
             assert check.statement
 
+    def test_unknown_figure_is_a_configuration_error(self):
+        # The registry's diagnosis, with or without a suite behind it.
+        for evaluator in (
+            FindingsEvaluator(seed=42),
+            FindingsEvaluator(seed=42, suite=BenchmarkSuite(seed=42, quick=True)),
+        ):
+            with pytest.raises(ConfigurationError, match="unknown figure 'fig99'"):
+                evaluator.figure("fig99")
+
 
 class TestSuite:
     @pytest.fixture(scope="class")
@@ -159,6 +168,7 @@ class TestSuiteExecutionLayer:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["grid_backend"] == "serial"
         assert "backend" not in manifest and "jobs" not in manifest
+        assert "chunk_size" not in manifest  # slab sizes are per-figure provenance
         assert manifest["provenance"]["fig11"]["backend"] == "serial"
         assert manifest["provenance"]["fig11"]["cache"] == "miss"
 

@@ -34,7 +34,6 @@ from repro.core.remote import (
 )
 from repro.core.scheduler import (
     BACKEND_REMOTE,
-    BACKEND_SERIAL,
     ExecutionPolicy,
     ExperimentScheduler,
 )
@@ -260,9 +259,10 @@ class TestWorkerMembership:
             ]
 
     def test_invalid_heartbeat_interval_rejected(self):
-        # NaN makes Event.wait return at once (a heartbeat spin); inf makes
-        # it raise OverflowError inside the heartbeat thread.
-        for interval in (0, float("nan"), float("inf")):
+        # NaN makes Event.wait return at once (a heartbeat spin); inf, or
+        # anything past threading.TIMEOUT_MAX, makes it raise OverflowError
+        # inside the heartbeat thread, and the worker is pruned in silence.
+        for interval in (0, float("nan"), float("inf"), 1e10):
             with pytest.raises(RemoteDispatchError, match="positive"):
                 WorkerServer(port=0, fleet_url=DEAD_ADDRESS, heartbeat_interval=interval)
 
@@ -357,23 +357,22 @@ def _stall_first_zero(item):
 
 class TestMembershipChurn:
     def test_worker_joining_mid_dispatch_receives_work(self, coordinator):
-        # Worker A (one slot, chunk_size=1) claims item 0 and parks on the
-        # gate; every other item can only complete if the mid-run joiner B
-        # is admitted and driven. The gate opens only after they all did.
+        # Worker A (one slot; four items keep the chunks at one cell)
+        # claims item 0 and parks on the gate; every other item can only
+        # complete if the mid-run joiner B is admitted and driven. The
+        # gate opens only after they all did.
         global _JOIN_DONE
         _JOIN_GATE.clear()
         _JOIN_STARTED.clear()
         _JOIN_DONE = 0
-        items = list(range(6))
+        items = list(range(4))
         first = WorkerServer(
             port=0, workers=1, fleet_url=coordinator.address_string
         ).start()
         joiner = None
         try:
             with RemoteMapper(
-                fleet_url=coordinator.address_string,
-                chunk_size=1,
-                poll_interval=0.05,
+                fleet_url=coordinator.address_string, poll_interval=0.05
             ) as mapper:
                 results: list = []
 
@@ -396,6 +395,7 @@ class TestMembershipChurn:
                 thread.join(timeout=10)
                 assert not thread.is_alive()
                 assert results == [item * 2 for item in items]
+                assert mapper.last_chunk_size == 1
                 assert set(mapper.last_roster) == {
                     first.address_string,
                     joiner.address_string,
@@ -411,11 +411,12 @@ class TestMembershipChurn:
         # 0.6s timeout) with item 0 stalled in flight; the watcher must
         # treat the pruned member like a dead socket — item 0 re-queues to
         # the healthy joiner B and runs again exactly once, everything
-        # else exactly once in total.
+        # else exactly once in total. Four items over A's one slot keep the
+        # chunks at one cell, so only item 0 is in flight on A.
         _CHURN_COUNTS.clear()
         _CHURN_STARTED.clear()
         _CHURN_STALL.clear()
-        items = list(range(6))
+        items = list(range(4))
         with FleetCoordinator(port=0, heartbeat_timeout=0.6) as coord:
             stale = WorkerServer(
                 port=0, workers=1, fleet_url=coord.address_string,
@@ -424,9 +425,7 @@ class TestMembershipChurn:
             healthy = None
             try:
                 with RemoteMapper(
-                    fleet_url=coord.address_string,
-                    chunk_size=1,
-                    poll_interval=0.05,
+                    fleet_url=coord.address_string, poll_interval=0.05
                 ) as mapper:
                     results: list = []
 
@@ -446,6 +445,7 @@ class TestMembershipChurn:
                     thread.join(timeout=20)
                     assert not thread.is_alive()
                     assert results == [item * 2 for item in items]
+                    assert mapper.last_chunk_size == 1
             finally:
                 _CHURN_STALL.set()
                 stale.stop()
@@ -519,17 +519,13 @@ class TestTwoClientRace:
 class TestPolicyFleet:
     def test_fleet_url_auto_selects_remote(self):
         policy = ExecutionPolicy(fleet_url="127.0.0.1:7079")
-        assert policy.resolved_grid_backend == BACKEND_REMOTE
+        assert policy.grid_backend == BACKEND_REMOTE
 
     def test_fleet_url_and_workers_are_a_contradiction(self):
         with pytest.raises(ConfigurationError, match="not both"):
             ExecutionPolicy(
                 fleet_url="127.0.0.1:7079", workers=("127.0.0.1:7077",)
             )
-
-    def test_fleet_url_with_local_backend_is_a_contradiction(self):
-        with pytest.raises(ConfigurationError, match="only applies"):
-            ExecutionPolicy(grid_backend=BACKEND_SERIAL, fleet_url="127.0.0.1:7079")
 
     def test_grid_jobs_with_fleet_url_is_a_contradiction(self):
         with pytest.raises(ConfigurationError, match="grid_jobs does not apply"):

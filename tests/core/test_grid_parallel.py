@@ -9,6 +9,7 @@ failures, and serial-vs-grid-pool bit-identity at every layer (lowered
 grid, scheduler, suite).
 """
 
+import dataclasses
 import os
 import pickle
 import time
@@ -16,17 +17,17 @@ import time
 import pytest
 
 from repro.core.figures import lower_figure
+from repro.core.remote import RemoteMapper
 from repro.core.runner import (
-    GRID_BACKENDS,
     PoolMapper,
     RepJob,
     active_grid_mapper,
     execution_context,
-    grid_mapper,
     run_rep_job,
 )
 from repro.core.scheduler import (
     BACKEND_PROCESS,
+    BACKEND_REMOTE,
     BACKEND_SERIAL,
     ExecutionPolicy,
     ExperimentScheduler,
@@ -95,34 +96,33 @@ class TestRepJobPickling:
         # The runner's job entry point crosses the pool boundary by
         # reference and reproduces every serial draw.
         serial = _grid_values()
-        with grid_mapper("process", 2) as mapper:
+        with PoolMapper(2) as mapper:
             assert _grid_values(mapper) == serial
 
 
 class TestGridMappers:
     def test_serial_backend_and_width_one_collapse(self):
-        assert grid_mapper("serial", 8)(lambda x: x + 1, [1, 2]) == [2, 3]
-        assert not isinstance(grid_mapper("process", 1), PoolMapper)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="grid backend"):
-            grid_mapper("gpu", 2)
-        with pytest.raises(ConfigurationError, match="grid backend"):
-            grid_mapper("thread", 2)
+        # One slot derives the serial backend: the one in-process map.
+        mapper = ExecutionPolicy(grid_jobs=1).mapper()
+        assert mapper is ExecutionPolicy.serial().mapper()
+        assert mapper(_plus_one, [1, 2]) == [2, 3]
 
     def test_invalid_width_rejected(self):
-        with pytest.raises(ConfigurationError, match=">= 1"):
-            grid_mapper("process", 0)
+        for grid_jobs in (0, -2):
+            with pytest.raises(ConfigurationError, match=">= 1"):
+                ExecutionPolicy(grid_jobs=grid_jobs)
 
     @pytest.mark.parametrize("backend", ["process"])
     def test_order_preserved_under_out_of_order_completion(self, backend):
         total = 4
         items = [(index, total) for index in range(total)]
-        with grid_mapper(backend, total) as mapper:
+        policy = ExecutionPolicy(grid_jobs=total)
+        assert policy.grid_backend == backend
+        with policy.mapper() as mapper:
             assert mapper(_sleepy_identity, items) == list(range(total))
 
     def test_pool_is_reused_across_batches(self):
-        mapper = grid_mapper("process", 2)
+        mapper = PoolMapper(2)
         try:
             mapper(_sleepy_identity, [(0, 2), (1, 2)])
             first = mapper._executor
@@ -136,7 +136,7 @@ class TestGridMappers:
     def test_dead_worker_does_not_break_the_mapper_for_good(self):
         from concurrent.futures.process import BrokenProcessPool
 
-        with grid_mapper("process", 2, chunk_size=1) as mapper:
+        with PoolMapper(2) as mapper:
             with pytest.raises(BrokenProcessPool):
                 mapper(_exit_on_three, range(6))
             # The next call forks a fresh pool instead of reusing the
@@ -144,7 +144,7 @@ class TestGridMappers:
             assert mapper(_plus_one, range(6)) == [1, 2, 3, 4, 5, 6]
 
     def test_single_item_skips_the_pool(self):
-        mapper = grid_mapper("process", 4)
+        mapper = PoolMapper(4)
         try:
             assert mapper(_sleepy_identity, [(0, 1)]) == [0]
             assert mapper._executor is None  # never forked a worker
@@ -204,39 +204,33 @@ class TestPolicyGridDimension:
     def test_defaults_stay_serial(self):
         policy = ExecutionPolicy()
         assert policy.grid_jobs == 1
-        assert policy.resolved_grid_backend == BACKEND_SERIAL
+        assert policy.grid_backend == BACKEND_SERIAL
         assert not isinstance(policy.mapper(), PoolMapper)
 
     def test_grid_jobs_opt_into_pool(self):
         policy = ExecutionPolicy(grid_jobs=3)
-        assert policy.resolved_grid_backend == BACKEND_PROCESS
+        assert policy.grid_backend == BACKEND_PROCESS
         mapper = policy.mapper()
         assert isinstance(mapper, PoolMapper)
         assert mapper.jobs == 3
 
-    def test_explicit_grid_backend_wins(self):
-        # One slot auto-selects serial; naming the pool overrides that.
-        policy = ExecutionPolicy(grid_jobs=1, grid_backend=BACKEND_PROCESS)
-        assert policy.resolved_grid_backend == BACKEND_PROCESS
-
     def test_invalid_grid_policy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ExecutionPolicy(grid_jobs=0)
-        with pytest.raises(ConfigurationError):
-            ExecutionPolicy(grid_backend="gpu")
-        with pytest.raises(ConfigurationError):
-            ExecutionPolicy(grid_backend="thread")
+        # Four deployment settings; the backend and the slab size are
+        # derived, so neither can be set.
+        assert [f.name for f in dataclasses.fields(ExecutionPolicy)] == [
+            "grid_jobs", "workers", "fleet_url", "store_url",
+        ]
+        for knob in ({"grid_backend": BACKEND_PROCESS}, {"chunk_size": 4}):
+            with pytest.raises(TypeError):
+                ExecutionPolicy(**knob)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ExecutionPolicy().grid_jobs = 2
 
     def test_serial_classmethod_pins_both_levels(self):
         policy = ExecutionPolicy.serial()
+        assert policy == ExecutionPolicy()
         assert policy.grid_backend == BACKEND_SERIAL
-        assert policy.resolved_grid_backend == BACKEND_SERIAL
         assert not isinstance(policy.mapper(), PoolMapper)
-
-    def test_grid_backends_constant_matches_scheduler_names(self):
-        from repro.core.scheduler import BACKEND_REMOTE
-
-        assert set(GRID_BACKENDS) == {BACKEND_SERIAL, BACKEND_PROCESS, BACKEND_REMOTE}
 
 
 class TestMapperLifetime:
@@ -244,28 +238,20 @@ class TestMapperLifetime:
 
     @pytest.fixture
     def tracked_pools(self, monkeypatch):
-        from repro.core import scheduler as scheduler_module
-
         created = []
-        real_grid_mapper = scheduler_module.grid_mapper
+        real_mapper = ExecutionPolicy.mapper
 
-        def tracking_grid_mapper(
-            backend, jobs, workers=None, chunk_size=None,
-            fleet_url=None, store_url=None,
-        ):
-            mapper = real_grid_mapper(
-                backend, jobs, workers=workers, chunk_size=chunk_size,
-                fleet_url=fleet_url, store_url=store_url,
-            )
+        def tracking_mapper(policy):
+            mapper = real_mapper(policy)
             if isinstance(mapper, PoolMapper):
                 created.append(mapper)
             return mapper
 
-        monkeypatch.setattr(scheduler_module, "grid_mapper", tracking_grid_mapper)
+        monkeypatch.setattr(ExecutionPolicy, "mapper", tracking_mapper)
         return created
 
     def test_raising_figure_still_closes_the_pool(self, tracked_pools):
-        policy = ExecutionPolicy(grid_jobs=2, grid_backend=BACKEND_PROCESS)
+        policy = ExecutionPolicy(grid_jobs=2)
         report = ExperimentScheduler(42, quick=True, policy=policy).run(
             ["fig11"], overrides={"fig11": {"bogus_kwarg": 1}}
         )
@@ -274,7 +260,7 @@ class TestMapperLifetime:
         assert tracked_pools[0]._executor is None  # ExitStack released the pool
 
     def test_successful_job_closes_the_pool_too(self, tracked_pools):
-        policy = ExecutionPolicy(grid_jobs=2, grid_backend=BACKEND_PROCESS)
+        policy = ExecutionPolicy(grid_jobs=2)
         report = ExperimentScheduler(42, quick=True, policy=policy).run(["fig11"])
         assert not report.errors
         assert len(tracked_pools) == 1
@@ -303,7 +289,7 @@ class TestGridLevelDeterminism:
             ), figure_id
 
     def test_grid_backend_recorded_in_provenance(self):
-        policy = ExecutionPolicy(grid_jobs=2, grid_backend=BACKEND_PROCESS)
+        policy = ExecutionPolicy(grid_jobs=2)
         report = ExperimentScheduler(42, quick=True, policy=policy).run(["fig11"])
         provenance = report.results["fig11"].provenance
         assert provenance["grid_backend"] == BACKEND_PROCESS
@@ -319,7 +305,7 @@ class TestGridLevelDeterminism:
 
     def test_cache_hits_have_no_grid_backend(self, tmp_path):
         store = ResultStore(tmp_path)
-        policy = ExecutionPolicy(grid_jobs=2, grid_backend=BACKEND_PROCESS)
+        policy = ExecutionPolicy(grid_jobs=2)
         ExperimentScheduler(42, quick=True, policy=policy, store=store).run(["fig11"])
         warm = ExperimentScheduler(42, quick=True, policy=policy, store=store).run(
             ["fig11"]
@@ -363,91 +349,62 @@ def _plus_one(value):
 
 
 class TestChunkedGridPolicy:
-    """chunk_size as deployment policy: mapper, scheduler, provenance."""
+    """Dispatch slabs follow from the grid width and the parallelism."""
 
-    @pytest.mark.parametrize("chunk_size", [1, 3, 7, 30, 45])
-    def test_pool_mapper_bit_identical_across_chunk_sizes(self, chunk_size):
-        # Non-dividing, unit, exact-width, and wider-than-grid sizes all
-        # flatten back to the serial result order.
-        items = list(range(30))
-        with grid_mapper("process", 2, chunk_size=chunk_size) as mapper:
+    @pytest.mark.parametrize(
+        "backend, width, slab",
+        [
+            (BACKEND_PROCESS, 5, 1),
+            (BACKEND_PROCESS, 27, 4),
+            (BACKEND_PROCESS, 600, 64),
+            (BACKEND_REMOTE, 5, 1),
+            (BACKEND_REMOTE, 27, 4),
+            (BACKEND_REMOTE, 600, 64),
+        ],
+        ids=["pool-unit", "pool-tail", "pool-cap", "remote-unit", "remote-tail", "remote-cap"],
+    )
+    def test_auto_slabs_match_serial(self, request, backend, width, slab):
+        # Two slots on either side (a 2-wide pool, the 2-process loopback
+        # worker): a width under 4 x 2 ships single cells, 27 cells (a
+        # quick fig05 or fig16 grid) ship as 4-cell slabs ending on a
+        # 3-cell one, and 600 cells hit the 64-cell cap with a 24-cell
+        # tail. Every geometry flattens back to the serial order.
+        if backend == BACKEND_REMOTE:
+            worker = request.getfixturevalue("loopback_worker")
+            mapper = RemoteMapper([worker.address_string])
+        else:
+            mapper = PoolMapper(2)
+        items = list(range(width))
+        with mapper:
             assert mapper(_plus_one, items) == [item + 1 for item in items]
-            assert mapper.last_chunk_size == chunk_size
-
-    def test_process_mapper_chunked_matches_serial(self):
-        with grid_mapper("process", 2, chunk_size=7) as mapper:
-            assert mapper(_plus_one, list(range(30))) == list(range(1, 31))
-            assert mapper.last_chunk_size == 7
+            assert mapper.last_chunk_size == slab
 
     def test_chunked_order_preserved_under_out_of_order_completion(self):
-        total = 6
+        # 10 cells over 2 slots: 2-cell slabs, earlier ones sleeping longer.
+        total = 10
         items = [(index, total) for index in range(total)]
-        with grid_mapper("process", 3, chunk_size=2) as mapper:
+        with PoolMapper(2) as mapper:
             assert mapper(_sleepy_identity, items) == list(range(total))
+            assert mapper.last_chunk_size == 2
 
     def test_auto_chunk_size_recorded_after_dispatch(self):
-        with grid_mapper("process", 2) as mapper:
+        with PoolMapper(2) as mapper:
             mapper(_plus_one, list(range(30)))
             assert mapper.last_chunk_size == 4  # ceil(30 / (4 * 2))
 
-    def test_serial_backend_ignores_chunk_size(self):
-        mapper = grid_mapper("serial", 1, chunk_size=5)
-        assert mapper(_plus_one, [1, 2]) == [2, 3]
-
-    def test_invalid_chunk_size_rejected(self):
-        with pytest.raises(ConfigurationError, match=">= 1"):
-            grid_mapper("process", 2, chunk_size=0)
-        with pytest.raises(ConfigurationError, match="chunk_size must be >= 1"):
-            ExecutionPolicy(chunk_size=0)
-
-    def test_policy_threads_chunk_size_to_the_mapper(self):
-        policy = ExecutionPolicy(grid_jobs=2, chunk_size=5)
-        mapper = policy.mapper()
-        assert isinstance(mapper, PoolMapper)
-        assert mapper.chunk_size == 5
-
 
 class TestChunkedSchedulerProvenance:
-    def test_explicit_chunk_size_recorded(self):
-        policy = ExecutionPolicy(
-            grid_jobs=2, grid_backend=BACKEND_PROCESS, chunk_size=4
-        )
+    def test_auto_resolution_is_what_gets_recorded(self):
+        # Provenance records the slab size that actually ran:
+        # ceil(30 / (4 * 2)) = 4.
+        policy = ExecutionPolicy(grid_jobs=2)
         report = ExperimentScheduler(42, quick=True, policy=policy).run(["fig11"])
         assert report.results["fig11"].provenance["chunk_size"] == 4
         record = report.records[0]
         assert record.chunk_size == 4
         assert record.to_dict()["chunk_size"] == 4
 
-    def test_auto_resolution_is_what_gets_recorded(self):
-        # The knob was unset; provenance records the slab size that
-        # actually ran: ceil(30 / (4 * 2)) = 4.
-        policy = ExecutionPolicy(grid_jobs=2, grid_backend=BACKEND_PROCESS)
-        report = ExperimentScheduler(42, quick=True, policy=policy).run(["fig11"])
-        assert report.results["fig11"].provenance["chunk_size"] == 4
-        assert report.records[0].chunk_size == 4
-
     def test_serial_run_records_no_chunk_size(self):
         report = ExperimentScheduler(42, quick=True).run(["fig11"])
         assert report.results["fig11"].provenance["chunk_size"] is None
         assert report.records[0].chunk_size is None
-
-    def test_chunked_backends_bit_identical_to_serial(self, grid_backend):
-        serial = ExperimentScheduler(42, quick=True).run(["fig11"])
-        report = ExperimentScheduler(
-            42, quick=True, policy=grid_backend.policy(chunk_size=7)
-        ).run(["fig11"])
-        assert (
-            report.results["fig11"].comparable_dict()
-            == serial.results["fig11"].comparable_dict()
-        )
-
-    def test_suite_chunk_size_bit_identical_and_recorded(self, tmp_path):
-        serial = BenchmarkSuite(seed=42, quick=True).run_figure("fig12")
-        suite = BenchmarkSuite(seed=42, quick=True, grid_jobs=2, chunk_size=3)
-        assert suite.run_figure("fig12").comparable_dict() == serial.comparable_dict()
-        assert "chunk_size=3" in suite.describe()
-        suite.save_results(tmp_path)
-        import json
-
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["chunk_size"] == 3

@@ -326,10 +326,12 @@ class TestBitIdentity:
 
     def test_suite_layer(self, grid_backend):
         serial = BenchmarkSuite(seed=SEED, quick=True).run_figure("fig05")
-        pooled = BenchmarkSuite(
-            seed=SEED, quick=True, policy=grid_backend.policy()
-        ).run_figure("fig05")
-        assert pooled.comparable_dict() == serial.comparable_dict()
+        policy = grid_backend.policy()
+        suite = BenchmarkSuite(
+            seed=SEED, quick=True, grid_jobs=policy.grid_jobs, workers=policy.workers
+        )
+        assert suite.policy == policy
+        assert suite.run_figure("fig05").comparable_dict() == serial.comparable_dict()
 
 
 class TestGridOutcomeFolding:

@@ -5,7 +5,7 @@ RemoteMapper pair (order-preserving reassembly under out-of-order
 completion, per-job re-queue on worker disconnect, graceful drain), the
 ExecutionPolicy / scheduler / provenance threading, the warm-cache
 short-circuit (no socket is ever opened for a cache hit), and the CLI
-acceptance path: ``repro-bench run fig05 --grid-backend remote`` against
+acceptance path: ``repro-bench run fig05 --workers HOST:PORT`` against
 a worker started with ``repro-bench worker`` is bit-identical to serial.
 """
 
@@ -19,7 +19,6 @@ import subprocess
 import sys
 import threading
 import time
-import zlib
 
 import pytest
 
@@ -35,10 +34,9 @@ from repro.core.remote import (
     recv_frame,
     send_frame,
 )
-from repro.core.runner import RepJob, grid_mapper
+from repro.core.runner import RepJob
 from repro.core.scheduler import (
     BACKEND_REMOTE,
-    BACKEND_SERIAL,
     ExecutionPolicy,
     ExperimentScheduler,
 )
@@ -167,8 +165,6 @@ class TestFraming:
             right.close()
 
     def test_absurd_length_prefix_rejected_before_allocation(self):
-        # The top header bit is the compression flag, not part of the
-        # length — the size check reads the low 31 bits only.
         left, right = self._pair()
         left.sendall(((1 << 30) + 1).to_bytes(4, "big"))
         try:
@@ -178,44 +174,19 @@ class TestFraming:
             left.close()
             right.close()
 
-    def test_corrupt_compressed_payload_is_a_protocol_error(self):
-        # Compressed flag set, but the payload is not valid zlib data.
+    def test_former_compression_bit_is_refused_before_the_payload(self):
+        # The top header bit once flagged a zlib payload. The header is
+        # now a plain 32-bit length, so a flagged header reads as a frame
+        # past the 1 GiB limit and is refused before any payload byte is
+        # read: nothing a peer sends makes this side allocate for it.
         left, right = self._pair()
-        junk = b"not zlib at all"
-        left.sendall((len(junk) | (1 << 31)).to_bytes(4, "big") + junk)
+        payload = pickle.dumps(b"\x00" * 100)
+        left.sendall((len(payload) | (1 << 31)).to_bytes(4, "big") + payload)
         try:
-            with pytest.raises(RemoteProtocolError, match="corrupt compressed"):
+            with pytest.raises(RemoteProtocolError, match="exceeds"):
                 recv_frame(right)
-        finally:
-            left.close()
-            right.close()
-
-    def test_truncated_compressed_payload_is_a_protocol_error(self):
-        left, right = self._pair()
-        squeezed = zlib.compress(pickle.dumps(b"\x00" * 10_000))[:-8]
-        left.sendall((len(squeezed) | (1 << 31)).to_bytes(4, "big") + squeezed)
-        try:
-            with pytest.raises(RemoteProtocolError, match="corrupt compressed"):
-                recv_frame(right)
-        finally:
-            left.close()
-            right.close()
-
-    def test_compressed_payload_may_not_inflate_past_the_frame_limit(
-        self, monkeypatch
-    ):
-        # A small frame must not inflate to any size before pickle sees
-        # it: the inflated size is held to the same limit as the wire size.
-        from repro.core import service
-
-        monkeypatch.setattr(service, "_MAX_FRAME_BYTES", 4096)
-        left, right = self._pair()
-        squeezed = zlib.compress(pickle.dumps(b"\x00" * 100_000))
-        assert len(squeezed) < 4096
-        left.sendall((len(squeezed) | (1 << 31)).to_bytes(4, "big") + squeezed)
-        try:
-            with pytest.raises(RemoteProtocolError, match="inflates past 4096"):
-                recv_frame(right)
+            # The payload is still unread on the socket.
+            assert right.recv(len(payload), socket.MSG_PEEK) == payload
         finally:
             left.close()
             right.close()
@@ -362,7 +333,10 @@ class TestRemoteMapper:
         # instead of running on the survivor alone.
         with WorkerServer(port=0) as first, WorkerServer(port=0) as second:
             roster = [first.address_string, second.address_string]
-            with RemoteMapper(roster, chunk_size=1) as mapper:
+            # Two single-slot workers and at most 8 cells: one cell per
+            # chunk, so the slow cell and the failing one go to different
+            # workers.
+            with RemoteMapper(roster) as mapper:
                 with pytest.raises(RemoteJobError):
                     mapper(_slow_or_boom, ["slow", "boom"])
                 assert mapper(_double, list(range(8))) == [x * 2 for x in range(8)]
@@ -425,30 +399,15 @@ class TestRemoteMapper:
             with pytest.raises(RemoteDispatchError):
                 mapper(lambda x: x, [1, 2, 3])  # lambdas cannot cross the wire
 
-    def test_grid_mapper_factory_builds_remote(self, loopback_worker):
-        mapper = grid_mapper("remote", 1, workers=[loopback_worker.address_string])
-        assert isinstance(mapper, RemoteMapper)
-        with mapper:
-            assert mapper(_double, [21]) == [42]
-
-    def test_grid_mapper_remote_without_workers_is_a_config_error(self):
-        with pytest.raises(ConfigurationError, match="repro-bench worker"):
-            grid_mapper("remote", 1)
 
 
 class TestChunkedDispatch:
-    """The v2 chunk frames: slab plumbing, bit-identity, and re-queue."""
+    """The v2 chunk frames: slab plumbing, bit-identity, and re-queue.
 
-    @pytest.mark.parametrize("chunk_size", [1, 3, 7, 40, 45])
-    def test_bit_identical_across_chunk_sizes(self, loopback_worker, chunk_size):
-        # Non-dividing, unit, exact-width, and wider-than-grid sizes all
-        # flatten back to the serial result order.
-        items = list(range(40))
-        with RemoteMapper(
-            [loopback_worker.address_string], chunk_size=chunk_size
-        ) as mapper:
-            assert mapper(_double, items) == [item * 2 for item in items]
-            assert mapper.last_chunk_size == chunk_size
+    The slab geometries (one cell, a short last slab, the 64-cell cap)
+    are checked on the pool and here alike, in
+    ``test_grid_parallel.py::TestChunkedGridPolicy``.
+    """
 
     def test_auto_chunk_size_uses_fleet_slots(self, loopback_worker):
         # The loopback fleet advertises 2 slots: ceil(40 / (4 * 2)) = 5.
@@ -456,36 +415,39 @@ class TestChunkedDispatch:
             assert mapper(_double, list(range(40))) == [x * 2 for x in range(40)]
             assert mapper.last_chunk_size == 5
 
-    def test_invalid_chunk_size_rejected(self):
-        with pytest.raises(ConfigurationError, match=">= 1"):
-            RemoteMapper([DEAD_ADDRESS], chunk_size=0)
-
     def test_invalid_poll_interval_rejected(self):
-        for interval in (0, float("nan"), float("inf")):
+        # Past threading.TIMEOUT_MAX the fleet watcher's wait would raise
+        # OverflowError mid-dispatch.
+        for interval in (0, float("nan"), float("inf"), 1e10):
             with pytest.raises(ConfigurationError, match="positive"):
                 RemoteMapper([DEAD_ADDRESS], poll_interval=interval)
 
     def test_mid_chunk_worker_death_requeues_the_whole_chunk(self, loopback_worker):
-        # The flaky member hangs up with a whole 4-cell chunk in flight;
-        # every cell must still arrive exactly once, in order.
+        # 44 cells over 3 slots (the flaky member's one, the loopback
+        # worker's two) travel as 4-cell chunks; the flaky member hangs up
+        # with a whole chunk in flight, and every cell must still arrive
+        # exactly once, in order.
         flaky = _FlakyWorker(jobs_before_hangup=1)
         with flaky:
             roster = [flaky.address_string, loopback_worker.address_string]
-            with RemoteMapper(roster, chunk_size=4) as mapper:
-                assert mapper(_double, list(range(22))) == [x * 2 for x in range(22)]
+            with RemoteMapper(roster) as mapper:
+                assert mapper(_double, list(range(44))) == [x * 2 for x in range(44)]
+                assert mapper.last_chunk_size == 4
         assert flaky.jobs_seen >= 1
 
     def test_chunk_error_names_the_chunk_and_worker(self, loopback_worker):
-        with RemoteMapper([loopback_worker.address_string], chunk_size=2) as mapper:
+        with RemoteMapper([loopback_worker.address_string]) as mapper:
             with pytest.raises(RemoteJobError, match=r"chunk \d+ failed on"):
                 mapper(_boom, [1, 2, 3])
 
     def test_wire_stats_accumulate_both_directions(self, loopback_worker):
-        with RemoteMapper([loopback_worker.address_string], chunk_size=5) as mapper:
+        with RemoteMapper([loopback_worker.address_string]) as mapper:
             mapper(_double, list(range(10)))
             stats = mapper.wire_stats
-            assert stats.frames_sent == 2  # two 5-cell chunks, not 10 frames
-            assert stats.frames_received == 2
+            # ceil(10 / (4 * 2)) = 2: five 2-cell chunks, not 10 frames.
+            assert mapper.last_chunk_size == 2
+            assert stats.frames_sent == 5
+            assert stats.frames_received == 5
             assert stats.bytes_sent > 0 and stats.bytes_received > 0
             assert stats.total_bytes == stats.bytes_sent + stats.bytes_received
 
@@ -501,29 +463,21 @@ class TestChunkedDispatch:
 
 
 class TestCompression:
-    """The negotiated zlib threshold: hello echo plus on-wire effect."""
+    """What is left of the v4 compression negotiation: a v4 client from
+    before its removal still offers a zlib threshold in the hello."""
 
-    def test_hello_echoes_the_negotiated_threshold(self):
+    def test_hello_offering_compress_min_is_answered_without_it(self):
+        # Such a client compresses only above the threshold the worker
+        # echoes; with none echoed it sends plain frames, the only kind a
+        # worker reads or writes.
+        offer = {"service": "worker", "protocol": PROTOCOL_VERSION, "compress_min": 16384}
         with WorkerServer(port=0) as server:
             with socket.create_connection(server.address, timeout=5) as sock:
-                send_frame(
-                    sock,
-                    ("hello", {"protocol": PROTOCOL_VERSION, "compress_min": 123}),
-                )
+                send_frame(sock, ("hello", offer))
                 kind, info = recv_frame(sock)
         assert kind == "hello"
-        assert info["compress_min"] == 123
-
-    def test_bad_compress_min_is_refused(self):
-        with WorkerServer(port=0) as server:
-            with socket.create_connection(server.address, timeout=5) as sock:
-                send_frame(
-                    sock,
-                    ("hello", {"protocol": PROTOCOL_VERSION, "compress_min": "lots"}),
-                )
-                kind, _seq, message = recv_frame(sock)
-        assert kind == "error"
-        assert "compress_min" in message
+        assert info["slots"] == 1
+        assert "compress_min" not in info
 
     def test_version_mismatch_diagnosis_names_both_versions(self):
         # A mixed-version fleet must fail the handshake with a diagnosis,
@@ -535,20 +489,6 @@ class TestCompression:
         assert kind == "error"
         assert f"v{PROTOCOL_VERSION}" in message
         assert "upgrade" in message
-
-    def test_compressed_dispatch_is_bit_identical_and_smaller(self, loopback_worker):
-        # Large, highly compressible cells: the compressed mapper must
-        # produce the exact same results over far fewer wire bytes.
-        items = [[index] * 3000 for index in range(12)]
-        with RemoteMapper(
-            [loopback_worker.address_string], chunk_size=6, compress_min=None
-        ) as plain:
-            expected = plain(_double, items)
-        with RemoteMapper(
-            [loopback_worker.address_string], chunk_size=6, compress_min=64
-        ) as squeezed:
-            assert squeezed(_double, items) == expected
-        assert squeezed.wire_stats.total_bytes < plain.wire_stats.total_bytes / 5
 
 
 class TestNoDelay:
@@ -673,16 +613,14 @@ class _RejectingWorker:
 
 class TestPolicyRemote:
     def test_remote_backend_requires_a_roster(self):
-        with pytest.raises(ConfigurationError, match="worker roster"):
-            ExecutionPolicy(grid_backend=BACKEND_REMOTE)
+        # Only a roster or a fleet derives the remote backend; no pool
+        # width does.
+        for grid_jobs in (1, 2, 8):
+            assert ExecutionPolicy(grid_jobs=grid_jobs).grid_backend != BACKEND_REMOTE
 
     def test_a_roster_auto_selects_remote(self):
         policy = ExecutionPolicy(workers=("127.0.0.1:7077",))
-        assert policy.resolved_grid_backend == BACKEND_REMOTE
-
-    def test_roster_with_local_backend_is_a_contradiction(self):
-        with pytest.raises(ConfigurationError, match="only applies"):
-            ExecutionPolicy(grid_backend=BACKEND_SERIAL, workers=("127.0.0.1:7077",))
+        assert policy.grid_backend == BACKEND_REMOTE
 
     def test_grid_jobs_with_a_roster_is_a_contradiction(self):
         # grid_jobs never applies to the remote backend; silently ignoring
@@ -695,7 +633,7 @@ class TestPolicyRemote:
         assert policy.workers == ("a:1", "b:2")
 
     def test_policy_mapper_is_remote_with_the_roster(self):
-        policy = ExecutionPolicy(grid_backend=BACKEND_REMOTE, workers=(DEAD_ADDRESS,))
+        policy = ExecutionPolicy(workers=(DEAD_ADDRESS,))
         mapper = policy.mapper()
         assert isinstance(mapper, RemoteMapper)
         assert mapper.roster == (DEAD_ADDRESS,)
@@ -703,7 +641,7 @@ class TestPolicyRemote:
 class TestSchedulerRemote:
     def test_remote_run_records_roster_and_width(self, loopback_worker):
         roster = (loopback_worker.address_string,)
-        policy = ExecutionPolicy(grid_backend=BACKEND_REMOTE, workers=roster)
+        policy = ExecutionPolicy(workers=roster)
         report = ExperimentScheduler(SEED, quick=True, policy=policy).run(["fig11"])
         assert not report.errors
         record = report.records[0]
@@ -728,7 +666,7 @@ class TestSchedulerRemote:
         # without opening a single socket (lazy connect on first dispatch).
         store = ResultStore(tmp_path)
         ExperimentScheduler(SEED, quick=True, store=store).run(["fig12"])
-        policy = ExecutionPolicy(grid_backend=BACKEND_REMOTE, workers=(DEAD_ADDRESS,))
+        policy = ExecutionPolicy(workers=(DEAD_ADDRESS,))
         warm = ExperimentScheduler(
             SEED, quick=True, policy=policy, store=store
         ).run(["fig12"])
@@ -738,16 +676,14 @@ class TestSchedulerRemote:
         assert record.workers is None  # nothing executed, no fleet involved
 
     def test_dead_fleet_is_a_captured_job_error(self):
-        policy = ExecutionPolicy(grid_backend=BACKEND_REMOTE, workers=(DEAD_ADDRESS,))
+        policy = ExecutionPolicy(workers=(DEAD_ADDRESS,))
         scheduler = ExperimentScheduler(SEED, quick=True, policy=policy)
         report = scheduler.run(["fig12"])
         assert "RemoteDispatchError" in report.errors["fig12"]
 
     def test_suite_layer_roster_in_manifest(self, loopback_worker, tmp_path):
         roster = (loopback_worker.address_string,)
-        suite = BenchmarkSuite(
-            seed=SEED, quick=True, grid_backend=BACKEND_REMOTE, workers=roster
-        )
+        suite = BenchmarkSuite(seed=SEED, quick=True, workers=roster)
         suite.run_figure("fig12")
         suite.save_results(tmp_path)
         import json
@@ -764,9 +700,7 @@ class TestCliRemote:
         assert main(["run", "fig05", "--quick"]) == 0
         serial_out = capsys.readouterr().out
         assert main([
-            "run", "fig05", "--quick",
-            "--grid-backend", "remote",
-            "--workers", loopback_worker.address_string,
+            "run", "fig05", "--quick", "--workers", loopback_worker.address_string,
         ]) == 0
         assert capsys.readouterr().out == serial_out
 
@@ -797,10 +731,7 @@ class TestCliRemote:
             assert "grid-jobs" not in out, flags
 
     def test_unreachable_fleet_is_a_clean_error(self, capsys):
-        assert main([
-            "run", "fig12", "--quick", "--grid-backend", "remote",
-            "--workers", DEAD_ADDRESS,
-        ]) == 2
+        assert main(["run", "fig12", "--quick", "--workers", DEAD_ADDRESS]) == 2
         err = capsys.readouterr().err
         assert "repro-bench: error:" in err
         assert "Traceback" not in err
@@ -828,7 +759,7 @@ class TestCliRemote:
             run = subprocess.run(
                 [
                     sys.executable, "-m", "repro.cli", "run", "fig12", "--quick",
-                    "--grid-backend", "remote", "--workers", address,
+                    "--workers", address,
                 ],
                 capture_output=True,
                 text=True,

@@ -132,5 +132,6 @@ class TestCrashIsolation:
             report.raise_for_errors()
 
     def test_unknown_figure_rejected_up_front(self):
-        with pytest.raises(ConfigurationError, match="fig99"):
-            ExperimentScheduler(42).run(["fig99"])
+        # The registry's one diagnosis, raised before fig11 runs.
+        with pytest.raises(ConfigurationError, match="^unknown figure 'fig99'; known: fig05, "):
+            ExperimentScheduler(42).run(["fig11", "fig99"])

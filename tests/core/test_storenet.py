@@ -651,10 +651,16 @@ class TestCellLease:
                 store.cell_claim("")
 
     def test_invalid_lease_configuration_rejected(self, tmp_path):
-        with pytest.raises(RemoteStoreError, match="positive"):
-            StoreServer(port=0, root=tmp_path, cell_lease_timeout=0)
-        with pytest.raises(RemoteStoreError, match=">= 1"):
-            StoreServer(port=0, root=tmp_path, cell_capacity=0)
+        # A NaN lease never reads as live, so a second claim of a leased
+        # token is granted "run" and two workers execute one cell; an
+        # infinite lease never expires, so a crashed holder wedges its
+        # waiters. A NaN capacity never evicts.
+        for timeout in (0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(RemoteStoreError, match="finite and positive"):
+                StoreServer(port=0, root=tmp_path, cell_lease_timeout=timeout)
+        for capacity in (0, float("nan"), 2.5, True):
+            with pytest.raises(RemoteStoreError, match="an int >= 1"):
+                StoreServer(port=0, root=tmp_path, cell_capacity=capacity)
 
     def test_stats_reply_carries_the_cell_counters(self, store_server):
         with RemoteStore(store_server.address_string) as store:
