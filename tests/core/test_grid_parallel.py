@@ -17,7 +17,6 @@ import time
 import pytest
 
 from repro.core.figures import lower_figure
-from repro.core.remote import RemoteMapper
 from repro.core.runner import (
     PoolMapper,
     RepJob,
@@ -27,7 +26,6 @@ from repro.core.runner import (
 )
 from repro.core.scheduler import (
     BACKEND_PROCESS,
-    BACKEND_REMOTE,
     BACKEND_SERIAL,
     ExecutionPolicy,
     ExperimentScheduler,
@@ -352,32 +350,32 @@ class TestChunkedGridPolicy:
     """Dispatch slabs follow from the grid width and the parallelism."""
 
     @pytest.mark.parametrize(
-        "backend, width, slab",
+        "chunk_size, width",
         [
-            (BACKEND_PROCESS, 5, 1),
-            (BACKEND_PROCESS, 27, 4),
-            (BACKEND_PROCESS, 600, 64),
-            (BACKEND_REMOTE, 5, 1),
-            (BACKEND_REMOTE, 27, 4),
-            (BACKEND_REMOTE, 600, 64),
+            pytest.param(1, 7, id="1"),
+            pytest.param(3, 23, id="3"),
+            pytest.param(7, 55, id="7"),
+            pytest.param(30, 239, id="30"),
+            pytest.param(45, 359, id="45"),
+            pytest.param(64, 600, id="64"),
         ],
-        ids=["pool-unit", "pool-tail", "pool-cap", "remote-unit", "remote-tail", "remote-cap"],
     )
-    def test_auto_slabs_match_serial(self, request, backend, width, slab):
-        # Two slots on either side (a 2-wide pool, the 2-process loopback
-        # worker): a width under 4 x 2 ships single cells, 27 cells (a
-        # quick fig05 or fig16 grid) ship as 4-cell slabs ending on a
-        # 3-cell one, and 600 cells hit the 64-cell cap with a 24-cell
-        # tail. Every geometry flattens back to the serial order.
-        if backend == BACKEND_REMOTE:
-            worker = request.getfixturevalue("loopback_worker")
-            mapper = RemoteMapper([worker.address_string])
-        else:
-            mapper = PoolMapper(2)
+    def test_pool_mapper_bit_identical_across_chunk_sizes(self, chunk_size, width):
+        # A 2-wide pool slabs a grid into ceil(width / 8) cells, capped at
+        # 64: unit slabs, slabs ending on a one-short tail, and the cap
+        # (600 cells, a 24-cell tail) all flatten back to the serial order.
         items = list(range(width))
-        with mapper:
+        with PoolMapper(2) as mapper:
             assert mapper(_plus_one, items) == [item + 1 for item in items]
-            assert mapper.last_chunk_size == slab
+            assert mapper.last_chunk_size == chunk_size
+
+    def test_process_mapper_chunked_matches_serial(self):
+        # fig11's 30-cell grid crosses a 2-wide pool as 4-cell slabs (the
+        # last one 2 cells) and still reproduces every serial draw.
+        serial = _grid_values()
+        with PoolMapper(2) as mapper:
+            assert _grid_values(mapper) == serial
+            assert mapper.last_chunk_size == 4
 
     def test_chunked_order_preserved_under_out_of_order_completion(self):
         # 10 cells over 2 slots: 2-cell slabs, earlier ones sleeping longer.

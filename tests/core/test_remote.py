@@ -402,12 +402,28 @@ class TestRemoteMapper:
 
 
 class TestChunkedDispatch:
-    """The v2 chunk frames: slab plumbing, bit-identity, and re-queue.
+    """The v2 chunk frames: slab plumbing, bit-identity, and re-queue."""
 
-    The slab geometries (one cell, a short last slab, the 64-cell cap)
-    are checked on the pool and here alike, in
-    ``test_grid_parallel.py::TestChunkedGridPolicy``.
-    """
+    @pytest.mark.parametrize(
+        "chunk_size, width",
+        [
+            pytest.param(1, 7, id="1"),
+            pytest.param(3, 23, id="3"),
+            pytest.param(7, 55, id="7"),
+            pytest.param(40, 319, id="40"),
+            pytest.param(45, 359, id="45"),
+            pytest.param(64, 600, id="64"),
+        ],
+    )
+    def test_bit_identical_across_chunk_sizes(self, loopback_worker, chunk_size, width):
+        # The loopback fleet's 2 slots slab a grid into ceil(width / 8)
+        # cells, capped at 64: unit slabs, slabs ending on a one-short
+        # tail, and the cap (600 cells, a 24-cell tail) all flatten back
+        # to the serial order.
+        items = list(range(width))
+        with RemoteMapper([loopback_worker.address_string]) as mapper:
+            assert mapper(_double, items) == [item * 2 for item in items]
+            assert mapper.last_chunk_size == chunk_size
 
     def test_auto_chunk_size_uses_fleet_slots(self, loopback_worker):
         # The loopback fleet advertises 2 slots: ceil(40 / (4 * 2)) = 5.
