@@ -21,8 +21,10 @@ an empty local cache, warm server — must report every figure as
 With ``--fleet-url`` the smoke adds a dynamic-fleet leg: the roster is
 resolved from the named ``repro-bench fleet`` coordinator at dispatch
 time instead of hand-rostered, and the run must still be bit-identical
-to serial (CI starts the second worker *after* this leg begins, so the
-leg also exercises a mid-run join).
+to serial. In CI the leg runs on the one worker registered before it
+starts; a mid-run join is gated by the later CI step "Serial vs
+elastic-fleet CLI bit-identity gate (mid-run join)", which starts a
+second worker about a second into a fleet ``run all --quick``.
 
 Usage::
 
@@ -214,8 +216,8 @@ def main(argv: list[str] | None = None) -> int:
         )
         fleet_mismatches = compare(serial_suite, fleet_suite, args.figures)
         problems["fleet"] = leg_problems(fleet_suite)
-        # The roster that materialized — CI asserts the mid-run joiner
-        # appears here, proving the elastic leg actually churned.
+        # The roster that materialized, for reading in BENCH_smoke.json;
+        # nothing asserts on it (CI's mid-run join has its own CLI step).
         fleet_roster = sorted(
             {
                 worker

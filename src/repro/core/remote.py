@@ -64,7 +64,6 @@ cell re-runs the same pure function of the same stream).
 
 from __future__ import annotations
 
-import math
 import pickle
 import signal
 import socket
@@ -83,6 +82,7 @@ from repro.core.service import (
     Service,
     ServiceClient,
     WireStats,
+    _is_wait_timeout,
     parse_worker_address,
     recv_frame,
     send_frame,
@@ -110,13 +110,6 @@ __all__ = [
 #: chunk-granular slot accounting. Older peers are refused at the
 #: handshake.
 PROTOCOL_VERSION = 4
-
-
-def _is_wait_timeout(seconds: float) -> bool:
-    """Whether ``seconds`` is a usable ``threading`` wait: finite, positive,
-    and at most ``threading.TIMEOUT_MAX`` (a longer wait raises
-    :class:`OverflowError` inside the waiting thread)."""
-    return math.isfinite(seconds) and 0 < seconds <= threading.TIMEOUT_MAX
 
 
 class RemoteJobError(RemoteError):
@@ -582,11 +575,15 @@ class RemoteMapper:
                 "remote mapper needs at least one worker address (or a fleet "
                 "coordinator via fleet_url)"
             )
-        if not _is_wait_timeout(poll_interval):
-            raise ConfigurationError(
-                f"poll interval must be positive and at most "
-                f"{threading.TIMEOUT_MAX:.0f} s, got {poll_interval}"
-            )
+        for label, seconds in (
+            ("connect timeout", connect_timeout),
+            ("poll interval", poll_interval),
+        ):
+            if not _is_wait_timeout(seconds):
+                raise ConfigurationError(
+                    f"{label} must be positive and at most "
+                    f"{threading.TIMEOUT_MAX:.0f} s, got {seconds}"
+                )
         self.addresses = [parse_worker_address(worker) for worker in workers or ()]
         self.retries = retries
         self.connect_timeout = connect_timeout

@@ -31,6 +31,7 @@ small and request/reply-shaped, so Nagle buffering only adds latency.
 
 from __future__ import annotations
 
+import math
 import pickle
 import socket
 import struct
@@ -211,6 +212,13 @@ def parse_worker_address(address: str | tuple[str, int]) -> tuple[str, int]:
             f"worker address {address!r} has port {port}, outside 1-65535"
         )
     return host, port
+
+
+def _is_wait_timeout(seconds: float) -> bool:
+    """Whether ``seconds`` is a usable ``threading`` wait or socket timeout:
+    finite, positive, and at most ``threading.TIMEOUT_MAX`` (a longer one
+    raises :class:`OverflowError` in the waiting thread or at the dial)."""
+    return math.isfinite(seconds) and 0 < seconds <= threading.TIMEOUT_MAX
 
 
 def _quietly_close(sock: socket.socket) -> None:
@@ -515,6 +523,11 @@ class ServiceClient:
         **offer: Any,
     ) -> None:
         self.address = parse_worker_address(address)
+        if not _is_wait_timeout(connect_timeout):
+            raise ConfigurationError(
+                f"connect timeout must be positive and at most "
+                f"{threading.TIMEOUT_MAX:.0f} s, got {connect_timeout}"
+            )
         self.connect_timeout = connect_timeout
         self.offer = offer
         #: The service's hello reply fields, once connected.

@@ -32,9 +32,8 @@ single draw:
 
 from __future__ import annotations
 
-import functools
 import hashlib
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -320,24 +319,6 @@ class RngStream:
         if sigma <= 0.0:
             return 1.0
         return float(self.generator.lognormal(_mean_one_mu(sigma), sigma))
-
-    def lognormal_sampler(self, sigma: float) -> Callable[[], float]:
-        """:meth:`lognormal_factor` bound to one ``sigma``, for hot loops.
-
-        Each call returns exactly the float that the next
-        ``lognormal_factor(sigma)`` on this stream would return; for
-        ``sigma <= 0`` it returns 1.0 and draws nothing. The numpy method
-        is bound once, and ``mu`` and ``sigma`` are held as 0-d float64
-        arrays: the same doubles, without numpy converting a Python float
-        to an array on every call.
-        """
-        if sigma <= 0.0:
-            return lambda: 1.0
-        return functools.partial(
-            self.generator.lognormal,
-            np.array(_mean_one_mu(sigma), dtype=np.float64),
-            np.array(sigma, dtype=np.float64),
-        )
 
     def pareto_tail(self, probability: float, scale: float, alpha: float = 2.5) -> float:
         """Occasionally return a heavy-tail additive delay, else 0.

@@ -27,22 +27,35 @@ and latencies are summed in response order, so whenever no two clients
 share an instant the result is the engine model's, bit for bit;
 ``tests/workloads/test_memcached_kernel.py`` keeps that model as the
 oracle. On a bitwise tie the engine orders the clients by push sequence,
-and this kernel by client index, for arrivals and responses alike. The
-client streams are seeded in one :func:`~repro.rng.materialize_streams`
-pass, and each client draws through numpy methods bound once per cell
-(:meth:`~repro.rng.RngStream.lognormal_sampler` and the generator's
-``random``), which return the doubles ``lognormal_factor`` and
-``uniform()`` would.
+and this kernel by client index, for arrivals and responses alike.
+
+The client streams are seeded in one :func:`~repro.rng.materialize_streams`
+pass, and each client draws through its generator's ``standard_normal``
+and ``random``, bound once per cell. The lognormal factors come in blocks
+of normals: a client's opening think and trip are one block of two, and
+after each update coin its service, response trip, next think and next
+request trip are one block of four (two on its last operation, which has
+no next request). A normal ``z`` becomes ``math.exp(mu + sigma * z)``,
+which is how numpy's C ``lognormal`` computes the factor
+:meth:`~repro.rng.RngStream.lognormal_factor` returns, so every factor and
+every stream position is the per-draw path's, bit for bit;
+``tests/test_units_rng_errors.py`` checks that on twin streams. No block
+spans the coin: the ziggurat behind ``standard_normal`` takes a variable
+number of words per normal.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.platforms.base import Platform
-from repro.rng import RngStream, materialize_streams
+from repro.rng import RngStream, _mean_one_mu, materialize_streams
 from repro.units import us
 from repro.workloads.base import Workload
 from repro.workloads.ycsb import WORKLOAD_A, YcsbWorkloadSpec
@@ -58,6 +71,17 @@ _UPDATE_SERVICE_FACTOR = 1.25
 
 #: YCSB client-side record selection/serialization per op.
 _CLIENT_THINK_S = us(100.0)
+
+#: Spreads of the mean-1 lognormal factors on a client's think time, on
+#: each one-way network trip and on each service.
+_THINK_SIGMA = 0.2
+_TRIP_SIGMA = 0.1
+_SERVE_SIGMA = 0.15
+
+
+def _client_draws(stream: RngStream) -> tuple[Callable[..., np.ndarray], Callable[[], float]]:
+    """A client's bound ``(standard_normal, random)``: every draw it makes."""
+    return stream.generator.standard_normal, stream.generator.random
 
 
 @dataclass(frozen=True)
@@ -128,38 +152,50 @@ class MemcachedYcsbWorkload(Workload):
             raise SimulationError("memcached simulation deadlocked: no server thread")
         half_trip = round_trip / 2.0
         is_update = self.spec.is_update
+        think_mu = _mean_one_mu(_THINK_SIGMA)
+        trip_mu = _mean_one_mu(_TRIP_SIGMA)
+        serve_mu = _mean_one_mu(_SERVE_SIGMA)
+        # math.exp, not np.exp: numpy's SIMD float64 exp is not the libm exp
+        # that its C lognormal calls.
+        exp = math.exp
         streams = rng.children(f"client-{index}" for index in range(self.clients))
         materialize_streams(streams)
-        think = [stream.lognormal_sampler(0.2) for stream in streams]
-        trip = [stream.lognormal_sampler(0.1) for stream in streams]
-        serve = [stream.lognormal_sampler(0.15) for stream in streams]
-        coin = [stream.generator.random for stream in streams]
+        normal, coin = zip(*(_client_draws(stream) for stream in streams))
+        # Every block of normals is drawn into one of these, in place.
+        pair, quad = np.empty(2), np.empty(4)
         remaining = [self.ops_per_client] * self.clients
         free = [0.0] * self.server_threads
         # (response, client, latency) per operation, sorted at the end.
         responses: list[tuple[float, int, float]] = []
 
         # A request leaves when its client's think time is over.
-        started = [_CLIENT_THINK_S * think[client]() for client in range(self.clients)]
-        arrivals = [
-            (started[client] + half_trip * trip[client](), client)
-            for client in range(self.clients)
-        ]
+        started = [0.0] * self.clients
+        arrivals = []
+        for client in range(self.clients):
+            think, trip = normal[client](out=pair).tolist()
+            started[client] = request = _CLIENT_THINK_S * exp(think_mu + _THINK_SIGMA * think)
+            arrivals.append((request + half_trip * exp(trip_mu + _TRIP_SIGMA * trip), client))
         heapq.heapify(arrivals)
         while arrivals:
             arrival, client = arrivals[0]
             # The first thread to come free takes the oldest request.
             start = free[0] if free[0] > arrival else arrival
             service = update_service if is_update(coin[client]()) else read_service
-            release = start + service * serve[client]()
-            heapq.heapreplace(free, release)
-            response = release + half_trip * trip[client]()
-            responses.append((response, client, response - started[client]))
             remaining[client] -= 1
             if remaining[client]:
-                request = response + _CLIENT_THINK_S * think[client]()
+                serve, back, think, trip = normal[client](out=quad).tolist()
+            else:  # the last operation: no next think and trip to draw
+                serve, back = normal[client](out=pair).tolist()
+            release = start + service * exp(serve_mu + _SERVE_SIGMA * serve)
+            heapq.heapreplace(free, release)
+            response = release + half_trip * exp(trip_mu + _TRIP_SIGMA * back)
+            responses.append((response, client, response - started[client]))
+            if remaining[client]:
+                request = response + _CLIENT_THINK_S * exp(think_mu + _THINK_SIGMA * think)
                 started[client] = request
-                heapq.heapreplace(arrivals, (request + half_trip * trip[client](), client))
+                heapq.heapreplace(
+                    arrivals, (request + half_trip * exp(trip_mu + _TRIP_SIGMA * trip), client)
+                )
             else:
                 heapq.heappop(arrivals)
         # The engine model records latencies as responses arrive.

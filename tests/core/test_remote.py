@@ -23,6 +23,7 @@ import time
 import pytest
 
 from repro.cli import main
+from repro.core.fleet import FleetClient
 from repro.core.remote import (
     PROTOCOL_VERSION,
     RemoteDispatchError,
@@ -30,6 +31,7 @@ from repro.core.remote import (
     RemoteMapper,
     RemoteProtocolError,
     WorkerServer,
+    _WorkerConnection,
     parse_worker_address,
     recv_frame,
     send_frame,
@@ -41,6 +43,7 @@ from repro.core.scheduler import (
     ExperimentScheduler,
 )
 from repro.core.store import ResultStore
+from repro.core.storenet import RemoteStore
 from repro.core.suite import BenchmarkSuite
 from repro.errors import ConfigurationError
 from repro.platforms import get_platform
@@ -437,6 +440,19 @@ class TestChunkedDispatch:
         for interval in (0, float("nan"), float("inf"), 1e10):
             with pytest.raises(ConfigurationError, match="positive"):
                 RemoteMapper([DEAD_ADDRESS], poll_interval=interval)
+
+    def test_invalid_connect_timeout_rejected(self):
+        # At the first dial socket.create_connection would raise a bare
+        # ValueError (NaN, negative) or OverflowError (inf, past
+        # threading.TIMEOUT_MAX), which no dial handler catches.
+        for timeout in (0, -1, float("nan"), float("inf"), 1e10):
+            with pytest.raises(ConfigurationError, match="connect timeout"):
+                RemoteMapper([DEAD_ADDRESS], connect_timeout=timeout)
+            for client in (RemoteStore, FleetClient):
+                with pytest.raises(ConfigurationError, match="connect timeout"):
+                    client(DEAD_ADDRESS, connect_timeout=timeout)
+            with pytest.raises(ConfigurationError, match="connect timeout"):
+                _WorkerConnection(parse_worker_address(DEAD_ADDRESS), timeout)
 
     def test_mid_chunk_worker_death_requeues_the_whole_chunk(self, loopback_worker):
         # 44 cells over 3 slots (the flaky member's one, the loopback

@@ -1,11 +1,14 @@
 """Tests for the foundation modules: units, rng, errors."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import errors
-from repro.rng import RngStream, derive_seed
+from repro.rng import RngStream, _mean_one_mu, derive_seed
 from repro.units import (
     GIB,
     KIB,
@@ -120,32 +123,50 @@ class TestRngStream:
 
     @given(
         st.integers(min_value=0, max_value=2**64 - 1),
-        st.one_of(
-            st.floats(max_value=0.0, allow_nan=False),
-            st.floats(min_value=0.0, max_value=3.0),
+        st.lists(
+            st.one_of(
+                st.none(),
+                st.sampled_from([2, 4]).flatmap(
+                    lambda size: st.lists(
+                        st.one_of(
+                            st.sampled_from([0.1, 0.15, 0.2]),  # fig16's sigmas
+                            st.floats(min_value=0.0, max_value=3.0, exclude_min=True),
+                        ),
+                        min_size=size,
+                        max_size=size,
+                    )
+                ),
+            ),
+            min_size=1,
+            max_size=100,
         ),
-        st.lists(st.booleans(), min_size=1, max_size=200),
     )
     @settings(max_examples=60)
-    def test_lognormal_sampler_matches_lognormal_factor(self, seed, sigma, steps):
-        """A bound sampler returns the float ``lognormal_factor`` would, bit
-        for bit, between ``uniform()`` draws; ``sigma <= 0`` draws nothing."""
+    def test_normal_blocks_match_lognormal_factor(self, seed, steps):
+        """fig16's recipe: a block of 2 or 4 normals drawn into a buffer,
+        each ``z`` turned into ``math.exp(mu + sigma * z)``, gives the
+        floats ``lognormal_factor`` would, bit for bit, between ``random()``
+        coins, and leaves the stream where the per-draw calls leave it.
+
+        numpy does not promise stable ``Generator`` streams across
+        versions; a build that fused the multiply-add or swapped its
+        ``exp`` would fail here instead of moving fig16's output.
+        """
         stream, twin = RngStream(seed), RngStream(seed)
-        sample = stream.lognormal_sampler(sigma)
-        for lognormal in steps:
-            if lognormal:
-                draw, expected = sample(), twin.lognormal_factor(sigma)
-                assert type(draw) is float
+        buffers = {2: np.empty(2), 4: np.empty(4)}
+        for sigmas in steps:
+            if sigmas is None:
+                draws, expected = [stream.generator.random()], [twin.uniform()]
             else:
-                draw, expected = stream.uniform(), twin.uniform()
-            assert draw.hex() == expected.hex()
+                normals = stream.generator.standard_normal(out=buffers[len(sigmas)])
+                draws = [
+                    math.exp(_mean_one_mu(sigma) + sigma * z)
+                    for sigma, z in zip(sigmas, normals.tolist())
+                ]
+                expected = [twin.lognormal_factor(sigma) for sigma in sigmas]
+            assert [draw.hex() for draw in draws] == [value.hex() for value in expected]
         state = stream.generator.bit_generator.state
         assert state == twin.generator.bit_generator.state
-        if sigma <= 0.0:  # only the uniform() steps moved the stream
-            uniforms = RngStream(seed)
-            for _ in range(steps.count(False)):
-                uniforms.uniform()
-            assert state == uniforms.generator.bit_generator.state
 
     def test_gaussian_factor_zero_std_is_identity(self):
         assert RngStream(7).gaussian_factor(0.0) == 1.0

@@ -24,9 +24,10 @@ from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.platforms import get_platform, platform_names
-from repro.rng import RngStream
+from repro.rng import RngStream, _mean_one_mu
 from repro.simcore.engine import Simulator, Timeout
 from repro.simcore.resources import Resource
+from repro.workloads import memcached
 from repro.workloads.memcached import (
     _CLIENT_THINK_S,
     MemcachedResult,
@@ -118,6 +119,11 @@ SPECS = st.one_of(
 # syscall factor (gvisor) bind.
 @example(clients=48, ops=120, threads=8, spec=WORKLOAD_A, platform_name="kata", seed=16)
 @example(clients=48, ops=120, threads=8, spec=WORKLOAD_A, platform_name="gvisor", seed=2**63)
+# Read-only at the production shape: every coin picks the read service.
+@example(clients=48, ops=120, threads=8, spec=WORKLOAD_C, platform_name="native", seed=24)
+# A first operation that is also the last: the opening block of two, the
+# coin, then a block of two with no next think or trip.
+@example(clients=3, ops=1, threads=2, spec=WORKLOAD_A, platform_name="native", seed=1)
 def test_kernel_equals_engine(clients, ops, threads, spec, platform_name, seed):
     workload = MemcachedYcsbWorkload(
         spec, clients=clients, ops_per_client=ops, server_threads=threads
@@ -131,27 +137,36 @@ def test_kernel_equals_engine(clients, ops, threads, spec, platform_name, seed):
 def test_tied_arrivals_are_served_in_client_order(monkeypatch):
     """Three requests reach one server thread at the same instant.
 
-    Every think and trip draw is 1.0, so all three clients send at the
-    think time and arrive together; client ``i``'s service draw is
-    ``i + 1``, so the order they are served in shows in the mean
-    latency. The kernel serves a tie in client order.
+    Every think and trip normal is ``sigma / 2``, which makes its factor
+    ``exp(0.0)``, exactly 1.0, so all three clients send at the think
+    time and arrive together; client ``i``'s service normal is ``i``, so
+    the order they are served in shows in the mean latency. The kernel
+    serves a tie in client order.
     """
 
-    def fixed_sampler(stream, sigma):
+    def fixed_draws(stream):
         client = int(stream.path.rsplit("client-", 1)[1])
-        draw = float(client + 1) if sigma == 0.15 else 1.0  # 0.15: service
-        return lambda: draw
+        # One operation each: the opening (think, trip) block, the coin,
+        # then the (service, trip) block.
+        blocks = iter([(0.2 / 2, 0.1 / 2), (float(client), 0.1 / 2)])
 
-    monkeypatch.setattr(RngStream, "lognormal_sampler", fixed_sampler)
+        def standard_normal(*, out):
+            out[:] = next(blocks)
+            return out
+
+        return standard_normal, lambda: 0.5
+
+    monkeypatch.setattr(memcached, "_client_draws", fixed_draws)
     workload = MemcachedYcsbWorkload(WORKLOAD_C, clients=3, ops_per_client=1, server_threads=1)
     platform = get_platform("native")
     half_trip = workload._round_trip(platform) / 2.0
     service = workload._service_time(platform, update=False)
+    serve = [math.exp(_mean_one_mu(0.15) + 0.15 * client) for client in range(3)]
 
     arrival = _CLIENT_THINK_S + half_trip * 1.0
-    release_0 = arrival + service * 1.0
-    release_1 = release_0 + service * 2.0
-    release_2 = release_1 + service * 3.0
+    release_0 = arrival + service * serve[0]
+    release_1 = release_0 + service * serve[1]
+    release_2 = release_1 + service * serve[2]
     responses = [release + half_trip * 1.0 for release in (release_0, release_1, release_2)]
     noise = RngStream(7, "memcached").child("run-noise").gaussian_factor(0.03)
 
