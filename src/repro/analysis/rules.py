@@ -13,7 +13,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Sequence
 
-from repro.analysis.concurrency import verb_table
+from repro.analysis.concurrency import _dotted_parts, _terminal_name, verb_table
 from repro.analysis.findings import Finding
 from repro.analysis.framework import (
     AnalysisConfig,
@@ -28,27 +28,6 @@ __all__ = [
     "PickleSafetyRule",
     "ProtocolHygieneRule",
 ]
-
-
-def _terminal_name(func: ast.expr) -> str | None:
-    """The rightmost identifier of a call target (``a.b.c`` -> ``"c"``)."""
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
-
-
-def _dotted_parts(node: ast.expr) -> list[str] | None:
-    """``np.random.seed`` -> ``["np", "random", "seed"]`` (None if dynamic)."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return list(reversed(parts))
-    return None
 
 
 # --- RB101: unordered iteration in a fold ------------------------------------------

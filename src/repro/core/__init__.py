@@ -17,13 +17,7 @@
 
 from repro.core.stats import Summary, summarize, percentile
 from repro.core.results import FigureResult, ResultRow, SeriesRow
-from repro.core.runner import (
-    PoolMapper,
-    RepJob,
-    active_grid_mapper,
-    execution_context,
-    run_rep_job,
-)
+from repro.core.runner import PoolMapper, RepJob, run_rep_job
 from repro.core.plan import (
     FigurePlan,
     GridOutcome,
@@ -61,8 +55,6 @@ __all__ = [
     "RepJob",
     "run_rep_job",
     "PoolMapper",
-    "execution_context",
-    "active_grid_mapper",
     "FigurePlan",
     "MeasurementSpec",
     "LoweredGrid",

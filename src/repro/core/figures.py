@@ -278,7 +278,7 @@ def _startup_plan(
 
     def fold(result: FigureResult, outcome: GridOutcome) -> None:
         # Platform-major, method-minor — the historical row/series order.
-        for name, platform, _ in outcome.view(specs[0][1]).items():
+        for name, platform, _ in outcome.items(specs[0][1]):
             for method, spec in specs:
                 run = outcome.runs(spec, name)[0]
                 xs, ys = run.cdf()
@@ -400,7 +400,7 @@ def plan_fig18(platforms: list[str] | None = None) -> FigurePlan:
     )
 
     def fold(result: FigureResult, outcome: GridOutcome) -> None:
-        for name, platform, runs in outcome.view(spec).items():
+        for name, platform, runs in outcome.items(spec):
             score = runs[0]
             result.rows.append(
                 ResultRow(

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.core.figures import run_figure
 from repro.core.results import FigureResult
 from repro.platforms import get_platform
 from repro.security.analysis import audit_platform
@@ -33,12 +32,13 @@ class FindingCheck:
 
 
 class FindingsEvaluator:
-    """Computes the figure set once and evaluates every finding.
+    """Evaluates every finding against one suite's figures.
 
-    With a ``suite``, figure access goes through
-    :meth:`~repro.core.suite.BenchmarkSuite.run_figure` so results are
-    shared with (and persisted by) the suite's scheduler/store layer;
-    without one, figures run directly through the registry.
+    Figure access goes through
+    :meth:`~repro.core.suite.BenchmarkSuite.run_figure`, so each figure
+    is computed once per suite and shared with (and persisted by) the
+    suite's scheduler/store layer. The suite's ``quick`` flag sets the
+    evaluator's repetitions and startups.
     """
 
     #: Per-figure repetition overrides that differ from the quick/full reps.
@@ -50,20 +50,12 @@ class FindingsEvaluator:
         "fig18": {},
     }
 
-    def __init__(
-        self,
-        seed: int = 42,
-        *,
-        quick: bool = True,
-        suite: "BenchmarkSuite | None" = None,
-    ) -> None:
-        self.seed = seed
+    def __init__(self, suite: "BenchmarkSuite") -> None:
         # Quick mode trims repetitions: orderings are stable well below the
         # paper's counts thanks to the deterministic seed tree.
-        self.reps = 5 if quick else 10
-        self.startups = 60 if quick else 300
+        self.reps = 5 if suite.quick else 10
+        self.startups = 60 if suite.quick else 300
         self._suite = suite
-        self._cache: dict[str, FigureResult] = {}
 
     # --- figure access -------------------------------------------------------------
 
@@ -84,17 +76,9 @@ class FindingsEvaluator:
         return {"repetitions": self.reps}
 
     def figure(self, figure_id: str) -> FigureResult:
-        """Compute (and cache) one figure; an unknown id raises the
-        registry's :class:`~repro.errors.ConfigurationError`."""
-        if figure_id in self._cache:
-            return self._cache[figure_id]
-        overrides = self.overrides_for(figure_id)
-        if self._suite is not None:
-            result = self._suite.run_figure(figure_id, **overrides)
-        else:
-            result = run_figure(figure_id, self.seed, **overrides)
-        self._cache[figure_id] = result
-        return result
+        """One figure, through the suite (which caches it); an unknown id
+        raises the registry's :class:`~repro.errors.ConfigurationError`."""
+        return self._suite.run_figure(figure_id, **self.overrides_for(figure_id))
 
     # --- helpers ----------------------------------------------------------------------
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.core.results import FigureResult, ResultRow, SeriesRow
-from repro.core.runner import Mapper, RepJob, _serial_map, active_grid_mapper, run_rep_job
+from repro.core.runner import Mapper, RepJob, _serial_map, run_rep_job
 from repro.core.stats import Summary, summarize
 from repro.core.store import canonical_overrides
 from repro.errors import ConfigurationError, UnsupportedOperationError
@@ -46,7 +46,6 @@ __all__ = [
     "GridCell",
     "LoweredGrid",
     "GridOutcome",
-    "SpecView",
     "FigurePlan",
     "cell_token",
 ]
@@ -177,18 +176,16 @@ class LoweredGrid:
         excluded = {e.platform for e in self.exclusions if e.spec_key == spec.key}
         return [name for name in spec.platforms if name not in excluded]
 
-    def execute(self, mapper: Mapper | None = None) -> "GridOutcome":
-        """Run every cell through one mapper dispatch and fold nothing.
+    def execute(self, mapper: Mapper = _serial_map) -> "GridOutcome":
+        """Run every cell through one ``mapper`` dispatch and fold nothing.
 
-        Without an explicit ``mapper`` the ambient one installed by
-        :func:`~repro.core.runner.execution_context` is used (serial when
-        none is installed). ``Executor.map``-style mappers preserve input
-        order, and every cell's stream was pre-derived during lowering, so
-        results are bit-identical across the serial/process/remote
-        backends.
+        The scheduler passes the mapper its policy prescribes; the default
+        is the in-process serial map. ``Executor.map``-style mappers
+        preserve input order, and every cell's stream was pre-derived
+        during lowering, so results are bit-identical across the
+        serial/process/remote backends.
         """
-        dispatch = mapper or active_grid_mapper() or _serial_map
-        raw = list(dispatch(run_rep_job, [cell.job for cell in self.cells])) \
+        raw = list(mapper(run_rep_job, [cell.job for cell in self.cells])) \
             if self.cells else []
         results: dict[tuple[str, str], list[Any]] = {}
         platforms: dict[tuple[str, str], Platform] = {}
@@ -236,20 +233,6 @@ class LoweredGrid:
         return "\n".join(lines)
 
 
-class SpecView:
-    """One spec's slice of an executed grid, in declared platform order."""
-
-    def __init__(self, outcome: "GridOutcome", spec: MeasurementSpec) -> None:
-        self._outcome = outcome
-        self.spec = spec
-
-    def items(self) -> Iterator[tuple[str, Platform, list[Any]]]:
-        """Yield ``(platform_name, platform, per-rep results)`` per platform."""
-        for name in self._outcome.grid.included_platforms(self.spec):
-            yield name, self._outcome.platform(self.spec, name), \
-                self._outcome.runs(self.spec, name)
-
-
 class GridOutcome:
     """The executed grid: per-``(spec, platform)`` result lists."""
 
@@ -267,13 +250,11 @@ class GridOutcome:
         """The platform's results for ``spec``, in repetition order."""
         return self._results[(spec.key, platform)]
 
-    def platform(self, spec: MeasurementSpec, platform: str) -> Platform:
-        """The platform object a spec's cells ran against."""
-        return self._platforms[(spec.key, platform)]
-
-    def view(self, spec: MeasurementSpec) -> SpecView:
-        """Iterate one spec's slice in declared platform order."""
-        return SpecView(self, spec)
+    def items(self, spec: MeasurementSpec) -> Iterator[tuple[str, Platform, list[Any]]]:
+        """Yield ``(platform_name, platform, per-rep results)`` for one
+        spec, in declared platform order."""
+        for name in self.grid.included_platforms(spec):
+            yield name, self._platforms[(spec.key, name)], self.runs(spec, name)
 
 
 @dataclass
@@ -283,8 +264,9 @@ class FigurePlan:
     A figure's builder (:mod:`repro.core.figures`) makes a plan with
     ``measure`` + ``fold_rows`` / ``fold_series`` / ``fold_with`` +
     ``note``; :meth:`run` lowers, executes and folds it, and everything
-    about *where* the grid executes lives in the mapper the scheduler
-    installs ambiently. ``scope`` names the RNG subtree and defaults to
+    about *where* the grid executes lives in the mapper handed to
+    :meth:`LoweredGrid.execute` (the scheduler passes its policy's).
+    ``scope`` names the RNG subtree and defaults to
     ``figure_id`` (Figure 6's huge-page variant keeps its historical
     distinct scope).
     """
@@ -355,7 +337,7 @@ class FigurePlan:
         row_unit = unit or self.unit
 
         def fold(result: FigureResult, outcome: GridOutcome) -> None:
-            for name, platform, runs in outcome.view(spec).items():
+            for name, platform, runs in outcome.items(spec):
                 summary = summarize([float(metric(run)) for run in runs])
                 result.rows.append(
                     ResultRow(
@@ -384,7 +366,7 @@ class FigurePlan:
         series_unit = unit or self.unit
 
         def fold(result: FigureResult, outcome: GridOutcome) -> None:
-            for name, platform, runs in outcome.view(spec).items():
+            for name, platform, runs in outcome.items(spec):
                 sampled = [list(points(run)) for run in runs]
                 x_values = tuple(float(x) for x, _ in sampled[0])
                 per_x = list(zip(*[[y for _, y in samples] for samples in sampled]))
@@ -460,6 +442,6 @@ class FigurePlan:
         result.notes.extend(self._notes)
         return result
 
-    def run(self, seed: int, mapper: Mapper | None = None) -> FigureResult:
-        """Lower, execute through one shared pool, and fold: the whole path."""
+    def run(self, seed: int, mapper: Mapper = _serial_map) -> FigureResult:
+        """Lower, execute through one ``mapper`` dispatch, and fold: the whole path."""
         return self.assemble(self.lower(seed).execute(mapper))

@@ -83,6 +83,7 @@ from repro.core.service import (
     ServiceClient,
     WireStats,
     _is_wait_timeout,
+    check_addresses,
     parse_worker_address,
     recv_frame,
     send_frame,
@@ -284,9 +285,8 @@ class WorkerServer(Service):
                 f"heartbeat interval must be positive and at most "
                 f"{threading.TIMEOUT_MAX:.0f} s, got {heartbeat_interval}"
             )
-        for address in (fleet_url, advertise):
-            if address is not None:
-                parse_worker_address(address)  # reject undialable spellings early
+        # Reject undialable spellings before anything binds.
+        check_addresses(("fleet", fleet_url), ("advertise", advertise))
         super().__init__(host, port)
         self.workers = workers
         self.fleet_url = fleet_url
@@ -602,18 +602,6 @@ class RemoteMapper:
         self.wire_stats = WireStats()
         self._connections: list[_WorkerConnection] = []
         self._fleet_client: Any = None
-
-    @property
-    def roster(self) -> tuple[str, ...]:
-        """The fleet as ``host:port`` strings (provenance spelling).
-
-        Static mode: the configured roster. Fleet mode: the members of
-        the most recent dispatch (empty before the first one — elastic
-        membership is only knowable at dispatch time).
-        """
-        if self.fleet_url is not None:
-            return self.last_roster or ()
-        return tuple(f"{host}:{port}" for host, port in self.addresses)
 
     def _fleet(self) -> Any:
         if self._fleet_client is None:

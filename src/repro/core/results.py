@@ -98,12 +98,6 @@ class FigureResult:
                 return candidate
         raise KeyError(f"{self.figure_id}: no series for platform {platform!r}")
 
-    def platforms(self) -> list[str]:
-        """All platform names present."""
-        names = [r.platform for r in self.rows]
-        names.extend(s.platform for s in self.series if s.platform not in names)
-        return names
-
     def ranking(self, *, ascending: bool = True) -> list[str]:
         """Platforms ordered by mean metric (bar figures only)."""
         ordered = sorted(self.rows, key=lambda r: r.summary.mean, reverse=not ascending)

@@ -14,21 +14,18 @@ Dispatch goes through the picklable module-level :class:`RepJob` /
 :func:`run_rep_job` pair rather than a closure, so process-pool mappers
 work (closures cannot cross a pool boundary).
 
-The mapper is usually not passed explicitly: the scheduler layer installs
-one ambiently via :func:`execution_context` (a ``contextvars`` scope), and
-the plan layer's :meth:`~repro.core.plan.LoweredGrid.execute` picks it
-up. One mapper covers a figure's *entire* ``(platform, rep)`` grid in one
+The scheduler creates the policy's mapper for each executed figure and
+hands it to :meth:`~repro.core.plan.LoweredGrid.execute` as an argument.
+One mapper covers a figure's *entire* ``(platform, rep)`` grid in one
 dispatch.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable
 
 from repro.core.chunking import auto_chunk_size, chunk_items
 from repro.platforms.base import Platform
@@ -43,8 +40,6 @@ __all__ = [
     "run_rep_job",
     "run_chunk",
     "PoolMapper",
-    "execution_context",
-    "active_grid_mapper",
 ]
 
 #: An order-preserving map strategy: ``mapper(fn, items) -> results``.
@@ -153,32 +148,3 @@ class PoolMapper:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-
-#: The ambient grid mapper, installed by the scheduler layer around each
-#: figure execution.
-_ACTIVE_GRID_MAPPER: contextvars.ContextVar[Mapper | None] = contextvars.ContextVar(
-    "repro_grid_mapper", default=None
-)
-
-
-def active_grid_mapper() -> Mapper | None:
-    """The mapper installed by the innermost :func:`execution_context`."""
-    return _ACTIVE_GRID_MAPPER.get()
-
-
-@contextlib.contextmanager
-def execution_context(mapper: Mapper | None) -> Iterator[None]:
-    """Install ``mapper`` as the ambient grid mapper for this context.
-
-    Every lowered :class:`~repro.core.plan.LoweredGrid` executed inside
-    the ``with`` block (without an explicit ``mapper``) dispatches
-    through it. This is
-    the policy/logic split at the grid level: figure plans declare what to
-    measure, the caller decides where the ``(platform, rep)`` cells
-    execute.
-    """
-    token = _ACTIVE_GRID_MAPPER.set(mapper)
-    try:
-        yield
-    finally:
-        _ACTIVE_GRID_MAPPER.reset(token)

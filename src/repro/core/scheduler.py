@@ -3,12 +3,12 @@
 The figure registry defines *what* to run; this module decides *where and
 how*. :meth:`ExperimentScheduler.run` walks the selected figures in
 order: it reads each one through the
-:class:`~repro.core.store.ResultStore`, and on a miss runs the figure
-under the grid mapper its :class:`ExecutionPolicy` prescribes, installed
-via :func:`~repro.core.runner.execution_context` — so the figure's whole
-lowered ``(platform, rep)`` grid (see :mod:`repro.core.plan`) fans over
-one process pool or one worker fleet — then records a :class:`JobRecord`
-and writes the result back.
+:class:`~repro.core.store.ResultStore`, and on a miss builds and lowers
+the figure's plan and passes the grid mapper its :class:`ExecutionPolicy`
+prescribes to :meth:`~repro.core.plan.LoweredGrid.execute` — so the
+figure's whole lowered ``(platform, rep)`` grid (see
+:mod:`repro.core.plan`) fans over one process pool or one worker fleet —
+then records a :class:`JobRecord` and writes the result back.
 
 Determinism is preserved by construction: every figure's lowering
 derives its cell streams from its own ``(seed, scope)`` subtree, and each
@@ -29,14 +29,15 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
-from repro.core.figures import FIGURES, figure, lower_figure, run_figure
+from repro.core.figures import FIGURES, figure, lower_figure
 from repro.core.plan import LoweredGrid
 from repro.core.results import FigureResult
-from repro.core.runner import Mapper, PoolMapper, _serial_map, execution_context
-from repro.core.remote import RemoteMapper, parse_worker_address
+from repro.core.runner import Mapper, PoolMapper, _serial_map
+from repro.core.service import check_addresses
+from repro.core.remote import RemoteMapper
 from repro.core.store import ResultStore, StoreKey
 from repro.core.storenet import RemoteStore, TieredStore
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError
 from repro.rng import derive_seed
 
 __all__ = [
@@ -113,15 +114,11 @@ class ExecutionPolicy:
                 "grid_jobs does not apply to the remote grid backend; "
                 "set --workers N on each repro-bench worker instead"
             )
-        addresses = [("worker", worker) for worker in self.workers]
-        addresses += [("fleet", self.fleet_url), ("store", self.store_url)]
-        for kind, address in addresses:
-            if address is None:
-                continue
-            try:
-                parse_worker_address(address)
-            except ReproError as exc:
-                raise ConfigurationError(f"invalid {kind} address: {exc}") from None
+        check_addresses(
+            *[("worker", worker) for worker in self.workers],
+            ("fleet", self.fleet_url),
+            ("store", self.store_url),
+        )
 
     @property
     def grid_backend(self) -> str:
@@ -150,25 +147,6 @@ class ExecutionPolicy:
     @classmethod
     def serial(cls) -> "ExecutionPolicy":
         return cls()
-
-
-class _CountingMapper:
-    """Mapper proxy recording how many grid cells were dispatched.
-
-    The figure's lowered grid width is execution provenance, but only the
-    figure function knows it — wrapping the mapper observes it without
-    widening any figure signatures. Every figure dispatches its whole
-    grid in one call.
-    """
-
-    def __init__(self, inner: Mapper) -> None:
-        self.inner = inner
-        self.dispatched = 0
-
-    def __call__(self, fn: Any, items: Any) -> Any:
-        items = list(items)
-        self.dispatched += len(items)
-        return self.inner(fn, items)
 
 
 @dataclass
@@ -213,26 +191,6 @@ class JobRecord:
     def cache_hit(self) -> bool:
         """Derived from :attr:`cache` so the two can never disagree."""
         return self.cache != "miss"
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "figure_id": self.figure_id,
-            "digest": self.digest,
-            "backend": self.backend,
-            "cache_hit": self.cache_hit,
-            "wall_time_s": self.wall_time_s,
-            "job_seed": self.job_seed,
-            "error": self.error,
-            "cache": self.cache,
-            "store": self.store,
-            "grid_backend": self.grid_backend,
-            "grid_jobs": self.grid_jobs,
-            "grid_width": self.grid_width,
-            "workers": list(self.workers) if self.workers is not None else None,
-            "chunk_size": self.chunk_size,
-            "fleet": self.fleet,
-            "dedupe": dict(self.dedupe) if self.dedupe is not None else None,
-        }
 
 
 @dataclass
@@ -368,10 +326,13 @@ class ExperimentScheduler:
     ) -> tuple[JobRecord, FigureResult | None]:
         """Run one figure under the policy's grid mapper, crash-isolated.
 
-        The :class:`contextlib.ExitStack` owns the mapper's lifetime: a
-        pool mapper's workers (or a remote mapper's connections) are
-        released when the figure finishes — or raises mid-grid. The
-        record's wall time covers the mapper's set-up and release.
+        The mapper is created first and the :class:`contextlib.ExitStack`
+        owns its lifetime: a pool mapper's workers (or a remote mapper's
+        connections) are released when the figure finishes — or raises
+        while its plan is built, lowered, executed or folded. The plan's
+        grid goes through the mapper in one ``execute(mapper)`` call, and
+        the record's width is the lowered grid's. The record's wall time
+        covers the mapper's set-up and release.
         """
         policy = self.policy
         record = JobRecord(
@@ -390,21 +351,21 @@ class ExperimentScheduler:
         started = time.perf_counter()
         try:
             mapper = policy.mapper()
-            counting = _CountingMapper(mapper)
             with contextlib.ExitStack() as stack:
                 if hasattr(mapper, "__exit__"):
                     # Every resource-holding mapper (local pool, remote
                     # fleet connections) is a context manager; the serial
                     # map is a bare function.
                     stack.enter_context(mapper)
-                stack.enter_context(execution_context(counting))
-                result = run_figure(
-                    figure_id, self.seed, **self.effective_kwargs(figure_id, overrides)
+                plan = figure(figure_id).build(
+                    **self.effective_kwargs(figure_id, overrides)
                 )
+                grid = plan.lower(self.seed)
+                result = plan.assemble(grid.execute(mapper))
         except Exception as exc:
             record.error = f"{type(exc).__name__}: {exc}"
         else:
-            record.grid_width = counting.dispatched
+            record.grid_width = grid.width
             # The slab size the mapper derived for its last dispatch; the
             # serial map has no dispatch boundary.
             record.chunk_size = getattr(mapper, "last_chunk_size", None)

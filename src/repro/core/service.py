@@ -49,6 +49,7 @@ __all__ = [
     "send_frame",
     "recv_frame",
     "parse_worker_address",
+    "check_addresses",
     "Service",
     "ServiceClient",
 ]
@@ -178,8 +179,10 @@ def parse_worker_address(address: str | tuple[str, int]) -> tuple[str, int]:
     the brackets are stripped. An unbracketed address with more than one
     colon is ambiguous — ``::1:7077`` could split anywhere — and is
     rejected with a :class:`~repro.errors.ConfigurationError` naming the
-    bracketed spelling. Shared by the worker-fleet roster and the
-    ``--store`` and ``--fleet`` addresses.
+    bracketed spelling. Every service address goes through it (``--workers``,
+    ``--store``, ``--fleet``, ``--advertise``, fleet registrations and
+    :class:`ServiceClient`), so its messages name no service; callers that
+    know which setting was wrong prefix it (``invalid store address: ...``).
     """
     if isinstance(address, tuple):
         host, port_text = str(address[0]), address[1]
@@ -187,31 +190,44 @@ def parse_worker_address(address: str | tuple[str, int]) -> tuple[str, int]:
         host, bracket, rest = address[1:].partition("]")
         if not host or not bracket or not rest.startswith(":"):
             raise RemoteDispatchError(
-                f"worker address {address!r} is not of the form [host]:port"
+                f"{address!r} is not of the form [host]:port"
             )
         port_text = rest[1:]
     else:
         host, separator, port_text = address.rpartition(":")
         if not separator or not host:
             raise RemoteDispatchError(
-                f"worker address {address!r} is not of the form host:port"
+                f"{address!r} is not of the form host:port"
             )
         if ":" in host:
             raise ConfigurationError(
-                f"ambiguous IPv6 worker address {address!r}: bracket the "
+                f"ambiguous IPv6 address {address!r}: bracket the "
                 f"host as [{host}]:{port_text}"
             )
     try:
         port = int(port_text)
     except ValueError:
         raise RemoteDispatchError(
-            f"worker address {address!r} has a non-numeric port"
+            f"{address!r} has a non-numeric port"
         ) from None
     if not 1 <= port <= 65535:
         raise RemoteDispatchError(
-            f"worker address {address!r} has port {port}, outside 1-65535"
+            f"{address!r} has port {port}, outside 1-65535"
         )
     return host, port
+
+
+def check_addresses(*settings: tuple[str, str | None]) -> None:
+    """Parse every ``(setting, address)`` pair whose address is given; a
+    malformed one raises a :class:`~repro.errors.ConfigurationError` that
+    names its setting (``invalid store address: 'x' is not of the form ...``)."""
+    for setting, address in settings:
+        if address is None:
+            continue
+        try:
+            parse_worker_address(address)
+        except ReproError as exc:
+            raise ConfigurationError(f"invalid {setting} address: {exc}") from None
 
 
 def _is_wait_timeout(seconds: float) -> bool:

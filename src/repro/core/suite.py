@@ -186,8 +186,7 @@ class BenchmarkSuite:
         The evaluator reads its figures through this suite, so anything in
         the in-memory or persistent store is reused instead of recomputed.
         """
-        evaluator = FindingsEvaluator(self.seed, quick=self.quick, suite=self)
-        return evaluator.evaluate()
+        return FindingsEvaluator(self).evaluate()
 
     def findings_report(self) -> str:
         """Human-readable pass/fail report for the 28 findings."""

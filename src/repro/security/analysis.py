@@ -53,18 +53,6 @@ class DefenseInDepthAudit:
         """Count of independent isolation mechanisms."""
         return len(self.mechanisms)
 
-    def summary(self) -> str:
-        """One-line report row."""
-        hap = (
-            f"HAP={self.hap_unique_functions}"
-            if self.hap_unique_functions is not None
-            else "HAP=n/a"
-        )
-        return (
-            f"{self.platform}: depth={self.depth_score:.1f} "
-            f"({self.layers} layers), {hap}"
-        )
-
 
 def _mechanism_weight(mechanism: str) -> float:
     if mechanism.startswith("namespace:"):

@@ -326,6 +326,38 @@ class TestOutOfRangePorts:
         assert captured.err.count("\n") == 1
 
 
+class TestAddressErrors:
+    """A malformed service address names the flag it came from; the
+    parser itself names no service, since every address goes through it."""
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["worker", "--fleet", "bad"],
+             "invalid fleet address: 'bad' is not of the form host:port"),
+            (["worker", "--advertise", "bad"],
+             "invalid advertise address: 'bad' is not of the form host:port"),
+            (["worker", "--fleet", "::1:5"],
+             "invalid fleet address: ambiguous IPv6 address '::1:5': "
+             "bracket the host as [::1]:5"),
+            (["run", "fig05", "--store", "nohost"],
+             "invalid store address: 'nohost' is not of the form host:port"),
+        ],
+        ids=["worker-fleet", "worker-advertise", "worker-fleet-ipv6", "run-store"],
+    )
+    def test_error_names_the_flag(self, monkeypatch, capsys, argv, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{argv} went past its bad address")
+
+        monkeypatch.setattr(Service, "start", refuse)
+        monkeypatch.setattr(socket, "create_connection", refuse)
+        monkeypatch.setattr(FigurePlan, "lower", refuse)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"repro-bench: error: {message}\n"
+
+
 class TestHeartbeatInterval:
     def test_unusable_interval_is_one_error_line(self, monkeypatch, capsys):
         # Past threading.TIMEOUT_MAX the heartbeat thread's first wait

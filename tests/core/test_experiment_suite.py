@@ -31,7 +31,7 @@ class TestExperimentRegistry:
 class TestFindings:
     @pytest.fixture(scope="class")
     def checks(self):
-        return FindingsEvaluator(seed=42, quick=True).evaluate()
+        return FindingsEvaluator(BenchmarkSuite(42, quick=True)).evaluate()
 
     def test_all_28_findings_evaluated(self, checks):
         assert [c.finding_id for c in checks] == list(range(1, 29))
@@ -46,13 +46,10 @@ class TestFindings:
             assert check.statement
 
     def test_unknown_figure_is_a_configuration_error(self):
-        # The registry's diagnosis, with or without a suite behind it.
-        for evaluator in (
-            FindingsEvaluator(seed=42),
-            FindingsEvaluator(seed=42, suite=BenchmarkSuite(seed=42, quick=True)),
-        ):
-            with pytest.raises(ConfigurationError, match="unknown figure 'fig99'"):
-                evaluator.figure("fig99")
+        # The registry's diagnosis, through the suite.
+        evaluator = FindingsEvaluator(BenchmarkSuite(42, quick=True))
+        with pytest.raises(ConfigurationError, match="unknown figure 'fig99'"):
+            evaluator.figure("fig99")
 
 
 class TestSuite:

@@ -93,7 +93,7 @@ class TestFig07Fig08(object):
 class TestFig09Fig10(object):
     def test_fig09_exclusions_noted(self, figures):
         figure = figures("fig09", **FAST)
-        platforms = figure.platforms()
+        platforms = [row.platform for row in figure.rows]
         assert "firecracker" not in platforms
         assert "osv" not in platforms
         assert any("excluded" in note.lower() for note in figure.notes)
@@ -111,7 +111,7 @@ class TestFig09Fig10(object):
 
     def test_fig10_gvisor_excluded(self, figures):
         figure = figures("fig10", **FAST)
-        assert "gvisor" not in figure.platforms()
+        assert "gvisor" not in [row.platform for row in figure.rows]
 
     def test_fig10_kata_worst(self, figures):
         figure = figures("fig10", **FAST)

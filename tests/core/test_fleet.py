@@ -273,7 +273,6 @@ class TestElasticDispatch:
             with RemoteMapper(fleet_url=coordinator.address_string) as mapper:
                 assert mapper(_double, list(range(12))) == [x * 2 for x in range(12)]
                 assert mapper.last_roster == (worker.address_string,)
-                assert mapper.roster == (worker.address_string,)
 
     def test_roster_and_static_workers_are_mutually_exclusive(self):
         with pytest.raises(ConfigurationError, match="not both"):
@@ -554,7 +553,6 @@ class TestSchedulerFleet:
         assert record.grid_backend == BACKEND_REMOTE
         assert record.fleet == coordinator.address_string
         assert record.workers == (address,)
-        assert record.to_dict()["fleet"] == coordinator.address_string
         provenance = report.results["fig11"].provenance
         assert provenance["fleet"] == coordinator.address_string
         assert provenance["workers"] == [address]

@@ -3,10 +3,9 @@
 Covers the picklable RepJob worker (a closure-based dispatch would break
 every process-pool mapper), the serial/process grid mappers, their
 order preservation and their recovery after a pool worker dies, the
-``execution_context`` plumbing from
-ExecutionPolicy down to the plan layer, mapper lifetime under mid-grid
-failures, and serial-vs-grid-pool bit-identity at every layer (lowered
-grid, scheduler, suite).
+mapper a lowered grid is executed with (one dispatch per grid), mapper
+lifetime under mid-grid failures, and serial-vs-grid-pool bit-identity
+at every layer (lowered grid, scheduler, suite).
 """
 
 import dataclasses
@@ -17,13 +16,7 @@ import time
 import pytest
 
 from repro.core.figures import lower_figure
-from repro.core.runner import (
-    PoolMapper,
-    RepJob,
-    active_grid_mapper,
-    execution_context,
-    run_rep_job,
-)
+from repro.core.runner import PoolMapper, RepJob, _serial_map, run_rep_job
 from repro.core.scheduler import (
     BACKEND_PROCESS,
     BACKEND_SERIAL,
@@ -59,9 +52,9 @@ def _exit_on_three(value):
     return value + 1
 
 
-def _grid_values(mapper=None) -> list:
+def _grid_values(mapper=_serial_map) -> list:
     """Quick fig11's lowered grid (10 platforms x 3 reps), executed through
-    ``mapper`` (None = the ambient one), flattened in declared order."""
+    ``mapper``, flattened in declared order."""
     grid = lower_figure("fig11", 42, repetitions=3)
     outcome = grid.execute(mapper)
     return [
@@ -152,6 +145,7 @@ class TestGridMappers:
 
 class TestExecutionContext:
     def test_runner_picks_up_ambient_mapper(self):
+        # The grid runs through the mapper it is handed, in one dispatch.
         seen = []
 
         def recording_map(fn, items):
@@ -159,30 +153,8 @@ class TestExecutionContext:
             seen.append(len(items))
             return [fn(item) for item in items]
 
-        with execution_context(recording_map):
-            _grid_values()
+        assert _grid_values(recording_map) == _grid_values()
         assert seen == [30]  # the whole grid, in one dispatch
-
-    def test_context_resets_on_exit(self):
-        assert active_grid_mapper() is None
-        with execution_context(lambda fn, items: [fn(i) for i in items]):
-            assert active_grid_mapper() is not None
-        assert active_grid_mapper() is None
-
-    def test_explicit_mapper_wins_over_context(self):
-        explicit, ambient = [], []
-
-        def explicit_map(fn, items):
-            explicit.append(True)
-            return [fn(item) for item in items]
-
-        def ambient_map(fn, items):
-            ambient.append(True)
-            return [fn(item) for item in items]
-
-        with execution_context(ambient_map):
-            _grid_values(explicit_map)
-        assert explicit and not ambient
 
     def test_rep_streams_order_is_by_index(self):
         def docker_streams():
@@ -298,8 +270,6 @@ class TestGridLevelDeterminism:
         assert record.grid_backend == BACKEND_PROCESS
         assert record.grid_jobs == 2
         assert record.grid_width == 30
-        assert record.to_dict()["grid_backend"] == BACKEND_PROCESS
-        assert record.to_dict()["grid_width"] == 30
 
     def test_cache_hits_have_no_grid_backend(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -400,7 +370,6 @@ class TestChunkedSchedulerProvenance:
         assert report.results["fig11"].provenance["chunk_size"] == 4
         record = report.records[0]
         assert record.chunk_size == 4
-        assert record.to_dict()["chunk_size"] == 4
 
     def test_serial_run_records_no_chunk_size(self):
         report = ExperimentScheduler(42, quick=True).run(["fig11"])

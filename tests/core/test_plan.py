@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.core.figures import FIGURES, lower_figure, run_figure
 from repro.core.plan import FigurePlan, MeasurementSpec
-from repro.core.runner import execution_context
 from repro.core.scheduler import ExperimentScheduler
 from repro.core.suite import BenchmarkSuite
 from repro.errors import ConfigurationError, UnsupportedOperationError
@@ -282,8 +281,7 @@ class TestFlatDispatch:
 
         kwargs = FIGURES[figure_id].quick
         expected = lower_figure(figure_id, SEED, **kwargs).width
-        with execution_context(recording_map):
-            run_figure(figure_id, SEED, **kwargs)
+        FIGURES[figure_id].build(**kwargs).run(SEED, recording_map)
         assert calls == [expected]
 
     def test_no_per_platform_loops_remain_in_figures(self):

@@ -60,10 +60,10 @@ class TestDeterminism:
             "chunk_size", "fleet", "dedupe", "cache", "store", "wall_time_s",
             "seed", "quick", "job_seed", "digest", "overrides",
         ]
-        record = report.records[0].to_dict()
+        record = report.records[0]
         for name in ("backend", "grid_backend", "grid_jobs", "grid_width",
                      "chunk_size", "cache", "job_seed", "digest"):
-            assert provenance[name] == record[name], name
+            assert provenance[name] == getattr(record, name), name
 
 
 class TestStoreIntegration:

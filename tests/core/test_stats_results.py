@@ -101,9 +101,6 @@ class TestFigureResult:
         assert figure.ranking(ascending=True) == ["a", "b"]
         assert figure.ranking(ascending=False) == ["b", "a"]
 
-    def test_platforms_lists_all(self):
-        assert self._figure().platforms() == ["a", "b"]
-
     def test_json_round_trip(self):
         figure = self._figure()
         data = json.loads(figure.to_json())

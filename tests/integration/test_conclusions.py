@@ -78,7 +78,7 @@ class TestConclusions:
         assert figures["iperf"].row("osv").summary.mean > 0.95 * figures["iperf"].row(
             "native"
         ).summary.mean
-        assert "osv" not in figures["fio"].platforms()
+        assert "osv" not in [row.platform for row in figures["fio"].rows]
         osv_boot = figures["osv_boot"].row("osv-fc:end-to-end").summary.mean
         container_boot = figures["container_boot"].row("docker-oci").summary.mean
         assert osv_boot < 2.0 * container_boot

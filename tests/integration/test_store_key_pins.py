@@ -9,9 +9,9 @@ full mode, ``store_key_pins.json`` records:
 * ``store_keys`` — the ``StoreKey.digest`` of
   ``ExperimentScheduler.key_for(id)``, the key ``run --cache`` stores
   under;
-* ``findings_keys`` — the digest of
-  ``key_for(id, FindingsEvaluator(quick=q).overrides_for(id))``, the key
-  ``findings --cache`` stores under;
+* ``findings_keys`` — the digest of ``key_for(id,
+  FindingsEvaluator(BenchmarkSuite(seed, quick=q)).overrides_for(id))``,
+  the key ``findings --cache`` stores under;
 * ``cells`` — a sha256 over the figure's lowered cells'
   ``(spec_key, platform, rep_index, token, stream.seed, stream.path)``.
 
@@ -30,7 +30,7 @@ import pathlib
 from repro.core.figures import FIGURES
 from repro.core.findings import FindingsEvaluator
 from repro.core.plan import LoweredGrid
-from repro.core.scheduler import ExperimentScheduler
+from repro.core.suite import BenchmarkSuite
 
 ADDRESS_PINS_FILE = pathlib.Path(__file__).with_name("store_key_pins.json")
 SEED = 42
@@ -52,8 +52,8 @@ def addresses(seed: int = SEED) -> dict:
     """Every pinned address of every figure, per mode."""
     payload: dict = {"seed": seed}
     for mode, quick in MODES.items():
-        scheduler = ExperimentScheduler(seed=seed, quick=quick)
-        findings = FindingsEvaluator(seed, quick=quick)
+        suite = BenchmarkSuite(seed, quick=quick)
+        scheduler, findings = suite.scheduler, FindingsEvaluator(suite)
         payload[mode] = {
             "store_keys": {fid: scheduler.key_for(fid).digest for fid in FIGURES},
             "findings_keys": {
