@@ -34,6 +34,7 @@ import sys
 
 from repro.core.figures import FIGURES
 from repro.core.remote import RemoteError
+from repro.core.storenet import TieredStore
 from repro.core.suite import BenchmarkSuite
 from repro.errors import ConfigurationError
 from repro.kernel.functions import default_catalog
@@ -261,6 +262,14 @@ def _print_grids(suite: BenchmarkSuite, targets: list[str]) -> None:
         print()
 
 
+def _report_store_warnings(suite: BenchmarkSuite) -> None:
+    """One stderr line per degradation the suite's tiered store recorded
+    (a failed local warm-back); stdout and the exit code stay as they are."""
+    if isinstance(suite.store, TieredStore):
+        for warning in suite.store.warnings:
+            print(f"repro-bench: warning: {warning}", file=sys.stderr)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.cache_max_mb is not None and not args.cache:
         raise ConfigurationError("--cache-max-mb requires --cache DIR")
@@ -287,6 +296,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"cannot create --json directory {args.json}: {exc.strerror}"
             ) from None
     results = suite.run_all(targets)
+    _report_store_warnings(suite)
     for figure_id in targets:
         figure = results[figure_id]
         print(figure.render())
@@ -329,6 +339,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 def _cmd_service(args: argparse.Namespace) -> int:
     """``worker`` / ``store`` / ``fleet``: serve until SIGTERM or SIGINT, then drain."""
+    import os
     import signal
 
     if args.command == "worker":
@@ -360,31 +371,38 @@ def _cmd_service(args: argparse.Namespace) -> int:
         server = FleetCoordinator(host=args.host, port=args.port, **kwargs)
         detail = ""
 
-    def _graceful_exit(signum: int, frame: object) -> None:
-        raise KeyboardInterrupt
-
+    stop_signals = (signal.SIGTERM, signal.SIGINT)
+    # Both stop signals get a handler that only records them: Python's
+    # C-level handler writes the signal's number to the wakeup pipe from
+    # whichever thread takes it, and the main thread waits on that pipe.
+    # A handler that raised could do so inside threading's lock cleanup
+    # and break a lock the drain needs; blocking the signals instead
+    # cannot cover numpy's BLAS threads, which exist before this point.
+    # A signal sent during start() waits in the pipe, and the handler
+    # replaces the SIG_IGN that a nohup'd CI step gives SIGINT.
+    wake_r, wake_w = os.pipe()
+    os.set_blocking(wake_w, False)
+    caller_wakeup_fd = signal.set_wakeup_fd(wake_w)
+    caller_handlers = {
+        sig: signal.signal(sig, lambda signum, frame: None) for sig in stop_signals
+    }
     try:
-        # SIGTERM drains too (the CI workflow and process supervisors send
-        # it), and SIGINT is restored in case the service was started with
-        # it ignored (a nohup'd background step inherits SIGINT=SIG_IGN,
-        # which would otherwise make the graceful-drain path unreachable).
-        # Both are installed inside the try, so a signal that lands during
-        # start() or the banner drains like one that lands while serving.
-        signal.signal(signal.SIGTERM, _graceful_exit)
-        signal.signal(signal.SIGINT, _graceful_exit)
-        server.start()
-        # Parsable by scripts (and the CI workflow): the bound address on
-        # one line, flushed before the serve loop blocks.
-        print(
-            f"repro-bench {args.command} listening on {server.address_string}{detail}",
-            flush=True,
-        )
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
+        with server:
+            # Parsable by scripts (and the CI workflow): the bound address
+            # on one line, flushed before the main thread blocks.
+            print(
+                f"repro-bench {args.command} listening on {server.address_string}{detail}",
+                flush=True,
+            )
+            while os.read(wake_r, 1)[0] not in stop_signals:
+                pass
+        print(f"repro-bench {args.command} drained, exiting")
     finally:
-        server.stop()
-    print(f"repro-bench {args.command} drained, exiting")
+        for sig, handler in caller_handlers.items():
+            signal.signal(sig, handler)
+        signal.set_wakeup_fd(caller_wakeup_fd)
+        os.close(wake_r)
+        os.close(wake_w)
     return 0
 
 
@@ -394,6 +412,7 @@ def _cmd_findings(args: argparse.Namespace) -> int:
         store_url=args.store,
     )
     report = suite.findings_report()
+    _report_store_warnings(suite)
     print(report)
     return 0 if report.startswith("Findings reproduced: 28/28") else 1
 

@@ -87,9 +87,9 @@ class FleetCoordinator(Service):
     Tracks ``address -> slots`` for every registered worker and prunes
     members whose last heartbeat is older than ``heartbeat_timeout``
     seconds. Liveness is measured on the monotonic clock — wall-clock
-    steps must not mass-evict a healthy fleet. ``serve_forever()`` is the
-    ``repro-bench fleet`` loop; the context-manager form is the loopback
-    fixture::
+    steps must not mass-evict a healthy fleet. ``repro-bench fleet``
+    serves one inside its context-manager form, which is also the
+    loopback fixture::
 
         with FleetCoordinator(port=0) as coordinator:
             worker = WorkerServer(port=0, fleet_url=coordinator.address_string)

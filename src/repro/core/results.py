@@ -9,12 +9,26 @@ to aligned ASCII tables for the console (see :mod:`repro.core.report`).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.stats import Summary
 
 __all__ = ["ResultRow", "SeriesRow", "FigureResult"]
+
+
+def _summary_to_dict(summary: Summary) -> dict[str, Any]:
+    """A summary's plain-dict form, in its field order."""
+    return {
+        "count": summary.count,
+        "mean": summary.mean,
+        "std": summary.std,
+        "minimum": summary.minimum,
+        "maximum": summary.maximum,
+        "p50": summary.p50,
+        "p90": summary.p90,
+        "p99": summary.p99,
+    }
 
 
 @dataclass(frozen=True)
@@ -27,9 +41,20 @@ class ResultRow:
     unit: str
     extra: dict[str, float] = field(default_factory=dict)
 
+    def to_dict(self) -> dict[str, Any]:
+        """Plain-dict form: the keys, order and types of
+        :func:`dataclasses.asdict`, without its per-value deep copy."""
+        return {
+            "platform": self.platform,
+            "label": self.label,
+            "summary": _summary_to_dict(self.summary),
+            "unit": self.unit,
+            "extra": dict(self.extra),
+        }
+
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "ResultRow":
-        """Rebuild a row from its :func:`dataclasses.asdict` form."""
+        """Rebuild a row from its :meth:`to_dict` form."""
         return cls(
             platform=payload["platform"],
             label=payload["label"],
@@ -56,9 +81,21 @@ class SeriesRow:
         if self.y_err and len(self.y_err) != len(self.y_values):
             raise ValueError("y_err length differs from y")
 
+    def to_dict(self) -> dict[str, Any]:
+        """Plain-dict form, as :meth:`ResultRow.to_dict`; the tuples are
+        immutable and go out as they are."""
+        return {
+            "platform": self.platform,
+            "label": self.label,
+            "x_values": self.x_values,
+            "y_values": self.y_values,
+            "y_err": self.y_err,
+            "unit": self.unit,
+        }
+
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "SeriesRow":
-        """Rebuild a series from its :func:`dataclasses.asdict` form."""
+        """Rebuild a series from its :meth:`to_dict` form."""
         return cls(
             platform=payload["platform"],
             label=payload["label"],
@@ -114,8 +151,8 @@ class FigureResult:
             "x_label": self.x_label,
             "notes": list(self.notes),
             "metadata": dict(self.metadata),
-            "rows": [asdict(row) for row in self.rows],
-            "series": [asdict(series) for series in self.series],
+            "rows": [row.to_dict() for row in self.rows],
+            "series": [series.to_dict() for series in self.series],
         }
 
     @classmethod

@@ -278,9 +278,10 @@ class Service:
 
     ``start()`` returns once the socket is listening; ``stop()`` closes
     the listener and every connection and waits for the handlers to
-    finish (graceful drain); ``serve_forever()`` is the CLI loop. Also a
-    context manager — the in-process loopback fixture the tests and CI
-    are built on::
+    finish (graceful drain). Also a context manager — the in-process
+    loopback fixture the tests and CI are built on, and the CLI's serve
+    block (``repro-bench worker|store|fleet`` waits for a stop signal
+    inside it)::
 
         with StoreServer(port=0, root=cache_dir) as server:
             store = RemoteStore(server.address_string)
@@ -374,20 +375,6 @@ class Service:
         with self._lock:
             self._handlers.clear()
         self._stopping.clear()
-
-    def serve_forever(self) -> None:
-        """The CLI loop: block until interrupted, then stop."""
-        if self._listener is None:
-            self.start()
-        try:
-            # Also poll the listener: a concurrent stop() may have cleared
-            # the stopping flag again before this thread observed it.
-            while self._listener is not None and not self._stopping.wait(timeout=0.5):
-                pass
-        except KeyboardInterrupt:
-            pass
-        finally:
-            self.stop()
 
     def __enter__(self) -> "Service":
         if self._listener is None:

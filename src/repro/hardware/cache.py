@@ -95,7 +95,3 @@ class CacheHierarchy:
         return left_sum(
             fraction * latency for _, fraction, latency in self.hit_fractions(buffer_bytes)
         )
-
-    def extra_latency_over_l1(self, buffer_bytes: int) -> float:
-        """Expected latency above the L1 floor (the Figure 6 y-axis)."""
-        return max(0.0, self.random_access_latency(buffer_bytes) - self.l1_latency_s)

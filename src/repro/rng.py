@@ -288,11 +288,6 @@ class RngStream:
             return self.generator.random()
         return float(self.generator.uniform(low, high))
 
-    def choice(self, options: list, probabilities: list[float] | None = None):
-        """Pick one element, optionally with explicit probabilities."""
-        index = self.generator.choice(len(options), p=probabilities)
-        return options[int(index)]
-
     # --- modelling distributions --------------------------------------------
 
     def gaussian_factor(self, relative_std: float, *, clip: float = 4.0) -> float:

@@ -43,12 +43,3 @@ class VirtioFs:
         if self.dax_enabled:
             copy_bytes *= 1.0 - self.dax_hit_ratio
         return latency + copy_bytes * self.per_byte_cost_s
-
-    def streaming_bandwidth(self) -> float:
-        """Sustained bytes/second for large sequential transfers."""
-        chunk = 1 << 20  # FUSE max_write-sized chunks
-        per_chunk = self.queue.per_request_cost() + self.daemon_processing_s
-        copy = chunk * self.per_byte_cost_s
-        if self.dax_enabled:
-            copy *= 1.0 - self.dax_hit_ratio
-        return chunk / (per_chunk + copy)

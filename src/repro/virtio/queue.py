@@ -46,19 +46,6 @@ class Virtqueue:
         """Cost of one guest->host notification (a VM exit)."""
         return kvm.exit_cost(kvm.ExitReason.VIRTQUEUE_KICK, to_userspace=not self.ioeventfd)
 
-    def per_request_cost(self, *, loaded: bool = True) -> float:
-        """Average ring-crossing cost per request.
-
-        Under load the kick and interrupt amortize over ``batch_size``
-        requests; an idle queue pays full freight per request.
-        """
-        batch = self.batch_size if loaded else 1.0
-        return (
-            self.kick_cost() / batch
-            + self.descriptor_processing_s
-            + self.interrupt_injection_s / batch
-        )
-
     def round_trip_latency(self) -> float:
         """Latency of a single un-batched request/response crossing."""
         return self.kick_cost() + self.descriptor_processing_s + self.interrupt_injection_s

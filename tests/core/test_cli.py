@@ -1,9 +1,11 @@
 """Tests for the repro-bench CLI."""
 
 import os
+import pathlib
 import signal
 import socket
-import time
+import subprocess
+import sys
 
 import pytest
 
@@ -11,7 +13,8 @@ from repro.cli import build_parser, main
 from repro.core.figures import FIGURES
 from repro.core.plan import FigurePlan
 from repro.core.service import Service
-from repro.core.storenet import StoreServer
+from repro.core.store import ResultStore
+from repro.core.storenet import RemoteStoreError, StoreServer
 
 #: ``repro-bench list``, byte for byte: one row per figure, in registry order.
 LIST_STDOUT = """\
@@ -381,10 +384,61 @@ class TestHeartbeatInterval:
         assert attempts == []
 
 
+def _refuse_local_put(store, key, result):
+    raise OSError(28, "No space left on device")
+
+
+class TestStoreWarnings:
+    """A remote hit that cannot be written back to the local tier keeps
+    its result and exit code, and says so on stderr, one line each."""
+
+    def test_failed_warm_back_is_one_warning_line(self, tmp_path, monkeypatch, capsys):
+        with StoreServer(port=0, root=tmp_path / "shared") as server:
+            remote = ["--store", server.address_string]
+            assert main(["run", "fig05", "--quick", *remote]) == 0
+            cold = capsys.readouterr()
+            monkeypatch.setattr(ResultStore, "put", _refuse_local_put)
+            local = ["--cache", str(tmp_path / "local")]
+            assert main(["run", "fig05", "--quick", *remote, *local]) == 0
+            warm = capsys.readouterr()
+        assert cold.err == ""
+        assert warm.out == cold.out
+        (line,) = warm.err.splitlines()
+        assert line.startswith("repro-bench: warning: local-tier warm-back failed for fig05 (")
+        assert line.endswith("OSError: [Errno 28] No space left on device")
+
+    def test_findings_reports_every_failed_warm_back(self, tmp_path, monkeypatch, capsys):
+        with StoreServer(port=0, root=tmp_path / "shared") as server:
+            remote = ["--store", server.address_string]
+            assert main(["findings", *remote]) == 0
+            cold = capsys.readouterr()
+            monkeypatch.setattr(ResultStore, "put", _refuse_local_put)
+            assert main(["findings", *remote, "--cache", str(tmp_path / "local")]) == 0
+            warm = capsys.readouterr()
+        assert warm.out == cold.out
+        prefix = "repro-bench: warning: local-tier warm-back failed for "
+        lines = warm.err.splitlines()
+        assert lines and all(line.startswith(prefix) for line in lines)
+        figures = [line[len(prefix):].split()[0] for line in lines]
+        assert len(set(figures)) == len(figures)
+
+
+def _signal_state():
+    """The stop signals' handlers, the wakeup fd and the signal mask."""
+    wakeup_fd = signal.set_wakeup_fd(-1)
+    signal.set_wakeup_fd(wakeup_fd)
+    return (
+        signal.getsignal(signal.SIGTERM),
+        signal.getsignal(signal.SIGINT),
+        wakeup_fd,
+        signal.pthread_sigmask(signal.SIG_BLOCK, []),
+    )
+
+
 class TestServiceLauncher:
     def test_sigterm_during_start_still_drains(self, tmp_path, monkeypatch, capsys):
         # The signal lands after the listener is bound but before the
-        # serve loop runs: the service must still drain and exit cleanly.
+        # banner: start() must return, then the service drains and exits.
         started = []
         real_start = StoreServer.start
 
@@ -392,21 +446,56 @@ class TestServiceLauncher:
             real_start(server)
             started.append((server, server.address))
             os.kill(os.getpid(), signal.SIGTERM)
-            time.sleep(5)  # the handler's KeyboardInterrupt lands here
-            raise AssertionError("SIGTERM was not delivered")
+            return server
 
         monkeypatch.setattr(StoreServer, "start", start_then_sigterm)
-        saved = {sig: signal.getsignal(sig) for sig in (signal.SIGTERM, signal.SIGINT)}
-        try:
-            code = main(["store", "--port", "0", "--dir", str(tmp_path / "store")])
-        except KeyboardInterrupt:
-            pytest.fail("SIGTERM escaped the launcher as a KeyboardInterrupt")
-        finally:
-            for sig, handler in saved.items():
-                signal.signal(sig, handler)
+        state = _signal_state()
+        code = main(["store", "--port", "0", "--dir", str(tmp_path / "store")])
         assert code == 0
         assert "repro-bench store drained, exiting" in capsys.readouterr().out
+        assert _signal_state() == state
         (server, address), = started
         assert server._listener is None
         with pytest.raises(OSError):
             socket.create_connection(address, timeout=1)
+
+    def test_failed_start_restores_the_signal_state(self, tmp_path, monkeypatch, capsys):
+        def refuse(server):
+            raise RemoteStoreError("cannot listen")
+
+        monkeypatch.setattr(StoreServer, "start", refuse)
+        state = _signal_state()
+        assert main(["store", "--port", "0", "--dir", str(tmp_path / "store")]) == 2
+        assert _signal_state() == state
+        assert capsys.readouterr().err == "repro-bench: error: cannot listen\n"
+
+    def test_ignored_sigint_still_drains(self):
+        # A nohup'd background step starts the service with SIGINT
+        # ignored; SIGINT must drain it all the same.
+        env = dict(os.environ)
+        src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        launch = (
+            "import signal, sys\n"
+            "signal.signal(signal.SIGINT, signal.SIG_IGN)\n"
+            "from repro.cli import main\n"
+            "sys.exit(main(['worker', '--host', '127.0.0.1', '--port', '0']))\n"
+        )
+        worker = subprocess.Popen(
+            [sys.executable, "-c", launch],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=env,
+        )
+        try:
+            assert "listening on" in worker.stdout.readline()
+            worker.send_signal(signal.SIGINT)
+            assert worker.wait(timeout=20) == 0
+        finally:
+            if worker.poll() is None:
+                worker.kill()
+                worker.wait()
+        output = worker.stdout.read()
+        assert "repro-bench worker drained, exiting" in output
+        assert "Traceback" not in output

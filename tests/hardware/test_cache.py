@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.hardware.cache import CacheHierarchy, CacheLevel
+from repro.hardware.memory import MemorySubsystem
 from repro.units import KIB, MIB, ns
 
 
@@ -40,8 +41,9 @@ class TestCacheHierarchy:
         )
 
     def test_extra_over_l1_zero_for_l1_resident(self):
-        caches = CacheHierarchy()
-        assert caches.extra_latency_over_l1(16 * KIB) == 0.0
+        # Figure 6's y-axis comes from the memory model over this hierarchy.
+        memory = MemorySubsystem(caches=CacheHierarchy())
+        assert memory.extra_latency_over_l1(16 * KIB) == 0.0
 
     def test_hit_fractions_sum_to_one(self):
         caches = CacheHierarchy()

@@ -187,9 +187,6 @@ class TestRngStream:
         assert zero_fraction > 0.85
         assert any(d > 1.0 for d in draws)
 
-    def test_choice(self):
-        assert RngStream(17).choice(["a", "b", "c"]) in ("a", "b", "c")
-
 
 class TestErrors:
     def test_hierarchy(self):

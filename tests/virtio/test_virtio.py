@@ -15,10 +15,6 @@ class TestVirtqueue:
         with pytest.raises(ConfigurationError):
             Virtqueue("vq", size=300)
 
-    def test_batching_amortizes_kick_cost(self):
-        queue = Virtqueue("vq", batch_size=16.0)
-        assert queue.per_request_cost(loaded=True) < queue.per_request_cost(loaded=False)
-
     def test_ioeventfd_cheaper_than_userspace_bounce(self):
         in_kernel = Virtqueue("vq", ioeventfd=True)
         bounced = Virtqueue("vq", ioeventfd=False)
@@ -35,9 +31,11 @@ class TestVirtqueue:
 
 class TestVirtioBlk:
     def test_latency_overhead_exceeds_loaded_overhead(self):
+        # Under load the kick and the interrupt amortize over a batch; a
+        # lone request pays them on top of the ring and the VMM's work.
         device = VirtioBlk()
-        loaded = device.queue.per_request_cost(loaded=True) + device.vmm_request_handling_s
-        assert device.request_latency_overhead() > loaded
+        loaded_floor = device.queue.descriptor_processing_s + device.vmm_request_handling_s
+        assert device.request_latency_overhead() > loaded_floor + device.queue.kick_cost()
 
     def test_immature_backend_costs_more(self):
         mature = VirtioBlk(vmm_request_handling_s=3e-6)
@@ -89,13 +87,15 @@ class TestVirtioFs:
         assert VirtioFs().operation_latency(4 * KIB) < NinePChannel().operation_latency(4 * KIB)
 
     def test_streams_faster_than_ninep(self):
-        assert VirtioFs().streaming_bandwidth() > 2.0 * NinePChannel().streaming_bandwidth()
+        # A 4 MiB transfer: 9P splits it into msize chunks, each a round trip.
+        assert 2.0 * VirtioFs().operation_latency(4 * MIB) < NinePChannel().operation_latency(
+            4 * MIB
+        )
 
     def test_dax_reduces_copy_cost(self):
         with_dax = VirtioFs(dax_enabled=True)
         without = VirtioFs(dax_enabled=False)
         assert with_dax.operation_latency(1 * MIB) < without.operation_latency(1 * MIB)
-        assert with_dax.streaming_bandwidth() > without.streaming_bandwidth()
 
     def test_invalid_dax_ratio_rejected(self):
         with pytest.raises(ConfigurationError):
