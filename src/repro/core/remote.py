@@ -316,7 +316,12 @@ class WorkerServer(Service):
             # ProcessPoolExecutor forks lazily on first submit, which
             # would otherwise happen inside a connection handler thread.
             self._executor.submit(_noop).result()
-        super().start()
+        try:
+            super().start()
+        except BaseException:
+            # A failed bind (a busy port): no pool process may outlive it.
+            self._release_pool()
+            raise
         if self.fleet_url is not None:
             try:
                 self._join_fleet()
@@ -333,6 +338,9 @@ class WorkerServer(Service):
             return
         self._leave_fleet()
         super().stop()
+        self._release_pool()
+
+    def _release_pool(self) -> None:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None

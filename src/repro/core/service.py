@@ -339,13 +339,21 @@ class Service:
         return f"{host}:{port}"
 
     def start(self) -> "Service":
-        """Bind and begin accepting clients."""
+        """Bind and begin accepting clients.
+
+        An address that cannot be bound (a busy port, an unknown host)
+        raises the service's :attr:`error`, naming the address.
+        """
         if self._listener is not None:
             raise self.error(f"{self.noun} already started")
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self.port))
-        listener.listen()
+        try:
+            listener.bind((self.host, self.port))
+            listener.listen()
+        except OSError as exc:
+            listener.close()
+            raise self.error(f"cannot listen on {self.host}:{self.port}: {exc}") from exc
         self._listener = listener
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name=f"repro-{self.service}-accept", daemon=True

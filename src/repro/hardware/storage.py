@@ -6,7 +6,8 @@ isolation platform's block path adds on top. The device model exposes:
 
 * sustained sequential throughput for large (128 KiB) requests, asymmetric
   between read and write;
-* 4 KiB random-read service latency with realistic dispersion;
+* 4 KiB random-read service latency with realistic dispersion, for a
+  block of completions at once;
 * a simple queue-depth throughput curve so the libaio in-flight window
   matters.
 """
@@ -60,14 +61,20 @@ class NvmeDevice:
 
     # --- latency -----------------------------------------------------------------
 
-    def random_read_latency(self, rng: RngStream | None = None, block_bytes: int = 4 * KIB) -> float:
-        """One 4 KiB random-read completion latency at the device.
+    def random_read_latencies(
+        self, rng: RngStream, count: int, block_bytes: int = 4 * KIB
+    ) -> list[float]:
+        """``count`` random-read completion latencies at the device, in order.
 
-        Adds the transfer time for the requested block on top of the
-        flash-array access time; dispersion follows a clipped Gaussian.
+        Each adds the transfer time for the requested block on top of the
+        flash-array access time; dispersion follows a clipped Gaussian. The
+        completions' noise factors come from ``rng`` as one block
+        (:meth:`RngStream.gaussian_factors`), equal to one draw per
+        completion.
         """
         if block_bytes <= 0:
             raise ConfigurationError("block size must be positive")
         base = self.rand_read_latency_s + block_bytes / self.seq_read_bw
-        noise = rng.gaussian_factor(self.rand_read_latency_std) if rng else 1.0
-        return base * noise + self.per_request_overhead_s
+        overhead = self.per_request_overhead_s
+        factors = rng.gaussian_factors(self.rand_read_latency_std, count)
+        return [base * factor + overhead for factor in factors]

@@ -303,6 +303,24 @@ class RngStream:
         upper = 1.0 + clip * relative_std
         return float(min(max(draw, lower), upper))
 
+    def gaussian_factors(
+        self, relative_std: float, count: int, *, clip: float = 4.0
+    ) -> list[float]:
+        """``count`` draws of :meth:`gaussian_factor`, taken as one block.
+
+        numpy fills ``normal(loc, scale, size=n)`` element by element with
+        the same draw a scalar ``normal(loc, scale)`` returns, so the block
+        equals ``count`` per-draw calls float for float and leaves the
+        generator in the same state; each element is clipped as the scalar
+        path clips.
+        """
+        if relative_std <= 0.0:
+            return [1.0] * count
+        draws = self.generator.normal(1.0, relative_std, size=count)
+        lower = max(1e-3, 1.0 - clip * relative_std)
+        upper = 1.0 + clip * relative_std
+        return np.clip(draws, lower, upper).tolist()
+
     def lognormal_factor(self, sigma: float) -> float:
         """A multiplicative factor from a mean-1 log-normal distribution.
 

@@ -23,7 +23,7 @@ class VirtioFs:
     """Cost model of one virtio-fs mount."""
 
     name: str = "virtiofs"
-    queue: Virtqueue = field(default_factory=lambda: Virtqueue("fs-vq", batch_size=8.0))
+    queue: Virtqueue = field(default_factory=lambda: Virtqueue("fs-vq"))
     daemon_processing_s: float = us(7.0)  # virtiofsd request handling
     dax_enabled: bool = True
     #: Fraction of data operations served through the DAX window (no copy).

@@ -2,10 +2,8 @@
 
 A request crosses the ring in four steps: the guest posts descriptors,
 *kicks* the device (an MMIO/PIO write → VM exit, or an ioeventfd the host
-kernel absorbs), the device-model thread processes the batch, and completion
-raises an interrupt back into the guest (another world switch). Batching
-amortizes kicks over many requests — this is why large sequential I/O
-hardly suffers while small random I/O pays per-request.
+kernel absorbs), the device-model thread processes the descriptors, and
+completion raises an interrupt back into the guest (another world switch).
 """
 
 from __future__ import annotations
@@ -25,22 +23,18 @@ class Virtqueue:
 
     * ``size`` — ring entries (QEMU default 256, Firecracker 256);
     * ``ioeventfd`` — whether kicks are absorbed in the kernel (QEMU/CLH)
-      or bounced to the VMM process (Firecracker polls its own epoll loop);
-    * ``batch_size`` — average requests per kick under load.
+      or bounced to the VMM process (Firecracker polls its own epoll loop).
     """
 
     name: str
     size: int = 256
     ioeventfd: bool = True
-    batch_size: float = 8.0
     descriptor_processing_s: float = us(0.35)
     interrupt_injection_s: float = us(1.1)
 
     def __post_init__(self) -> None:
         if self.size < 2 or self.size & (self.size - 1):
             raise ConfigurationError(f"{self.name}: ring size must be a power of two >= 2")
-        if self.batch_size < 1.0:
-            raise ConfigurationError(f"{self.name}: batch size must be >= 1")
 
     def kick_cost(self) -> float:
         """Cost of one guest->host notification (a VM exit)."""

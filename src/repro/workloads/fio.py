@@ -2,7 +2,9 @@
 
 Throughput: sequential read/write in 128 KiB blocks through the libaio
 engine with ``direct=1``, against a file twice the platform's RAM
-pre-allocated with ``fallocate()``. Latency: 4 KiB ``randread``.
+pre-allocated with ``fallocate()``. Latency: 4 KiB ``randread``, the mean
+of ``samples`` simulated completions whose device noise factors are drawn
+as one block and summed in completion order.
 
 Exclusions, as in Section 3.3 (enforced via capabilities):
 
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from repro.errors import ConfigurationError, UnsupportedOperationError
 from repro.platforms.base import Platform
 from repro.rng import RngStream
-from repro.units import KIB, seconds_to_us, to_mb_per_s
+from repro.units import KIB, left_sum, seconds_to_us, to_mb_per_s
 from repro.workloads.base import Workload
 
 __all__ = ["FioThroughputWorkload", "FioLatencyWorkload", "FioResult", "FioLatencyResult"]
@@ -148,14 +150,18 @@ class FioLatencyWorkload(Workload):
             )
 
     def run(self, platform: Platform, rng: RngStream) -> FioLatencyResult:
+        """Mean latency of ``samples`` completions plus the platform's path.
+
+        The device model returns every completion's latency from one block
+        of noise factors; they are added left to right, as one draw and one
+        addition per completion would add them.
+        """
         self.check_supported(platform)
         profile = platform.io_profile()
-        device = platform.machine.nvme
-        device_rng = rng.child("device")
-        total = 0.0
-        for _ in range(self.samples):
-            total += device.random_read_latency(device_rng, self.block_bytes)
-        mean = total / self.samples + profile.per_request_latency_s
+        latencies = platform.machine.nvme.random_read_latencies(
+            rng.child("device"), self.samples, self.block_bytes
+        )
+        mean = left_sum(latencies) / self.samples + profile.per_request_latency_s
         mean *= rng.child("path").gaussian_factor(profile.latency_std)
         return FioLatencyResult(
             platform=platform.name,

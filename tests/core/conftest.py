@@ -12,6 +12,7 @@ exercised in CI without a real fleet.
 from __future__ import annotations
 
 import contextlib
+import socket
 
 import pytest
 
@@ -29,6 +30,15 @@ def loopback_worker():
     """One fleet member on 127.0.0.1: the remote backend's CI stand-in."""
     with WorkerServer(host="127.0.0.1", port=0, workers=2) as server:
         yield server
+
+
+@pytest.fixture
+def held_port():
+    """A loopback port that a listening test socket holds while the test runs."""
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as holder:
+        holder.bind(("127.0.0.1", 0))
+        holder.listen()
+        yield holder.getsockname()[1]
 
 
 class GridBackendCase:

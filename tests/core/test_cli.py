@@ -329,6 +329,30 @@ class TestOutOfRangePorts:
         assert captured.err.count("\n") == 1
 
 
+class TestBusyPort:
+    """A listen port that another socket holds is one error line and exit 2
+    from every service, with no traceback."""
+
+    @pytest.mark.parametrize("service", ["worker", "store", "fleet"])
+    def test_one_error_line_without_traceback(self, tmp_path, held_port, service):
+        env = dict(os.environ)
+        src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        argv = [sys.executable, "-m", "repro.cli", service, "--port", str(held_port)]
+        if service == "worker":
+            argv += ["--workers", "2"]  # the pool forks before the bind
+        if service == "store":
+            argv += ["--dir", str(tmp_path / "store")]
+        done = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "Traceback" not in done.stderr
+        assert done.stderr.count("\n") == 1
+        assert done.stderr.startswith(
+            f"repro-bench: error: cannot listen on 127.0.0.1:{held_port}: "
+        )
+
+
 class TestAddressErrors:
     """A malformed service address names the flag it came from; the
     parser itself names no service, since every address goes through it."""

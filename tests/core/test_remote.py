@@ -11,6 +11,7 @@ a worker started with ``repro-bench worker`` is bit-identical to serial.
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
 import re
 import signal
@@ -269,6 +270,15 @@ class TestWorkerServer:
         server = WorkerServer(port=0).start()
         server.stop()
         server.stop()  # no-op, no raise
+
+    def test_busy_port_releases_the_pool(self, held_port):
+        # The pool forks before the bind; a failed bind must not leave it.
+        before = set(multiprocessing.active_children())
+        server = WorkerServer(port=held_port, workers=2)
+        with pytest.raises(RemoteDispatchError, match=f"cannot listen on 127.0.0.1:{held_port}"):
+            server.start()
+        assert server._executor is None
+        assert set(multiprocessing.active_children()) <= before
 
 
 class TestRemoteMapper:

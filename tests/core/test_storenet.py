@@ -76,6 +76,13 @@ class TestStoreServer:
         server.stop()
         server.stop()  # no-op, no raise
 
+    def test_busy_port_is_a_store_error_naming_the_address(self, tmp_path, held_port):
+        server = StoreServer(port=held_port, root=tmp_path)
+        with pytest.raises(RemoteStoreError, match=f"cannot listen on 127.0.0.1:{held_port}"):
+            server.start()
+        with pytest.raises(RemoteStoreError, match="not started"):
+            server.address
+
     def test_non_store_hello_is_answered_with_an_error(self, store_server):
         # A worker-fleet client (no service marker) must get a clear
         # refusal, not a confusing frame mismatch.

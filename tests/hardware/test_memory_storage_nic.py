@@ -1,5 +1,7 @@
 """Tests for the memory subsystem, NVMe device, NIC, and machine topology."""
 
+import statistics
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -63,25 +65,28 @@ class TestNvmeDevice:
             NvmeDevice().queue_depth_scaling(0)
 
     def test_random_read_latency_near_nominal(self):
-        device = NvmeDevice()
-        latency = device.random_read_latency(None)
-        assert us(70) < latency < us(120)
+        # Without dispersion every completion is the nominal latency; with
+        # it, a block's mean stays close to that.
+        nominal = NvmeDevice(rand_read_latency_std=0.0).random_read_latencies(RngStream(1), 3)
+        assert nominal == [nominal[0]] * 3
+        assert us(70) < nominal[0] < us(120)
+        latencies = NvmeDevice().random_read_latencies(RngStream(1), 400)
+        assert statistics.fmean(latencies) == pytest.approx(nominal[0], rel=0.02)
 
     def test_random_read_latency_with_rng_disperses(self):
-        device = NvmeDevice()
-        rng = RngStream(1)
-        values = {device.random_read_latency(rng) for _ in range(20)}
+        values = set(NvmeDevice().random_read_latencies(RngStream(1), 20))
         assert len(values) > 1
 
     def test_larger_blocks_take_longer(self):
+        # Twin streams give both block sizes the same noise factors.
         device = NvmeDevice()
-        assert device.random_read_latency(None, 64 * KIB) > device.random_read_latency(
-            None, 4 * KIB
-        )
+        large = device.random_read_latencies(RngStream(1), 20, 64 * KIB)
+        small = device.random_read_latencies(RngStream(1), 20, 4 * KIB)
+        assert all(big > little for big, little in zip(large, small))
 
     def test_invalid_block_rejected(self):
         with pytest.raises(ConfigurationError):
-            NvmeDevice().random_read_latency(None, 0)
+            NvmeDevice().random_read_latencies(RngStream(1), 1, 0)
 
 
 class TestNicModel:

@@ -171,6 +171,30 @@ class TestRngStream:
     def test_gaussian_factor_zero_std_is_identity(self):
         assert RngStream(7).gaussian_factor(0.0) == 1.0
 
+    @given(
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.floats(min_value=0.0, max_value=0.5, exclude_min=True),
+        st.integers(min_value=1, max_value=500),
+        st.sampled_from([4.0, 1.5]),
+    )
+    @settings(max_examples=60)
+    def test_gaussian_factors_match_per_draw_factors(self, seed, std, count, clip):
+        """One block equals ``count`` per-draw calls bit for bit, clipped
+        alike (at 1.5 sigma most blocks clip), and leaves the generator in
+        the same state."""
+        stream, twin = RngStream(seed), RngStream(seed)
+        block = stream.gaussian_factors(std, count, clip=clip)
+        expected = [twin.gaussian_factor(std, clip=clip) for _ in range(count)]
+        assert [factor.hex() for factor in block] == [value.hex() for value in expected]
+        assert stream.generator.bit_generator.state == twin.generator.bit_generator.state
+
+    def test_gaussian_factors_zero_std_is_identity_without_a_draw(self):
+        stream = RngStream(7)
+        state = stream.generator.bit_generator.state
+        for std in (0.0, -0.25):
+            assert stream.gaussian_factors(std, 5) == [1.0] * 5
+        assert stream.generator.bit_generator.state == state
+
     @given(st.floats(min_value=0.01, max_value=1.0))
     @settings(max_examples=30)
     def test_lognormal_factor_mean_near_one(self, sigma):

@@ -24,15 +24,11 @@ class TestVirtqueue:
         queue = Virtqueue("vq")
         assert queue.round_trip_latency() > queue.kick_cost()
 
-    def test_invalid_batch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Virtqueue("vq", batch_size=0.5)
-
 
 class TestVirtioBlk:
     def test_latency_overhead_exceeds_loaded_overhead(self):
-        # Under load the kick and the interrupt amortize over a batch; a
-        # lone request pays them on top of the ring and the VMM's work.
+        # A lone request pays a kick and an interrupt on top of the
+        # ring's descriptor processing and the VMM's request handling.
         device = VirtioBlk()
         loaded_floor = device.queue.descriptor_processing_s + device.vmm_request_handling_s
         assert device.request_latency_overhead() > loaded_floor + device.queue.kick_cost()

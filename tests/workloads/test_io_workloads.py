@@ -4,7 +4,23 @@ import pytest
 
 from repro.errors import ConfigurationError, UnsupportedOperationError
 from repro.platforms import get_platform
+from repro.rng import RngStream
 from repro.workloads.fio import FioLatencyWorkload, FioThroughputWorkload
+
+
+def _per_completion_mean_latency(workload, platform, rng):
+    """Figure 10's kernel as one draw and one addition per completion: the
+    oracle the block kernel must equal exactly."""
+    profile = platform.io_profile()
+    device = platform.machine.nvme
+    device_rng = rng.child("device")
+    base = device.rand_read_latency_s + workload.block_bytes / device.seq_read_bw
+    total = 0.0
+    for _ in range(workload.samples):
+        noise = device_rng.gaussian_factor(device.rand_read_latency_std)
+        total += base * noise + device.per_request_overhead_s
+    mean = total / workload.samples + profile.per_request_latency_s
+    return mean * rng.child("path").gaussian_factor(profile.latency_std)
 
 
 class TestFioThroughput:
@@ -106,6 +122,17 @@ class TestFioLatency:
         clh = workload.run(get_platform("cloud-hypervisor"), rng.child("c"))
         qemu = workload.run(get_platform("qemu"), rng.child("q"))
         assert clh.mean_latency_us < qemu.mean_latency_us
+
+    @pytest.mark.parametrize("name", ["native", "qemu", "kata"])
+    def test_block_kernel_equals_per_completion_oracle(self, name):
+        workload = FioLatencyWorkload()
+        platform = get_platform(name)
+        for seed in (7, 1001, 2**63):
+            result = workload.run(platform, RngStream(seed, f"fig10/{name}"))
+            expected = _per_completion_mean_latency(
+                workload, platform, RngStream(seed, f"fig10/{name}")
+            )
+            assert result.mean_latency_s == expected, seed
 
     def test_virtiofs_restores_kata_latency(self, rng):
         workload = FioLatencyWorkload(samples=100)

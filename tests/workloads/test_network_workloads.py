@@ -1,9 +1,11 @@
 """Tests for iperf3 and netperf (Figures 11-12)."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.platforms import get_platform
+from repro.rng import RngStream
 from repro.workloads.iperf import IperfWorkload
 from repro.workloads.netperf import NetperfWorkload
 
@@ -87,6 +89,24 @@ class TestNetperf:
         result = NetperfWorkload(transactions=2_000).run(get_platform("native"), rng)
         assert result.p50_latency_s <= result.p90_latency_s <= result.p99_latency_s
         assert result.mean_latency_s > 0
+
+    @pytest.mark.parametrize("name", ["native", "qemu", "kata"])
+    def test_one_percentile_call_equals_three(self, name):
+        """The oracle draws the same samples and takes each percentile
+        with its own ``np.percentile`` call."""
+        platform = get_platform(name)
+        profile = platform.net_profile()
+        base = platform.machine.nic.base_rtt_s + 2.0 * profile.added_latency()
+        sigma = max(1e-6, profile.latency_std * 2.2)
+        for seed in (7, 1001, 2**63):
+            result = NetperfWorkload().run(platform, RngStream(seed, f"fig12/{name}"))
+            samples = base * RngStream(seed, f"fig12/{name}").generator.lognormal(
+                -0.5 * sigma * sigma, sigma, size=5_000
+            )
+            assert result.mean_latency_s == float(np.mean(samples)), seed
+            assert (result.p50_latency_s, result.p90_latency_s, result.p99_latency_s) == tuple(
+                float(np.percentile(samples, q)) for q in (50, 90, 99)
+            ), seed
 
     def test_bridges_beat_hypervisors(self, rng):
         """Finding 10."""
