@@ -160,10 +160,8 @@ DEFAULT_THREAD_ROLES: dict[str, dict[str, dict[str, str]]] = {
         "ResultStore": {
             "get": "repro-store-conn",
             "put": "repro-store-conn",
-            "__contains__": "repro-store-conn",
             "entries": "repro-store-conn",
             "total_bytes": "repro-store-conn",
-            "clear": "repro-store-conn",
         },
     },
     "repro/core/service.py": {

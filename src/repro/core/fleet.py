@@ -240,7 +240,3 @@ class FleetClient(ServiceClient):
     def roster(self) -> list[dict[str, Any]]:
         """The live members, sorted by address."""
         return list(self._request(("roster",)))
-
-    def stats(self) -> dict[str, Any]:
-        """The coordinator's membership counters."""
-        return dict(self._request(("stats",)))

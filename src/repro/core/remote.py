@@ -147,13 +147,8 @@ def _cell_client(store_url: str) -> RemoteStore | None:
         cache = _CELL_CLIENTS.clients = {}
     if store_url in cache:
         return cache[store_url]
-    client = None
     try:
-        candidate = RemoteStore(store_url)
-        if candidate.supports("cell_claim"):
-            client = candidate
-        else:
-            candidate.close()  # a v1-original store: no cell tier to use
+        client = RemoteStore(store_url)
     except Exception:
         client = None
     cache[store_url] = client

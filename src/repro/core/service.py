@@ -9,8 +9,8 @@ subclass keeps only its state, its handlers and a class-level verb table
 ``{verb: (arity, handler)}``; a :class:`ServiceClient` subclass keeps only
 its request methods. The service describes itself in its hello reply
 (name, protocol version and verbs), which is what lets a client that
-dialed the wrong address say so, and lets a newer client degrade against
-an older service instead of failing.
+dialed the wrong address say so, and lets a client ask whether the
+service offers a verb before it sends one.
 
 Wire — length-prefixed pickle frames over TCP:
 
@@ -523,8 +523,6 @@ class ServiceClient:
     noun: str
     #: Raised for every failure of this client.
     error: type[RemoteError] = RemoteError
-    #: The verbs assumed when the service's hello advertises none.
-    legacy_verbs: frozenset[str] = frozenset()
 
     def __init__(
         self,
@@ -596,7 +594,7 @@ class ServiceClient:
     def supports(self, verb: str) -> bool:
         """Whether the service advertises ``verb`` (connects on first call)."""
         self._connection()
-        return verb in (self.peer.get("verbs") or self.legacy_verbs)
+        return verb in self.peer.get("verbs", ())
 
     def _unwrap(self, reply: Any) -> Any:
         """A reply's ``ok`` value; anything else drops the connection and raises."""

@@ -184,7 +184,7 @@ class ResultStore:
         self._temp_counter = itertools.count()
         # A process that died between temp-write and rename leaves a
         # *.tmp-* file behind forever; adopt-and-sweep on open.
-        self._sweep_stale_temps(max_age_s=self.STALE_TEMP_AGE_S)
+        self._sweep_stale_temps()
         # LRU recency bookkeeping must never run backwards: eviction
         # sorts entries by mtime, so a wall-clock adjustment between two
         # reads would invert their apparent recency. The logical clock
@@ -281,7 +281,7 @@ class ResultStore:
             stamp = self._next_recency_stamp()
             os.utime(path, (stamp, stamp))
         except OSError:
-            pass  # raced with a concurrent clear/evict: still a valid hit
+            pass  # raced with a concurrent eviction: still a valid hit
         return result
 
     def put(self, key: StoreKey, result: FigureResult) -> pathlib.Path:
@@ -302,13 +302,10 @@ class ResultStore:
             stamp = self._next_recency_stamp()
             os.utime(path, (stamp, stamp))
         except OSError:
-            pass  # raced with a concurrent clear/evict
+            pass  # raced with a concurrent eviction
         if self.max_bytes is not None:
             self._evict(protect=path)
         return path
-
-    def __contains__(self, key: StoreKey) -> bool:
-        return self.path_for(key).exists()
 
     # --- maintenance ---------------------------------------------------------------
 
@@ -322,15 +319,6 @@ class ResultStore:
                 yield payload["key"]
             except (OSError, json.JSONDecodeError, KeyError):
                 continue
-
-    def clear(self) -> int:
-        """Delete every entry (and stale temp file); returns files removed."""
-        removed = 0
-        if self.root.is_dir():
-            for path in self.root.glob("*.json"):
-                path.unlink(missing_ok=True)
-                removed += 1
-        return removed + self._sweep_stale_temps()
 
     def total_bytes(self) -> int:
         """Current size of all entries (temp files excluded)."""
@@ -375,33 +363,27 @@ class ResultStore:
             self._evicted += evicted
         return evicted
 
-    def _sweep_stale_temps(self, max_age_s: float | None = None) -> int:
+    def _sweep_stale_temps(self) -> None:
         """Remove orphaned temp files from interrupted writes.
 
         Temps written by *this* process (``.tmp-<pid>`` from older
         writers, ``.tmp-<pid>-<thread>-<n>`` from :meth:`_temp_path`) are
         always spared — they may be an in-flight :meth:`put` on another
-        thread. With ``max_age_s`` set (the init-time sweep), other
-        processes' temps are only removed once older than the threshold,
-        so a concurrently *live* writer sharing the cache directory never
-        loses its in-flight file; :meth:`clear` passes ``None`` and
-        removes them regardless of age.
+        thread. Other processes' temps are only removed once older than
+        :attr:`STALE_TEMP_AGE_S`, so a concurrently *live* writer sharing
+        the cache directory never loses its in-flight file.
         """
-        removed = 0
         own_prefix = f".tmp-{os.getpid()}"
-        if self.root.is_dir():
-            now = time.time()
-            for path in self.root.glob("*.tmp-*"):
-                if path.suffix == own_prefix or path.suffix.startswith(own_prefix + "-"):
+        now = time.time()
+        for path in self.root.glob("*.tmp-*"):
+            if path.suffix == own_prefix or path.suffix.startswith(own_prefix + "-"):
+                continue
+            try:
+                if now - path.stat().st_mtime < self.STALE_TEMP_AGE_S:
                     continue
-                try:
-                    if max_age_s is not None and now - path.stat().st_mtime < max_age_s:
-                        continue
-                except OSError:
-                    continue  # raced: the writer renamed or removed it
-                path.unlink(missing_ok=True)
-                removed += 1
-        return removed
+            except OSError:
+                continue  # raced: the writer renamed or removed it
+            path.unlink(missing_ok=True)
 
     @property
     def stats(self) -> dict[str, int]:

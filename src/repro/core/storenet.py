@@ -21,18 +21,15 @@ produces byte-for-byte the result a local run would.
 Wire protocol — framed pickles, synchronous request/reply per client:
 
 * the hello is ``("hello", {"service": "store", "protocol": 1})``; the
-  server answers with its own hello, which advertises its ``verbs`` so
-  newer clients degrade gracefully against older servers (a client that
-  sees no ``verbs`` assumes the v1 original set and, e.g., answers
-  membership through a full ``get``) — the version number only moves for
-  *incompatible* changes, additive verbs ride on the advertisement;
+  server answers with its own hello, which advertises its ``verbs`` — the
+  version number only moves for *incompatible* changes, additive verbs
+  ride on the advertisement;
 * requests are ``("get", key_dict)`` → ``("ok", result_dict | None)``,
-  ``("put", key_dict, result_dict)`` → ``("ok", True)``,
-  ``("contains", key_dict)`` → ``("ok", bool)`` (membership without
-  shipping the payload), and ``("stats",)`` → ``("ok", {...})``; keys
-  travel as their :meth:`~repro.core.store.StoreKey` fields and are
-  validated against :attr:`~repro.core.store.StoreKey.digest` by the
-  underlying store on both ends;
+  ``("put", key_dict, result_dict)`` → ``("ok", True)`` and
+  ``("stats",)`` → ``("ok", {...})``; keys travel as their
+  :meth:`~repro.core.store.StoreKey` fields and are validated against
+  :attr:`~repro.core.store.StoreKey.digest` by the underlying store on
+  both ends;
 * store-aware workers dedupe at grid-cell granularity through the
   lease verbs: ``("cell_claim", token)`` → ``("ok", ("hit", payload) |
   ("run", None) | ("wait", None))`` — ``hit`` carries the finished
@@ -133,12 +130,11 @@ class StoreServer(Service):
     noun = "result store"
     error = RemoteStoreError
     #: Advertised in the hello reply. Additive protocol growth rides on
-    #: this advertisement (clients fall back when a verb is missing) —
-    #: the version constant only moves for incompatible changes.
+    #: this advertisement — the version constant only moves for
+    #: incompatible changes.
     verbs = {
         "get": (1, "_get"),
         "put": (2, "_put"),
-        "contains": (1, "_contains"),
         "stats": (0, "_stats"),
         "cell_claim": (1, "_cell_claim"),
         "cell_put": (2, "_cell_put"),
@@ -199,9 +195,6 @@ class StoreServer(Service):
     def _put(self, key: Any, result: Any) -> bool:
         self.store.put(_key_from_wire(key), FigureResult.from_dict(result))
         return True
-
-    def _contains(self, key: Any) -> bool:
-        return _key_from_wire(key) in self.store
 
     def _stats(self) -> dict[str, Any]:
         stats = dict(self.store.stats)
@@ -284,9 +277,6 @@ class RemoteStore(ServiceClient):
     protocol = STORE_PROTOCOL_VERSION
     noun = "result store"
     error = RemoteStoreError
-    #: The v1 original verb set, assumed for servers whose hello carries
-    #: no advertisement.
-    legacy_verbs = frozenset({"get", "put", "stats"})
 
     def __init__(
         self, address: str | tuple[str, int], *, connect_timeout: float = 10.0
@@ -326,25 +316,6 @@ class RemoteStore(ServiceClient):
     def put(self, key: StoreKey, result: FigureResult) -> None:
         """Publish a result to the shared tier."""
         self._request(("put", _key_to_wire(key), result.to_dict()))
-
-    def __contains__(self, key: StoreKey) -> bool:
-        """Membership without shipping the payload (where the server can).
-
-        A server advertising the ``contains`` verb answers with one
-        boolean; a v1-original server falls back to a full ``get`` and
-        discards the body. Both paths feed the same hit/miss counters
-        as :meth:`get`, so the client's stats stay truthful however
-        membership was answered.
-        """
-        if self.supports("contains"):
-            found = bool(self._request(("contains", _key_to_wire(key))))
-        else:
-            found = self._request(("get", _key_to_wire(key))) is not None
-        if found:
-            self._hits += 1
-        else:
-            self._misses += 1
-        return found
 
     # --- cell-dedupe surface ---------------------------------------------------
 
@@ -443,11 +414,6 @@ class TieredStore:
         if self.local is not None:
             self.local.put(key, result)
         self.remote.put(key, result)
-
-    def __contains__(self, key: StoreKey) -> bool:
-        if self.local is not None and key in self.local:
-            return True
-        return key in self.remote
 
     def close(self) -> None:
         """Drop the shared tier's connection (idempotent)."""

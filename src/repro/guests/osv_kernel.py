@@ -11,7 +11,7 @@ properties that matter for the reproduction:
 * **custom thread scheduler** — immature compared to CFS; the source of
   the severe ffmpeg (Figure 5) and MySQL (Figure 17) penalties;
 * **no multi-process support** — ``fork()``/``exec()`` unavailable, which
-  excludes several benchmarks and is modelled as explicit capability flags;
+  keeps OSv out of several benchmarks' platform sets;
 * **no libaio** — fio is excluded on OSv (Section 3.3).
 """
 
@@ -45,11 +45,6 @@ class OsvImage:
     #: Multiplier on SIMD-heavy code: lazy FPU/SIMD state handling and
     #: missing scheduler affinity cost wide-vector workloads extra.
     simd_overhead_factor: float = 1.32
-    supports_fork: bool = False
-    supports_exec: bool = False
-    supports_libaio: bool = False
-    #: Syscall cost is a plain function call — no mode switch.
-    syscall_is_function_call: bool = True
 
     def __post_init__(self) -> None:
         if self.size_bytes <= 0:

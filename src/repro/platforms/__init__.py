@@ -13,7 +13,6 @@ from repro.errors import ConfigurationError
 from repro.hardware.topology import Machine
 from repro.platforms.base import (
     BootPhase,
-    Capabilities,
     CpuProfile,
     IoProfile,
     MemoryProfile,
@@ -39,7 +38,6 @@ __all__ = [
     "IoProfile",
     "NetProfile",
     "BootPhase",
-    "Capabilities",
     "NativePlatform",
     "DockerPlatform",
     "LxcPlatform",

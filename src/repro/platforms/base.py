@@ -10,7 +10,6 @@ differences are architectural rather than hard-coded outcomes:
 * :class:`IoProfile`      — the storage stack: request overheads + caps (Figs 9-10)
 * :class:`NetProfile`     — datapath + guest network stack (Figs 11-12)
 * :class:`BootPhase` list — the startup sequence (Figs 13-15)
-* capabilities            — which benchmarks the platform can run at all
 
 Workloads consume profiles; the benchmark suite iterates platforms.
 """
@@ -21,7 +20,7 @@ import abc
 import enum
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError, UnsupportedOperationError
+from repro.errors import ConfigurationError
 from repro.hardware.topology import Machine, paper_testbed
 from repro.kernel.netdev import NetPath
 from repro.kernel.netstack import NetStack
@@ -35,7 +34,6 @@ __all__ = [
     "IoProfile",
     "NetProfile",
     "BootPhase",
-    "Capabilities",
     "Platform",
 ]
 
@@ -200,22 +198,6 @@ class BootPhase:
         return duration
 
 
-@dataclass(frozen=True)
-class Capabilities:
-    """What the platform can run (the paper's exclusions, as data)."""
-
-    attach_extra_drives: bool = True
-    libaio: bool = True
-    hugepages: bool = True
-    multi_process: bool = True
-    direct_io_measurable: bool = True
-
-    def require(self, capability: str) -> None:
-        """Raise :class:`UnsupportedOperationError` if a capability is absent."""
-        if not getattr(self, capability):
-            raise UnsupportedOperationError(f"platform lacks capability: {capability}")
-
-
 class Platform(abc.ABC):
     """Base class for all isolation platforms."""
 
@@ -256,10 +238,6 @@ class Platform(abc.ABC):
     @abc.abstractmethod
     def boot_phases(self) -> list[BootPhase]:
         """The startup sequence for the boot-time experiments."""
-
-    def capabilities(self) -> Capabilities:
-        """Default: everything supported (containers/native)."""
-        return Capabilities()
 
     # --- security --------------------------------------------------------------
 

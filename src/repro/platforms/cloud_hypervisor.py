@@ -25,7 +25,6 @@ from repro.kernel.netstack import GuestLinuxStack
 from repro.kernel.sched import CfsScheduler
 from repro.platforms.base import (
     BootPhase,
-    Capabilities,
     CpuProfile,
     IoProfile,
     MemoryProfile,
@@ -108,9 +107,6 @@ class CloudHypervisorPlatform(Platform):
             BootPhase("patched-init-exit", ms(1.2), rel_std=0.2),
             BootPhase("teardown", ms(8.0), rel_std=0.12),
         ]
-
-    def capabilities(self) -> Capabilities:
-        return Capabilities()
 
     def isolation_mechanisms(self) -> list[str]:
         return [

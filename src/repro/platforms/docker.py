@@ -18,7 +18,6 @@ from repro.kernel.netstack import HostLinuxStack
 from repro.kernel.sched import CfsScheduler
 from repro.platforms.base import (
     BootPhase,
-    Capabilities,
     CpuProfile,
     IoProfile,
     MemoryProfile,
@@ -91,9 +90,6 @@ class DockerPlatform(Platform):
             ]
         )
         return phases
-
-    def capabilities(self) -> Capabilities:
-        return Capabilities()
 
     def isolation_mechanisms(self) -> list[str]:
         mechanisms = [f"namespace:{kind.value}" for kind in sorted(

@@ -25,7 +25,6 @@ from repro.kernel.netstack import GuestLinuxStack
 from repro.kernel.sched import CfsScheduler
 from repro.platforms.base import (
     BootPhase,
-    Capabilities,
     CpuProfile,
     IoProfile,
     MemoryProfile,
@@ -111,9 +110,6 @@ class FirecrackerPlatform(Platform):
             BootPhase("patched-init-exit", ms(1.2), rel_std=0.2),
             BootPhase("teardown", ms(6.0), rel_std=0.12),
         ]
-
-    def capabilities(self) -> Capabilities:
-        return Capabilities(attach_extra_drives=False)
 
     def isolation_mechanisms(self) -> list[str]:
         return [

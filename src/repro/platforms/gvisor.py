@@ -31,7 +31,6 @@ from repro.kernel.sched import CustomScheduler
 from repro.platforms.interception import KvmPlatform, PtracePlatform
 from repro.platforms.base import (
     BootPhase,
-    Capabilities,
     CpuProfile,
     IoProfile,
     MemoryProfile,
@@ -149,9 +148,6 @@ class GvisorPlatform(Platform):
 
     def oltp_capacity_factor(self) -> float:
         return 0.9
-
-    def capabilities(self) -> Capabilities:
-        return Capabilities(direct_io_measurable=False)
 
     def isolation_mechanisms(self) -> list[str]:
         mechanisms = [f"namespace:{kind.value}" for kind in sorted(

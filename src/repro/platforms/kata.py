@@ -33,7 +33,6 @@ from repro.kernel.netstack import GuestLinuxStack
 from repro.kernel.sched import CfsScheduler
 from repro.platforms.base import (
     BootPhase,
-    Capabilities,
     CpuProfile,
     IoProfile,
     MemoryProfile,
@@ -155,9 +154,6 @@ class KataPlatform(Platform):
         # Finding 22 attributes Kata's halved MySQL throughput to its
         # high I/O latency on the redo-log path (9p rootfs).
         return 0.55
-
-    def capabilities(self) -> Capabilities:
-        return Capabilities(hugepages=False)
 
     def isolation_mechanisms(self) -> list[str]:
         mechanisms = [f"namespace:{kind.value}" for kind in sorted(

@@ -18,7 +18,6 @@ from repro.kernel.sched import CfsScheduler
 from repro.guests.init import INIT_SYSTEMS
 from repro.platforms.base import (
     BootPhase,
-    Capabilities,
     CpuProfile,
     IoProfile,
     MemoryProfile,
@@ -85,9 +84,6 @@ class LxcPlatform(Platform):
             BootPhase("payload-exit", ms(1.2), rel_std=0.2),
             BootPhase("systemd-shutdown", self.init_system.shutdown_time_s, rel_std=0.12),
         ]
-
-    def capabilities(self) -> Capabilities:
-        return Capabilities()
 
     def isolation_mechanisms(self) -> list[str]:
         mechanisms = [f"namespace:{kind.value}" for kind in sorted(

@@ -7,7 +7,6 @@ from repro.kernel.netstack import HostLinuxStack
 from repro.kernel.sched import CfsScheduler
 from repro.platforms.base import (
     BootPhase,
-    Capabilities,
     CpuProfile,
     IoProfile,
     MemoryProfile,
@@ -53,9 +52,6 @@ class NativePlatform(Platform):
             BootPhase("fork-exec", ms(2.0), rel_std=0.18),
             BootPhase("process-exit", ms(0.8), rel_std=0.2),
         ]
-
-    def capabilities(self) -> Capabilities:
-        return Capabilities()
 
     def isolation_mechanisms(self) -> list[str]:
         return ["process-boundary"]

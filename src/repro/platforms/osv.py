@@ -26,7 +26,6 @@ from repro.kernel.netdev import TapVirtioPath
 from repro.kernel.netstack import OsvStack
 from repro.platforms.base import (
     BootPhase,
-    Capabilities,
     CpuProfile,
     IoProfile,
     MemoryProfile,
@@ -166,13 +165,6 @@ class OsvPlatform(Platform):
         # Finding 21: the custom thread scheduler and memory allocator cap
         # database throughput far below the CPU capacity.
         return 0.2
-
-    def capabilities(self) -> Capabilities:
-        return Capabilities(
-            libaio=False,
-            multi_process=False,
-            attach_extra_drives=(self.hypervisor != "firecracker"),
-        )
 
     def isolation_mechanisms(self) -> list[str]:
         return [

@@ -27,7 +27,6 @@ from repro.kernel.netstack import GuestLinuxStack
 from repro.kernel.sched import CfsScheduler
 from repro.platforms.base import (
     BootPhase,
-    Capabilities,
     CpuProfile,
     IoProfile,
     MemoryProfile,
@@ -170,9 +169,6 @@ class QemuPlatform(Platform):
     def packet_rate_capacity(self) -> float:
         # virtio-net with vhost sustains high but finite small-packet rates.
         return 1_200_000.0
-
-    def capabilities(self) -> Capabilities:
-        return Capabilities()
 
     def isolation_mechanisms(self) -> list[str]:
         return ["hardware-virtualization", "separate-guest-kernel", "iommu-dma-isolation"]

@@ -6,7 +6,7 @@ startup-time probe. Applications: memcached under YCSB workload-a and
 MySQL under sysbench ``oltp_read_write``.
 
 Each workload consumes platform *profiles* and returns a typed result.
-Workloads validate platform capabilities and raise
+Workloads check what a platform supports and raise
 :class:`~repro.errors.UnsupportedOperationError` for the paper's
 exclusions (Firecracker/fio, OSv/libaio, gVisor/randread).
 """

@@ -6,7 +6,8 @@ pre-allocated with ``fallocate()``. Latency: 4 KiB ``randread``, the mean
 of ``samples`` simulated completions whose device noise factors are drawn
 as one block and summed in completion order.
 
-Exclusions, as in Section 3.3 (enforced via capabilities):
+Exclusions, as in Section 3.3 (each one raised by the platform's own
+``io_profile()`` or read from its ``IoProfile``):
 
 * Firecracker cannot attach extra storage devices;
 * OSv has no working libaio engine;
@@ -69,12 +70,6 @@ class FioLatencyResult:
         return seconds_to_us(self.mean_latency_s)
 
 
-def _require_fio(platform: Platform) -> None:
-    capabilities = platform.capabilities()
-    capabilities.require("attach_extra_drives")
-    capabilities.require("libaio")
-
-
 class FioThroughputWorkload(Workload):
     """Sequential 128 KiB read/write throughput (Figure 9)."""
 
@@ -94,7 +89,7 @@ class FioThroughputWorkload(Workload):
         self.drop_host_cache = drop_host_cache
 
     def check_supported(self, platform: Platform) -> None:
-        _require_fio(platform)
+        platform.io_profile()  # raises for the platforms fio excludes
 
     def run(self, platform: Platform, rng: RngStream) -> FioResult:
         self.check_supported(platform)
@@ -142,7 +137,7 @@ class FioLatencyWorkload(Workload):
         self.samples = samples
 
     def check_supported(self, platform: Platform) -> None:
-        _require_fio(platform)
+        # io_profile() raises for the platforms every fio figure excludes.
         if not platform.io_profile().honors_o_direct_end_to_end:
             raise UnsupportedOperationError(
                 f"{platform.name}: reads stay cached despite dropping both "

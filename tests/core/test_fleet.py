@@ -120,9 +120,9 @@ class TestFleetCoordinator:
                 assert len(client.roster()) == 1
                 time.sleep(0.25)
                 assert client.roster() == []
-                stats = client.stats()
-                assert stats["expired"] == 1
-                assert stats["live"] == 0
+            stats = coord._stats()
+            assert stats["expired"] == 1
+            assert stats["live"] == 0
 
     def test_stats_counters(self, coordinator):
         with FleetClient(coordinator.address_string) as client:
@@ -130,7 +130,7 @@ class TestFleetCoordinator:
             client.heartbeat("127.0.0.1:7077")
             client.roster()
             client.deregister("127.0.0.1:7077")
-            stats = client.stats()
+        stats = coordinator._stats()
         assert stats["registered"] == 1
         assert stats["heartbeats"] == 1
         assert stats["deregistered"] == 1

@@ -341,7 +341,10 @@ class TestGridOutcomeFolding:
         roster = list(PLATFORM_SETS["io_throughput"]) + ["firecracker"]
         result = run_figure("fig09", SEED, repetitions=2, platforms=roster)
         excluded_idx = [i for i, n in enumerate(result.notes) if "firecracker" in n]
-        static_idx = [i for i, n in enumerate(result.notes) if "Section 3.3" in n]
+        static_idx = [
+            i for i, n in enumerate(result.notes)
+            if n == "Firecracker and OSv excluded (Section 3.3)."
+        ]
         assert excluded_idx and static_idx
         assert max(excluded_idx) < min(static_idx)
 

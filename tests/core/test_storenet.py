@@ -23,8 +23,10 @@ import time
 import pytest
 
 from repro.cli import main
-from repro.core.remote import WorkerServer, recv_frame, send_frame
+from repro.core.figures import lower_figure
+from repro.core.remote import RemoteMapper, WorkerServer, recv_frame, send_frame
 from repro.core.results import FigureResult, ResultRow
+from repro.core.runner import run_rep_job
 from repro.core.scheduler import ExecutionPolicy, ExperimentScheduler
 from repro.core.stats import summarize
 from repro.core.store import ResultStore, StoreKey
@@ -146,10 +148,7 @@ class TestRemoteStore:
             assert loaded is not None
             assert loaded.to_dict() == sample_result().to_dict()
             assert store.last_source == "remote"
-            assert key in store
-            # Membership feeds the same counters as get() now — the
-            # `in` above is the second hit.
-            assert store.stats == {"hits": 2, "misses": 1, "evicted": 0}
+            assert store.stats == {"hits": 1, "misses": 1, "evicted": 0}
 
     def test_server_stats_request(self, store_server):
         with RemoteStore(store_server.address_string) as store:
@@ -243,7 +242,8 @@ class TestTieredStore:
         tiered.put(key_for(), sample_result())
         assert local.get(key_for()) is not None
         assert store_server.store.get(key_for()) is not None
-        assert key_for() in tiered
+        assert tiered.get(key_for()) is not None
+        assert tiered.last_source == "local"
         tiered.close()
 
     def test_no_local_tier_reads_remote_directly(self, store_server):
@@ -448,10 +448,10 @@ class TestCliStore:
 
 
 class _LegacyStoreServer:
-    """A v1-original store double: no ``verbs`` in the hello, get/put only.
+    """A store double without a cell tier: no ``verbs`` in the hello,
+    get/put only, and any other verb is refused and drops the connection.
 
-    Exercises the client's negotiated fallback — membership must go
-    through a full ``get`` when the server never advertised ``contains``.
+    It serves one connection and records the verb of every request.
     """
 
     def __init__(self) -> None:
@@ -506,17 +506,18 @@ class _LegacyStoreServer:
 
 
 class TestContainsVerb:
-    """Satellite: lightweight membership with counted, negotiated fallback."""
+    """The store answers membership through ``get`` alone: no ``contains``
+    verb, and a worker learns that a store lacks the cell tier from the
+    refusal of its first claim."""
 
     def test_server_advertises_the_verb_set(self, store_server):
         with RemoteStore(store_server.address_string) as store:
-            assert store.supports("contains")
             assert store.supports("cell_claim")
+            assert not store.supports("contains")
             assert not store.supports("frobnicate")
 
-    def test_contains_answers_one_boolean_on_the_wire(self, store_server):
-        # The raw protocol: membership is a boolean reply, not a payload.
-        store_server.store.put(key_for(), sample_result())
+    def test_cell_claim_answers_one_tuple_on_the_wire(self, store_server):
+        # The raw protocol: a fresh token is a lease grant, with no payload.
         with socket.create_connection(store_server.address, timeout=5) as sock:
             send_frame(
                 sock,
@@ -524,31 +525,25 @@ class TestContainsVerb:
             )
             kind, info = recv_frame(sock)
             assert kind == "hello"
-            assert "contains" in info["verbs"]
-            from repro.core.storenet import _key_to_wire
+            assert "cell_claim" in info["verbs"]
+            send_frame(sock, ("cell_claim", "cell-1"))
+            assert recv_frame(sock) == ("ok", ("run", None))
 
-            send_frame(sock, ("contains", _key_to_wire(key_for())))
-            assert recv_frame(sock) == ("ok", True)
+    def test_worker_without_a_cell_tier_runs_cells_itself(self):
+        # The store refuses the worker's first claim; the worker stops
+        # using it and runs every cell itself, bit-identical to serial.
+        def jobs():  # a fresh lowering: running a job advances its stream
+            return [cell.job for cell in lower_figure("fig11", SEED, repetitions=2).cells]
 
-    def test_membership_counts_hits_and_misses(self, store_server):
-        with RemoteStore(store_server.address_string) as store:
-            assert key_for() not in store
-            store.put(key_for(), sample_result())
-            assert key_for() in store
-            assert store.stats == {"hits": 1, "misses": 1, "evicted": 0}
-
-    def test_legacy_server_falls_back_to_get_with_the_same_counters(self):
-        # No verbs advertised: membership must degrade to a full get and
-        # still feed the hit/miss counters identically.
-        with _LegacyStoreServer() as legacy:
-            with RemoteStore(legacy.address_string) as store:
-                assert key_for() not in store
-                store.put(key_for(), sample_result())
-                assert key_for() in store
-                assert not store.supports("contains")
-                assert store.stats == {"hits": 1, "misses": 1, "evicted": 0}
-        # Every membership probe crossed the wire as a get.
-        assert legacy.requests == ["get", "put", "get"]
+        serial = [run_rep_job(job) for job in jobs()]
+        with _LegacyStoreServer() as legacy, WorkerServer(port=0, workers=1) as worker:
+            with RemoteMapper(
+                [worker.address_string], store_url=legacy.address_string
+            ) as mapper:
+                remote = list(mapper(run_rep_job, jobs()))
+        assert remote == serial
+        assert mapper.last_dedupe == {"executed": len(serial), "store_hits": 0}
+        assert legacy.requests == ["cell_claim"]
 
 
 class TestHandshakeDiagnosis:

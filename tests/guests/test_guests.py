@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, UnsupportedOperationError
 from repro.guests.clearlinux import ClearLinuxRootfs
 from repro.guests.init import INIT_SYSTEMS, InitSystem
 from repro.guests.linux import BootProtocol, kata_optimized_kernel, standard_linux_guest
 from repro.guests.osv_kernel import osv_image
+from repro.platforms import get_platform
 from repro.units import GB, MB
 
 
@@ -64,11 +65,13 @@ class TestOsvImage:
         assert image.boot_time_s < standard_linux_guest().kernel_init_time_s(7)
 
     def test_capability_flags(self):
-        image = osv_image()
-        assert not image.supports_fork
-        assert not image.supports_exec
-        assert not image.supports_libaio
-        assert image.syscall_is_function_call
+        # The OSv platform encodes the image's limits: no libaio engine, so
+        # fio is excluded, and a syscall is a function call, cheaper than
+        # a mode switch.
+        osv = get_platform("osv")
+        with pytest.raises(UnsupportedOperationError, match="libaio"):
+            osv.io_profile()
+        assert osv.syscall_overhead_factor() < get_platform("native").syscall_overhead_factor()
 
     def test_custom_scheduler_is_weak(self):
         image = osv_image()

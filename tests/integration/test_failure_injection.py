@@ -30,7 +30,7 @@ class TestExclusionSurfacing:
     """The paper's exclusions must surface as typed errors, not wrong data."""
 
     def test_fio_on_firecracker_raises(self, rng):
-        with pytest.raises(UnsupportedOperationError, match="attach_extra_drives"):
+        with pytest.raises(UnsupportedOperationError, match="extra storage devices"):
             FioThroughputWorkload().run(get_platform("firecracker"), rng)
 
     def test_fio_on_osv_raises(self, rng):

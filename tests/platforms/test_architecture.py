@@ -147,7 +147,7 @@ class TestKata:
         assert not profile.effective_nested
 
     def test_no_hugepages(self):
-        assert not get_platform("kata").capabilities().hugepages
+        assert not get_platform("kata").memory_profile().supports_hugepages
 
     def test_ninep_io_is_terrible(self):
         kata = get_platform("kata").io_profile()
@@ -200,9 +200,6 @@ class TestOsv:
     def test_excluded_from_fio(self):
         with pytest.raises(UnsupportedOperationError):
             get_platform("osv").io_profile()
-
-    def test_no_multi_process(self):
-        assert not get_platform("osv").capabilities().multi_process
 
     def test_memory_inherits_hypervisor(self):
         """Finding 5."""

@@ -18,8 +18,8 @@ count. Dunders are exempt, and so is each :data:`ALLOWED` entry.
 
 Both guards are floors. They see names, not values: a dead def that
 shares its name with a live one passes, and so does an attribute that is
-written but never read. A ``sys.setprofile`` call trace of the entry
-points finds those.
+written but never read. ``tests/trace_reach.py`` runs the entry points
+under a profile hook and finds the dead defs.
 """
 
 import ast
