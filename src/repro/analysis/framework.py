@@ -160,8 +160,7 @@ DEFAULT_THREAD_ROLES: dict[str, dict[str, dict[str, str]]] = {
         "ResultStore": {
             "get": "repro-store-conn",
             "put": "repro-store-conn",
-            "entries": "repro-store-conn",
-            "total_bytes": "repro-store-conn",
+            "usage": "repro-store-conn",
         },
     },
     "repro/core/service.py": {

@@ -25,6 +25,11 @@ from the newest existing entry and the wall clock, advanced by at least a
 microsecond per touch): a wall-clock step backwards — NTP correction, VM
 resume — can therefore never make a fresh read look older than a stale
 one and reorder eviction.
+
+A store decodes each entry file once per process. It keeps the decoded
+result payload of the entries it has read, at most :data:`MEMO_ENTRIES`
+of them, and a later ``get`` of an unchanged file rebuilds its result
+from that payload without reading or parsing the file again.
 """
 
 from __future__ import annotations
@@ -37,8 +42,9 @@ import os
 import pathlib
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 from repro.core.results import FigureResult
 from repro.errors import ConfigurationError
@@ -46,6 +52,11 @@ from repro.errors import ConfigurationError
 __all__ = ["StoreKey", "ResultStore", "canonical_overrides"]
 
 _SCHEMA_VERSION = 1
+
+#: How many decoded entries a store keeps. 64 holds four paper-scale
+#: runs of 15 figures; the largest paper-scale entry (fig15) decodes to
+#: about 0.12 MB, so a full memo stays under 8 MB.
+MEMO_ENTRIES = 64
 
 
 def canonical_overrides(overrides: dict[str, Any] | None) -> str:
@@ -176,11 +187,17 @@ class ResultStore:
             ) from None
         self.max_bytes = max_bytes
         # A store behind a StoreServer is read/written from every handler
-        # thread at once; unguarded += on the counters loses increments.
+        # thread at once; unguarded += on the counters loses increments,
+        # and the memo's dict operations take the same lock.
         self._stats_lock = threading.Lock()
         self._hits = 0
         self._misses = 0
         self._evicted = 0
+        # Decoded entries, least recently read first: digest ->
+        # ((st_ino, st_size) when decoded, the entry's result payload).
+        self._memo: OrderedDict[str, tuple[tuple[int, int], dict[str, Any]]] = (
+            OrderedDict()
+        )
         self._temp_counter = itertools.count()
         # A process that died between temp-write and rename leaves a
         # *.tmp-* file behind forever; adopt-and-sweep on open.
@@ -251,28 +268,52 @@ class ResultStore:
     # --- read/write ---------------------------------------------------------------
 
     def get(self, key: StoreKey) -> FigureResult | None:
-        """Load a cached result, or None on miss (or unreadable entry)."""
+        """Load a cached result, or None on miss (or unreadable entry).
+
+        An entry file is decoded once: while it keeps the inode and size
+        it had then, a later ``get`` rebuilds the result from the payload
+        the memo kept, with no read, no parse and no schema or digest
+        check (it passed those when it was decoded). A file renamed over
+        the entry, as every ``put`` does, or one whose size changed is
+        read and checked again.
+        """
         path = self.path_for(key)
+        digest = key.digest
         try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+            # The identity is taken before the read, so a file replaced
+            # while it is read fails the check on the next get instead of
+            # pinning its new content to the old identity.
+            stat = os.stat(path)
+        except OSError:
             with self._stats_lock:
+                self._memo.pop(digest, None)
                 self._misses += 1
             return None
-        try:
-            if payload.get("schema") != _SCHEMA_VERSION:
-                raise ConfigurationError("schema mismatch")
-            stored_key = payload["key"]
-            if stored_key.get("digest") != key.digest:
-                raise ConfigurationError("digest mismatch")
-            result = FigureResult.from_dict(payload["result"])
-        except (ConfigurationError, KeyError, TypeError, ValueError):
-            # A corrupt or stale-schema entry behaves like a miss.
-            with self._stats_lock:
-                self._misses += 1
-            return None
+        identity = (stat.st_ino, stat.st_size)
+        with self._stats_lock:
+            kept = self._memo.get(digest)
+            memoized = kept is not None and kept[0] == identity
+            if memoized:
+                self._memo.move_to_end(digest)
+        if memoized:
+            payload = kept[1]
+            result = FigureResult.from_dict(payload)
+        else:
+            decoded = self._decode(path, digest)
+            if decoded is None:
+                # A corrupt or stale-schema entry behaves like a miss.
+                with self._stats_lock:
+                    self._memo.pop(digest, None)
+                    self._misses += 1
+                return None
+            payload, result = decoded
         with self._stats_lock:
             self._hits += 1
+            if not memoized:
+                self._memo[digest] = (identity, payload)
+                self._memo.move_to_end(digest)
+                if len(self._memo) > MEMO_ENTRIES:
+                    self._memo.popitem(last=False)
         try:
             # LRU recency marker: a read refreshes the entry's mtime, so
             # eviction (least-recently-*read*) spares hot entries. The
@@ -283,6 +324,28 @@ class ResultStore:
         except OSError:
             pass  # raced with a concurrent eviction: still a valid hit
         return result
+
+    @staticmethod
+    def _decode(
+        path: pathlib.Path, digest: str
+    ) -> tuple[dict[str, Any], FigureResult] | None:
+        """An entry file's result payload and the result built from it, or
+        None when the file is unreadable, not a store entry, or filed
+        under another digest."""
+        try:
+            # ValueError covers malformed JSON and bytes that are not UTF-8.
+            payload = json.loads(path.read_text())
+        except (OSError, ValueError):
+            return None
+        if not isinstance(payload, dict) or payload.get("schema") != _SCHEMA_VERSION:
+            return None
+        stored_key = payload.get("key")
+        if not isinstance(stored_key, dict) or stored_key.get("digest") != digest:
+            return None
+        try:
+            return payload["result"], FigureResult.from_dict(payload["result"])
+        except (KeyError, TypeError, ValueError):
+            return None
 
     def put(self, key: StoreKey, result: FigureResult) -> pathlib.Path:
         """Persist a result under its key (atomic rename)."""
@@ -295,6 +358,11 @@ class ResultStore:
         temp = self._temp_path(path)
         temp.write_text(json.dumps(payload, indent=2))
         temp.replace(path)
+        with self._stats_lock:
+            # The rename gives the entry a new inode, but a later rewrite
+            # may get the replaced file's inode back with the same size;
+            # dropping the decoded form keeps it from matching then.
+            self._memo.pop(key.digest, None)
         try:
             # Writes enter the same monotonic recency order as reads; the
             # rename alone would stamp raw wall time, which may sort
@@ -309,28 +377,20 @@ class ResultStore:
 
     # --- maintenance ---------------------------------------------------------------
 
-    def entries(self) -> Iterator[dict[str, Any]]:
-        """Iterate over the stored keys (as dicts) for inspection."""
-        if not self.root.is_dir():
-            return
-        for path in sorted(self.root.glob("*.json")):
-            try:
-                payload = json.loads(path.read_text())
-                yield payload["key"]
-            except (OSError, json.JSONDecodeError, KeyError):
-                continue
+    def usage(self) -> tuple[int, int]:
+        """How many entry files the store holds, and their total bytes.
 
-    def total_bytes(self) -> int:
-        """Current size of all entries (temp files excluded)."""
-        if not self.root.is_dir():
-            return 0
-        total = 0
+        One directory scan, parsing nothing: a corrupt entry file counts
+        until a ``put`` overwrites it. Temp files are not counted.
+        """
+        count = total = 0
         for path in self.root.glob("*.json"):
             try:
                 total += path.stat().st_size
             except OSError:
                 continue  # raced with a concurrent removal
-        return total
+            count += 1
+        return count, total
 
     def _evict(self, protect: pathlib.Path) -> int:
         """Drop least-recently-read entries until the store fits its budget.

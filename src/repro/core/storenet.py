@@ -198,8 +198,7 @@ class StoreServer(Service):
 
     def _stats(self) -> dict[str, Any]:
         stats = dict(self.store.stats)
-        stats["entries"] = sum(1 for _ in self.store.entries())
-        stats["total_bytes"] = self.store.total_bytes()
+        stats["entries"], stats["total_bytes"] = self.store.usage()
         stats["cells"] = self.cell_stats()
         return stats
 

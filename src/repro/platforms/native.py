@@ -47,7 +47,8 @@ class NativePlatform(Platform):
         return NetProfile(path=NativePath(), stack=HostLinuxStack())
 
     def boot_phases(self) -> list[BootPhase]:
-        # fork + execve of a plain process; the floor of Figure 13.
+        # fork + execve of a plain process. No startup figure's roster has
+        # native; a startup run that names it in ``platforms`` uses these.
         return [
             BootPhase("fork-exec", ms(2.0), rel_std=0.18),
             BootPhase("process-exit", ms(0.8), rel_std=0.2),

@@ -41,6 +41,20 @@ def held_port():
         yield holder.getsockname()[1]
 
 
+@pytest.fixture
+def corrupt_entries() -> tuple[bytes, ...]:
+    """Store entry contents a get must read as a miss: malformed JSON,
+    bytes that are not UTF-8, JSON that is not an object, and an object
+    whose key is not one."""
+    return (
+        b"{not json",
+        b"\xff\xfe\x00 not utf-8",
+        b"[]",
+        b'"x"',
+        b'{"schema": 1, "key": [], "result": {}}',
+    )
+
+
 class GridBackendCase:
     """One grid backend plus the worker roster it needs (if any)."""
 

@@ -1,12 +1,18 @@
 """Tests for the persistent content-addressed result store."""
 
+import builtins
+import io
 import json
+import os
+import pickle
 
 import pytest
 
+from repro.core.figures import FIGURES
 from repro.core.results import FigureResult, ResultRow, SeriesRow
+from repro.core.scheduler import ExperimentScheduler
 from repro.core.stats import summarize
-from repro.core.store import ResultStore, StoreKey, canonical_overrides
+from repro.core.store import MEMO_ENTRIES, ResultStore, StoreKey, canonical_overrides
 from repro.errors import ConfigurationError
 
 
@@ -115,22 +121,181 @@ class TestResultStore:
         with pytest.raises(ConfigurationError, match="not a directory"):
             ResultStore(clash)
 
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
+    def test_corrupt_entry_is_a_miss(self, tmp_path, corrupt_entries):
         store = ResultStore(tmp_path)
         key = StoreKey.for_run("figX", 42, False, None)
         path = store.put(key, sample_result())
-        path.write_text("{not json")
-        assert store.get(key) is None
+        for content in corrupt_entries:
+            path.write_bytes(content)
+            assert store.get(key) is None, content
+        assert store.stats["misses"] == len(corrupt_entries)
 
-    def test_entries_list_every_readable_key(self, tmp_path):
+    def test_usage_counts_every_entry_file(self, tmp_path):
         store = ResultStore(tmp_path)
-        assert list(store.entries()) == []
-        store.put(StoreKey.for_run("figX", 42, False, None), sample_result())
-        store.put(StoreKey.for_run("figX", 42, False, {"repetitions": 2}), sample_result())
-        (tmp_path / "figX-corrupt.json").write_text("{not json")
-        listed = list(store.entries())
-        assert len(listed) == 2  # the unreadable entry is skipped
-        assert all(entry["figure_id"] == "figX" for entry in listed)
+        assert store.usage() == (0, 0)
+        first = store.put(StoreKey.for_run("figX", 42, False, None), sample_result())
+        second = store.put(
+            StoreKey.for_run("figX", 42, False, {"repetitions": 2}), sample_result()
+        )
+        corrupt = tmp_path / "figX-corrupt.json"
+        corrupt.write_text("{not json")
+        (tmp_path / "figX-abc.tmp-999999999").write_text("{in-flight")
+        # A corrupt entry counts (nothing is parsed); a temp file does not.
+        sizes = [path.stat().st_size for path in (first, second, corrupt)]
+        assert store.usage() == (3, sum(sizes))
+
+
+class TestDecodeMemo:
+    """``get`` decodes an entry file once and rebuilds re-reads from memory."""
+
+    @staticmethod
+    def key(n=42):
+        return StoreKey.for_run("figX", n, False, None)
+
+    @staticmethod
+    def titled(title):
+        result = sample_result()
+        result.title = title
+        return result
+
+    def test_a_second_get_opens_no_file_and_returns_the_same_result(
+        self, tmp_path, monkeypatch
+    ):
+        # A store filled by the seed-42 quick run, read by a fresh store.
+        scheduler = ExperimentScheduler(seed=42, quick=True, store=ResultStore(tmp_path))
+        scheduler.run().raise_for_errors()
+        store = ResultStore(tmp_path)
+        keys = {figure_id: scheduler.key_for(figure_id) for figure_id in FIGURES}
+        first = {figure_id: store.get(key) for figure_id, key in keys.items()}
+        opened = []
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(io, "open", counting_open)
+            patch.setattr(builtins, "open", counting_open)
+            again = {figure_id: store.get(key) for figure_id, key in keys.items()}
+        assert opened == []
+        for figure_id, result in again.items():
+            assert result.comparable_dict() == first[figure_id].comparable_dict()
+            # The server pickles this form onto the wire.
+            assert pickle.dumps(result.to_dict()) == pickle.dumps(
+                first[figure_id].to_dict()
+            ), figure_id
+        assert store.stats == {"hits": 2 * len(FIGURES), "misses": 0, "evicted": 0}
+
+    def test_the_next_get_sees_a_put_over_the_key(self, tmp_path):
+        store = ResultStore(tmp_path)
+        size = store.put(self.key(), self.titled("before")).stat().st_size
+        assert store.get(self.key()).title == "before"
+        # Same-size rewrites, through this store and through another
+        # writer on the directory: only the renamed file's inode differs.
+        for writer, title in ((store, "second"), (ResultStore(tmp_path), "thirds")):
+            assert writer.put(self.key(), self.titled(title)).stat().st_size == size
+            assert store.get(self.key()).title == title
+
+    def test_a_file_renamed_over_the_entry_is_checked_again(self, tmp_path):
+        store = ResultStore(tmp_path)
+        path = store.put(self.key(1), sample_result())
+        other = store.put(self.key(2), sample_result())
+        assert path.stat().st_size == other.stat().st_size
+        assert store.get(self.key(1)) is not None
+        other.replace(path)  # another key's valid entry
+        assert store.get(self.key(1)) is None
+
+    def test_a_rewrite_that_gets_the_old_inode_back_is_read_again(
+        self, tmp_path, monkeypatch
+    ):
+        # A file system may give a freed inode to the next new file, so
+        # two rewrites can leave the entry with the inode and size the
+        # memo kept. Here every file under tmp_path reports one inode.
+        real_stat = os.stat
+
+        def one_inode(path, *args, **kwargs):
+            stat = real_stat(path, *args, **kwargs)
+            if not str(path).startswith(str(tmp_path)):
+                return stat
+            hidden = ("st_atime", "st_mtime", "st_ctime", "st_mtime_ns")
+            fields = [stat.st_mode, 1, *stat[2:]]
+            return os.stat_result(fields, {name: getattr(stat, name) for name in hidden})
+
+        monkeypatch.setattr(os, "stat", one_inode)
+        store = ResultStore(tmp_path)
+        store.put(self.key(), self.titled("before"))
+        assert store.get(self.key()).title == "before"
+        store.put(self.key(), self.titled("second"))
+        assert store.get(self.key()).title == "second"
+
+    def test_a_deleted_entry_is_a_miss_and_leaves_the_memo(self, tmp_path):
+        store = ResultStore(tmp_path)
+        path = store.put(self.key(), sample_result())
+        assert store.get(self.key()) is not None
+        assert self.key().digest in store._memo
+        path.unlink()
+        assert store.get(self.key()) is None
+        assert self.key().digest not in store._memo
+
+    def test_a_corrupt_rewrite_of_another_size_is_a_miss(
+        self, tmp_path, corrupt_entries
+    ):
+        store = ResultStore(tmp_path)
+        path = store.put(self.key(), sample_result())
+        assert store.get(self.key()) is not None
+        for content in corrupt_entries:
+            path.write_bytes(content)  # in place: the inode stays
+            assert store.get(self.key()) is None, content
+        assert self.key().digest not in store._memo
+
+    def test_an_in_place_edit_of_the_same_size_is_not_seen(self, tmp_path):
+        # The documented limit of the memo (docs/OPERATIONS.md).
+        store = ResultStore(tmp_path)
+        path = store.put(self.key(), self.titled("before"))
+        assert store.get(self.key()).title == "before"
+        path.write_text(path.read_text().replace('"before"', '"edited"'))
+        assert store.get(self.key()).title == "before"
+        assert ResultStore(tmp_path).get(self.key()).title == "edited"
+
+    def test_counters_and_recency_advance_on_every_memo_hit(self, tmp_path):
+        store = ResultStore(tmp_path)
+        path = store.put(self.key(), sample_result())
+        assert store.get(self.key(1)) is None
+        stamps = [path.stat().st_mtime_ns]
+        for _ in range(4):
+            assert store.get(self.key()) is not None
+            stamps.append(path.stat().st_mtime_ns)
+        assert store.stats == {"hits": 4, "misses": 1, "evicted": 0}
+        assert stamps == sorted(set(stamps))  # strictly increasing
+
+    def test_the_memo_keeps_its_bound_and_drops_the_least_recently_read(
+        self, tmp_path
+    ):
+        store = ResultStore(tmp_path)
+        keys = [self.key(n) for n in range(MEMO_ENTRIES + 1)]
+        for key in keys:
+            store.put(key, sample_result())
+        for key in keys[:-1]:
+            assert store.get(key) is not None
+        assert store.get(keys[0]) is not None  # keys[1] is now the coldest
+        assert store.get(keys[-1]) is not None
+        assert len(store._memo) == MEMO_ENTRIES
+        assert keys[1].digest not in store._memo
+        assert keys[0].digest in store._memo and keys[-1].digest in store._memo
+
+    def test_new_provenance_on_a_memo_hit_leaves_the_next_get_unchanged(
+        self, tmp_path
+    ):
+        store = ResultStore(tmp_path)
+        scheduler = ExperimentScheduler(seed=42, quick=True, store=store)
+        key = scheduler.key_for("fig11")
+        scheduler.run(["fig11"]).raise_for_errors()  # executes and puts
+        stored = store.get(key).to_dict()  # decodes into the memo
+        report = scheduler.run(["fig11"])  # a memo hit, given new provenance
+        assert report.results["fig11"].provenance["cache"] == "hit-local"
+        assert store.get(key).to_dict() == stored
+        assert stored["metadata"]["provenance"]["cache"] == "miss"
 
 
 class TestStaleTempSweep:
@@ -325,16 +490,15 @@ class TestMultiProcessContention:
         for worker in workers:
             worker.join(timeout=60)
         assert all(worker.exitcode == 0 for worker in workers)
-        # Whatever survived the eviction crossfire is complete and valid.
+        # Whatever survived the eviction crossfire is complete and valid,
+        # and a fresh store on the directory reads every survivor cleanly.
         survivors = list(root.glob("*.json"))
         assert survivors  # each process's own newest entry was protected
-        for path in survivors:
-            payload = json_module.loads(path.read_text())
-            assert payload["key"]["figure_id"] == "figX"
         assert list(root.glob("*.tmp-*")) == []
-        # A fresh store on the directory reads every survivor cleanly.
         fresh = ResultStore(root)
-        for entry in fresh.entries():
+        for path in survivors:
+            entry = json_module.loads(path.read_text())["key"]
+            assert entry["figure_id"] == "figX"
             key = StoreKey.for_run(
                 entry["figure_id"], entry["seed"], entry["quick"], entry["overrides"]
             )
@@ -371,7 +535,7 @@ class TestEviction:
         store = ResultStore(tmp_path, max_bytes=3 * size)
         for n in range(8):
             store.put(self.key(n), sample_result())
-            assert store.total_bytes() <= store.max_bytes
+            assert store.usage()[1] <= store.max_bytes
         assert store.stats["evicted"] == 5
         # The survivors are the most recently written entries.
         assert store.get(self.key(7)) is not None

@@ -108,6 +108,78 @@ class TestStoreServer:
             with pytest.raises(EOFError):
                 recv_frame(sock)  # server closed the connection
 
+    def test_corrupt_entry_is_a_miss_on_a_live_connection(
+        self, store_server, corrupt_entries
+    ):
+        with RemoteStore(store_server.address_string) as store:
+            store.put(key_for(), sample_result())
+            assert store.get(key_for()) is not None
+            connection = store._sock
+            path = store_server.store.path_for(key_for())
+            for content in corrupt_entries:
+                path.write_bytes(content)
+                assert store.get(key_for()) is None, content
+                assert store._sock is connection  # no error frame, no redial
+            store.put(key_for(), sample_result())
+            assert store.get(key_for()).to_dict() == sample_result().to_dict()
+            assert store._sock is connection
+
+    def test_corrupt_shared_entry_is_recomputed(self, store_server):
+        policy = ExecutionPolicy(store_url=store_server.address_string)
+        expected = ExperimentScheduler(SEED, quick=True).run(["fig05"]).results["fig05"]
+        scheduler = ExperimentScheduler(SEED, quick=True, policy=policy)
+        store_server.store.path_for(scheduler.key_for("fig05")).write_text("[]")
+        report = scheduler.run(["fig05"])
+        report.raise_for_errors()
+        assert report.records[0].cache == "miss"
+        assert report.results["fig05"].comparable_dict() == expected.comparable_dict()
+        assert store_server.store.get(scheduler.key_for("fig05")) is not None
+
+    def test_threads_on_one_server_get_the_serial_replies(self, store_server):
+        # Every put of a key writes the same result, as every run of one
+        # figure does, so every reply must equal a serial read.
+        keys = [key_for(seed) for seed in range(3)]
+        with RemoteStore(store_server.address_string) as store:
+            for key in keys:
+                store.put(key, sample_result(f"seed-{key.seed}"))
+        serial = {key.seed: ResultStore(store_server.store.root).get(key) for key in keys}
+        replies: list[tuple[int, FigureResult | None]] = []
+        errors: list[Exception] = []
+        barrier = threading.Barrier(4)
+
+        def read_and_write(index: int) -> None:
+            try:
+                with RemoteStore(store_server.address_string) as client:
+                    barrier.wait(timeout=5)
+                    for round_ in range(20):
+                        key = keys[(index + round_) % len(keys)]
+                        if round_ % 4 == index:
+                            client.put(key, sample_result(f"seed-{key.seed}"))
+                        replies.append((key.seed, client.get(key)))
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=read_and_write, args=(index,)) for index in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often inside the memo
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert len(replies) == 80
+        for seed, reply in replies:
+            assert reply is not None
+            assert reply.to_dict() == serial[seed].to_dict()
+        # A lost update under the memo's lock would lose a count.
+        assert store_server.store.stats == {"hits": 80, "misses": 0, "evicted": 0}
+
     def test_wrong_arity_is_an_unexpected_frame(self, store_server):
         with socket.create_connection(store_server.address, timeout=5) as sock:
             send_frame(
@@ -201,7 +273,7 @@ class TestRemoteStore:
             thread.join(timeout=30)
         assert not errors
         # Exactly one (valid) entry remains; no temp files leaked.
-        assert sum(1 for _ in store_server.store.entries()) == 1
+        assert store_server.store.usage()[0] == 1
         assert list(store_server.store.root.glob("*.tmp-*")) == []
 
 

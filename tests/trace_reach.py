@@ -96,11 +96,9 @@ ALLOWLIST: dict[str, str] = {
     "core/store.py:ResultStore.describe":
         "api: BenchmarkSuite.describe() names its store; no root describes a suite "
         "that has one",
-    "core/store.py:ResultStore.entries":
-        "by-name: read by the store's stats verb, served only by perfbench's untraced store",
     "core/store.py:ResultStore.stats":
         "by-name: read by the store's stats verb, served only by perfbench's untraced store",
-    "core/store.py:ResultStore.total_bytes":
+    "core/store.py:ResultStore.usage":
         "by-name: read by the store's stats verb, served only by perfbench's untraced store",
     "core/storenet.py:RemoteStore.describe":
         "api: BenchmarkSuite.describe() names its store; no root describes a suite "
